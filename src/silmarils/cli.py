@@ -20,6 +20,7 @@ import json
 import statistics as pystats
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import stats as harness
@@ -44,7 +45,6 @@ from .hashing import PairKey, derive_receipt
 from .net_sim import transcript_lines
 from .rng import SEED_BYTES, Rng
 from .sss import Weights
-from .three_party import run_signing_session
 from .two_party import (
     HINT_KINDS,
     KeyMaterial,
@@ -84,6 +84,16 @@ def _seed_arg(text: str) -> bytes:
     if len(raw) != SEED_BYTES:
         raise argparse.ArgumentTypeError(f"seed must be {SEED_BYTES} bytes of hex")
     return raw
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _hint_arg(text: str) -> tuple:
@@ -267,31 +277,26 @@ def cmd_sim3p(args) -> int:
     if args.adversary != "none":
         strategy = harness.get_strategy(args.adversary)
     seed = args.seed if args.seed is not None else harness.DEFAULT_SEED
-    root = Rng(seed)
-    params = Params.generate(prime, root.fork(b"params"))
-    keys = keygen(params, root.fork(b"keys"))
     message = Path(args.msg).read_bytes() if args.msg else harness.DEFAULT_MESSAGE
     collect = args.out is not None
+    results = harness.run_trials(
+        prime, args.trials, seed=seed, strategy=strategy, message=message,
+        collect=collect,
+    )
 
     z2_eq = z3_eq = bottom = forged = divergent = 0
-    verdict_counts: dict = {}
-    arm_counts: dict = {}
+    verdict_counts: Counter = Counter()
+    arm_counts: Counter = Counter()
     log_lines: list = []
-    for i in range(args.trials):
-        tri = root.fork(b"trial/" + i.to_bytes(8, "big"))
-        hook = strategy.hook(prime, tri.fork(b"adversary")) if strategy else None
-        res = run_signing_session(
-            keys, message, tri.seed, adversary=hook, collect=collect
-        )
+    for i, res in enumerate(results):
         out = res.outcome
         z2_eq += out.z2 == res.x
         z3_eq += out.z3 == res.x
         bottom += out.z3 is None
         forged += out.z3 is not None and out.z3 != res.x
         divergent += out.z2 is not None and out.z2 != out.z3
-        for _, _, label in out.verdicts:
-            verdict_counts[label] = verdict_counts.get(label, 0) + 1
-        arm_counts[res.arm] = arm_counts.get(res.arm, 0) + 1
+        verdict_counts.update(label for _, _, label in out.verdicts)
+        arm_counts[res.arm] += 1
         if collect:
             log_lines.append(json.dumps({"trial": i}, sort_keys=True))
             log_lines.extend(transcript_lines(res.net.transcript))
@@ -456,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help='attack strategy name or "none" (default)',
     )
-    p.add_argument("--trials", type=int, default=1, help="number of sessions")
+    p.add_argument("--trials", type=_positive_int, default=1, help="number of sessions")
     p.add_argument("--msg", default=None, help="message file (default: built-in)")
     p.add_argument("--out", default=None, help="transcript log file (JSON lines)")
     p.set_defaults(func=cmd_sim3p)
@@ -465,14 +470,18 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", parents=[common, profiled], help="run the statistics harness"
     )
     p.add_argument("--suite", choices=harness.SUITES, default="all")
-    p.add_argument("--trials", type=int, default=10000, help="Monte Carlo trials")
+    p.add_argument(
+        "--trials", type=_positive_int, default=10000, help="Monte Carlo trials"
+    )
     p.add_argument("--out", default=None, help="also write JSON lines here")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(
         "bench", parents=[common, profiled], help="sizes, op counts, and timings"
     )
-    p.add_argument("--trials", type=int, default=2000, help="timing repetitions")
+    p.add_argument(
+        "--trials", type=_positive_int, default=2000, help="timing repetitions"
+    )
     p.set_defaults(func=cmd_bench)
 
     return parser

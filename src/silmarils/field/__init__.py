@@ -32,7 +32,6 @@ BACKEND = "pure" if _backend.__name__.endswith("_pure") else "fast"
 
 WIDE_BYTES = 64
 SECURE_PRIME_VALUE = 2**255 - 19
-TEST_PRIME_VALUES = (5, 13, 251, 1009, 65537)
 
 
 def available_backends() -> dict:
@@ -56,7 +55,6 @@ __all__ = [
     "OpCounter",
     "Prime",
     "SECURE_PRIME_VALUE",
-    "TEST_PRIME_VALUES",
     "WIDE_BYTES",
     "count_field_ops",
     "is_prime",

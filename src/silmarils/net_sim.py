@@ -52,12 +52,11 @@ class Envelope:
 
 @dataclass
 class View:
-    """What one party saw: its inputs, its randomness, every envelope
-    delivered to it (broadcasts included), and what it emitted."""
+    """What one party saw: every envelope delivered to it (broadcasts
+    included) and every envelope it emitted, in order.  The adversary's
+    rewrite receives the corrupted party's view."""
 
     role: Role
-    inputs: dict
-    tape_seed: bytes
     received: list = field(default_factory=list)
     sent: list = field(default_factory=list)
 
@@ -108,14 +107,7 @@ def run_session(
     if corrupted is not None and corrupted not in parties:
         raise ValueError(f"corrupted role {corrupted} not present")
 
-    views = {
-        role: View(
-            role=role,
-            inputs=party.describe_inputs(),
-            tape_seed=party.tape_seed,
-        )
-        for role, party in parties.items()
-    }
+    views = {role: View(role) for role in parties}
     transcript: Optional[list] = [] if collect else None
     broadcasts: list = []
 

@@ -12,15 +12,26 @@ target.  Acceptance tests additionally check two-sided containment where the
 true rate is known to equal the target.
 
 Every estimator is deterministic given (seed, p, strategy, trials).
+
+run_trials is the single session-trial loop: the attack estimators, the
+session form of estimate_correctness and `silmarils sim3p` all draw their
+sessions from it.  From the root stream Rng(seed) it derives the keys once
+(forks b"params" and b"keys"), then runs trial i on the stream forked with
+b"trial/" + i as 8 big-endian bytes; an adversary, when given, draws from
+that trial's b"adversary" fork.  Trial i therefore depends only on (seed, i),
+never on the trials before it, so trials can be split into contiguous shards
+and their counts summed exactly.  The sign+verify correctness loop is not a
+session: it draws every trial from one b"sign" stream and runs by itself.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import product
 from math import isqrt
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import EmptyExperiment, PrimeTooLarge, RoleMismatch, UnknownStrategy
 from .field import Prime
@@ -276,8 +287,44 @@ def _keys_for(prime: Prime, root: Rng):
     return keygen(params, root.fork(b"keys"))
 
 
-def _trial_rng(root: Rng, index: int) -> Rng:
-    return root.fork(b"trial/" + index.to_bytes(8, "big"))
+def run_trials(
+    prime,
+    trials: int,
+    *,
+    seed: bytes,
+    strategy: Optional[AttackStrategy] = None,
+    message: bytes = DEFAULT_MESSAGE,
+    rushing: bool = True,
+    forced: Optional[dict] = None,
+    **session,
+) -> Iterator:
+    """Yield one run_signing_session result per trial, in trial order.
+
+    Keys come from the b"params"/b"keys" forks of Rng(seed); trial i runs on
+    the b"trial/<i>" fork and, under an attack strategy, the adversary draws
+    from that trial's b"adversary" fork (forced pins its draws).  Remaining
+    keyword arguments (collect, interpret) go to run_signing_session.
+    """
+    prime = _as_prime(prime)
+    root = Rng(seed)
+    keys = _keys_for(prime, root)
+    forced = forced or {}
+    for i in range(trials):
+        tri = root.fork(b"trial/" + i.to_bytes(8, "big"))
+        hook = None
+        if strategy is not None:
+            hook = strategy.hook(prime, tri.fork(b"adversary"), **forced)
+        yield run_signing_session(
+            keys, message, tri.seed, adversary=hook, rushing=rushing, **session
+        )
+
+
+def _grid(p, limit: int, sweep: str) -> tuple:
+    """(prime, [0, 1, ..., p-1]) for an exhaustive sweep, refused above limit."""
+    prime = _as_prime(p)
+    if prime.value > limit:
+        raise PrimeTooLarge(f"{sweep}; p = {prime.value} > {limit}")
+    return prime, [prime.elt(i) for i in range(prime.value)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +342,16 @@ def estimate_correctness(
     failure whenever z2, z3, or the final interpretation misses x.
     """
     prime = _as_prime(p)
-    if trials <= 0:
-        raise EmptyExperiment("correctness: zero trials")
-    root = Rng(seed)
-    keys = _keys_for(prime, root)
     failures = 0
     if sessions:
-        for i in range(trials):
-            res = run_signing_session(
-                keys, DEFAULT_MESSAGE, _trial_rng(root, i).seed, interpret=True
-            )
+        for res in run_trials(prime, trials, seed=seed, interpret=True):
             ok = res.outcome.z2 == res.x and res.outcome.z3 == res.x and res.accepted
             if not ok:
                 failures += 1
         name = "correctness-sessions"
     else:
+        root = Rng(seed)
+        keys = _keys_for(prime, root)
         rng = root.fork(b"sign")
         pk, k_sig = keys.pk, keys.k_sig
         for _ in range(trials):
@@ -327,29 +369,44 @@ def estimate_correctness(
     )
 
 
-def _run_attack(
-    prime: Prime,
-    strategy: AttackStrategy,
-    trials: int,
-    seed: bytes,
-    success: Callable,
-    *,
-    rushing: bool = True,
-    forced: Optional[dict] = None,
-) -> int:
-    root = Rng(seed)
-    keys = _keys_for(prime, root)
-    forced = forced or {}
-    successes = 0
-    for i in range(trials):
-        tri = _trial_rng(root, i)
-        hook = strategy.hook(prime, tri.fork(b"adversary"), **forced)
-        res = run_signing_session(
-            keys, DEFAULT_MESSAGE, tri.seed, adversary=hook, rushing=rushing
+def _forged(res) -> bool:
+    return res.outcome.z3 is not None and res.outcome.z3 != res.x
+
+
+def _divergent(res) -> bool:
+    return res.outcome.z2 is not None and res.outcome.z2 != res.outcome.z3
+
+
+# Corrupted role -> (experiment name, success predicate, note).
+_ATTACK_EXPERIMENTS = {
+    Role.P2: ("unforgeability", _forged, "success = z3 not in {x, bottom}"),
+    Role.P1: ("transferability", _divergent, "success = z2 != z3 and z2 set"),
+}
+
+
+def _estimate_attack(
+    role: Role, p, strategy, trials: int, seed: bytes, rushing: bool, forced
+) -> Estimate:
+    prime = _as_prime(p)
+    strategy = get_strategy(strategy)
+    experiment, success, note = _ATTACK_EXPERIMENTS[role]
+    if strategy.corrupted is not role:
+        raise RoleMismatch(
+            f"{experiment} needs a {role.value}-corrupting strategy, "
+            f"{strategy.name} corrupts {strategy.corrupted.value}"
         )
-        if success(res):
-            successes += 1
-    return successes
+    results = run_trials(
+        prime, trials, seed=seed, strategy=strategy, rushing=rushing, forced=forced
+    )
+    successes = sum(1 for res in results if success(res))
+    return make_estimate(
+        f"{experiment}/{strategy.name}",
+        prime.value,
+        trials,
+        successes,
+        Fraction(1, prime.value),
+        note=note,
+    )
 
 
 def estimate_unforgeability(
@@ -362,31 +419,7 @@ def estimate_unforgeability(
     forced: Optional[dict] = None,
 ) -> Estimate:
     """Corrupt-P2 forgery rate: success = z3 outside {x, bottom}; target 1/p."""
-    prime = _as_prime(p)
-    strategy = get_strategy(strategy)
-    if strategy.corrupted is not Role.P2:
-        raise RoleMismatch(
-            f"unforgeability needs a P2-corrupting strategy, {strategy.name} corrupts {strategy.corrupted.value}"
-        )
-    if trials <= 0:
-        raise EmptyExperiment("unforgeability: zero trials")
-    successes = _run_attack(
-        prime,
-        strategy,
-        trials,
-        seed,
-        lambda res: res.outcome.z3 is not None and res.outcome.z3 != res.x,
-        rushing=rushing,
-        forced=forced,
-    )
-    return make_estimate(
-        f"unforgeability/{strategy.name}",
-        prime.value,
-        trials,
-        successes,
-        Fraction(1, prime.value),
-        note="success = z3 not in {x, bottom}",
-    )
+    return _estimate_attack(Role.P2, p, strategy, trials, seed, rushing, forced)
 
 
 def estimate_transferability(
@@ -399,31 +432,7 @@ def estimate_transferability(
     forced: Optional[dict] = None,
 ) -> Estimate:
     """Corrupt-P1 divergence rate: success = z2 != z3 with z2 set; target 1/p."""
-    prime = _as_prime(p)
-    strategy = get_strategy(strategy)
-    if strategy.corrupted is not Role.P1:
-        raise RoleMismatch(
-            f"transferability needs a P1-corrupting strategy, {strategy.name} corrupts {strategy.corrupted.value}"
-        )
-    if trials <= 0:
-        raise EmptyExperiment("transferability: zero trials")
-    successes = _run_attack(
-        prime,
-        strategy,
-        trials,
-        seed,
-        lambda res: res.outcome.z2 is not None and res.outcome.z2 != res.outcome.z3,
-        rushing=rushing,
-        forced=forced,
-    )
-    return make_estimate(
-        f"transferability/{strategy.name}",
-        prime.value,
-        trials,
-        successes,
-        Fraction(1, prime.value),
-        note="success = z2 != z3 and z2 set",
-    )
+    return _estimate_attack(Role.P1, p, strategy, trials, seed, rushing, forced)
 
 
 def estimate_core_forgery(
@@ -435,8 +444,6 @@ def estimate_core_forgery(
     before choosing sigma5 and solves the acceptance identity; target 1.
     """
     prime = _as_prime(p)
-    if trials <= 0:
-        raise EmptyExperiment("core forgery: zero trials")
     root = Rng(seed)
     weights = Weights.generate(prime, root.fork(b"weights"))
     rng = root.fork(b"tuples")
@@ -473,25 +480,18 @@ def exhaustive_core_forgery(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     the tuple is represented as (m, 1, s3, s4, s5).  For every (m, s3, s4, s5)
     with s4 != 0 exactly one r accepts, so the count is (p-1)*p^3 of p^5.
     """
-    prime = _as_prime(p)
-    if prime.value > EXHAUSTIVE_CORE_MAX:
-        raise PrimeTooLarge(
-            f"exhaustive core forgery sweeps p^5 tuples; p = {prime.value} > {EXHAUSTIVE_CORE_MAX}"
-        )
+    prime, elems = _grid(
+        p, EXHAUSTIVE_CORE_MAX, "exhaustive core forgery sweeps p^5 tuples"
+    )
     weights = Weights.generate(prime, Rng(seed).fork(b"weights"))
     pv = prime.value
-    elems = [prime.elt(i) for i in range(pv)]
     one = elems[1]
     successes = 0
-    for m in elems:
-        for s3 in elems:
-            for s4 in elems:
-                sig_head = (m, one, s3, s4)
-                for s5 in elems:
-                    sig = Signature(*sig_head, s5)
-                    for r in elems:
-                        if _core_verify(weights, r, sig):
-                            successes += 1
+    for m, s3, s4, s5 in product(elems, repeat=4):
+        sig = Signature(m, one, s3, s4, s5)
+        for r in elems:
+            if _core_verify(weights, r, sig):
+                successes += 1
     return make_estimate(
         "core-forgery-exhaustive",
         pv,
@@ -504,45 +504,29 @@ def exhaustive_core_forgery(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
 
 def exhaustive_unforgeability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     """Sweep (k1, k2, x', k2', e, guess): success iff guess = k1, rate 1/p."""
-    prime = _as_prime(p)
-    if prime.value > EXHAUSTIVE_ATTACK_MAX:
-        raise PrimeTooLarge(
-            f"exhaustive unforgeability sweeps p^6 sessions; p = {prime.value} > {EXHAUSTIVE_ATTACK_MAX}"
-        )
+    prime, elems = _grid(
+        p, EXHAUSTIVE_ATTACK_MAX, "exhaustive unforgeability sweeps p^6 sessions"
+    )
     strategy = STRATEGIES["substitute-guess-k1"]
     root = Rng(seed)
     keys = _keys_for(prime, root)
     pv = prime.value
-    elems = [prime.elt(i) for i in range(pv)]
     adv_rng = root.fork(b"adversary")
     one = elems[1]
     successes = 0
-    trials = 0
-    for k1 in elems:
-        for k2 in elems:
-            for x_prime in elems:
-                for k2_prime in elems:
-                    coins = (k1, k2, x_prime, k2_prime)
-                    for e in elems:
-                        for guess in elems:
-                            hook = strategy.hook(
-                                prime, adv_rng, ghat=guess, offset=one
-                            )
-                            res = run_signing_session(
-                                keys,
-                                DEFAULT_MESSAGE,
-                                DEFAULT_SEED,
-                                adversary=hook,
-                                ic_coins=coins,
-                                challenge_coin=e,
-                            )
-                            trials += 1
-                            if res.outcome.z3 is not None and res.outcome.z3 != res.x:
-                                successes += 1
+    # (k1, k2, x', k2') are the installer's coins, e the challenge.
+    for coins, e, guess in product(product(elems, repeat=4), elems, elems):
+        hook = strategy.hook(prime, adv_rng, ghat=guess, offset=one)
+        res = run_signing_session(
+            keys, DEFAULT_MESSAGE, DEFAULT_SEED,
+            adversary=hook, ic_coins=coins, challenge_coin=e,
+        )
+        if _forged(res):
+            successes += 1
     return make_estimate(
         "unforgeability-exhaustive",
         pv,
-        trials,
+        pv**6,
         successes,
         Fraction(1, pv),
         note="grid (k1, k2, x', k2', e, guess); success iff guess = k1",
@@ -551,39 +535,26 @@ def exhaustive_unforgeability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
 
 def exhaustive_transferability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     """Sweep (e, delta != 0, delta'): success iff delta' + e*delta = 0."""
-    prime = _as_prime(p)
-    if prime.value > EXHAUSTIVE_ATTACK_MAX:
-        raise PrimeTooLarge(
-            f"exhaustive transferability sweeps p^2(p-1) sessions; p = {prime.value} > {EXHAUSTIVE_ATTACK_MAX}"
-        )
+    prime, elems = _grid(
+        p, EXHAUSTIVE_ATTACK_MAX, "exhaustive transferability sweeps p^2(p-1) sessions"
+    )
     strategy = STRATEGIES["inconsistent-line"]
     root = Rng(seed)
     keys = _keys_for(prime, root)
     pv = prime.value
-    elems = [prime.elt(i) for i in range(pv)]
     adv_rng = root.fork(b"adversary")
     successes = 0
-    trials = 0
-    for e in elems:
-        for delta in elems[1:]:
-            for delta_prime in elems:
-                hook = strategy.hook(
-                    prime, adv_rng, delta=delta, delta_prime=delta_prime
-                )
-                res = run_signing_session(
-                    keys,
-                    DEFAULT_MESSAGE,
-                    DEFAULT_SEED,
-                    adversary=hook,
-                    challenge_coin=e,
-                )
-                trials += 1
-                if res.outcome.z2 is not None and res.outcome.z2 != res.outcome.z3:
-                    successes += 1
+    for e, delta, delta_prime in product(elems, elems[1:], elems):
+        hook = strategy.hook(prime, adv_rng, delta=delta, delta_prime=delta_prime)
+        res = run_signing_session(
+            keys, DEFAULT_MESSAGE, DEFAULT_SEED, adversary=hook, challenge_coin=e
+        )
+        if _divergent(res):
+            successes += 1
     return make_estimate(
         "transferability-exhaustive",
         pv,
-        trials,
+        pv * pv * (pv - 1),
         successes,
         Fraction(1, pv),
         note="grid (e, delta, delta'); success iff delta' + e*delta = 0",
@@ -600,13 +571,12 @@ def _signing_phase_view(net, role: Role) -> tuple:
     )
 
 
-def _distinct_x_messages(keys, seed: bytes):
+def _distinct_x_messages(keys, seed: bytes) -> tuple:
     base = run_signing_session(keys, b"secrecy/a", seed)
     for i in range(64):
         msg = b"secrecy/b%d" % i
-        other = run_signing_session(keys, msg, seed)
-        if other.x != base.x:
-            return (b"secrecy/a", base.x), (msg, other.x)
+        if run_signing_session(keys, msg, seed).x != base.x:
+            return b"secrecy/a", msg
     raise RuntimeError("could not find two messages with distinct values")
 
 
@@ -618,35 +588,21 @@ def estimate_secrecy_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
     The honest protocol gives TV = 0: the view determines sigma_e from
     (k1, k2, k2', e, x_e) and x_e = x' + e*x is uniform for uniform x'.
     """
-    prime = _as_prime(p)
-    if prime.value > EXHAUSTIVE_SECRECY_MAX:
-        raise PrimeTooLarge(
-            f"secrecy enumeration sweeps p^5 sessions per value; p = {prime.value} > {EXHAUSTIVE_SECRECY_MAX}"
-        )
+    prime, elems = _grid(
+        p, EXHAUSTIVE_SECRECY_MAX, "secrecy enumeration sweeps p^5 sessions per value"
+    )
     root = Rng(seed)
     keys = _keys_for(prime, root)
-    (msg_a, _), (msg_b, _) = _distinct_x_messages(keys, seed)
     pv = prime.value
-    elems = [prime.elt(i) for i in range(pv)]
     counts = []
-    for msg in (msg_a, msg_b):
+    for msg in _distinct_x_messages(keys, seed):
         tally: dict = {}
-        for k1 in elems:
-            for k2 in elems:
-                for x_prime in elems:
-                    for k2_prime in elems:
-                        coins = (k1, k2, x_prime, k2_prime)
-                        for e in elems:
-                            res = run_signing_session(
-                                keys,
-                                msg,
-                                seed,
-                                ic_coins=coins,
-                                challenge_coin=e,
-                                collect=True,
-                            )
-                            key = _signing_phase_view(res.net, Role.P3)
-                            tally[key] = tally.get(key, 0) + 1
+        for coins, e in product(product(elems, repeat=4), elems):
+            res = run_signing_session(
+                keys, msg, seed, ic_coins=coins, challenge_coin=e, collect=True
+            )
+            key = _signing_phase_view(res.net, Role.P3)
+            tally[key] = tally.get(key, 0) + 1
         counts.append(tally)
     total = pv**5
     count_a, count_b = counts
@@ -669,11 +625,11 @@ def dv_transcript_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
     and nonzero (the generic case; the exceptional messages occur with
     probability O(1/p)).
     """
-    prime = _as_prime(p)
-    if prime.value > EXHAUSTIVE_DV_MAX:
-        raise PrimeTooLarge(
-            f"DV transcript enumeration sweeps p^2(p-1)^3 tuples per key value; p = {prime.value} > {EXHAUSTIVE_DV_MAX}"
-        )
+    prime, elems = _grid(
+        p,
+        EXHAUSTIVE_DV_MAX,
+        "DV transcript enumeration sweeps p^2(p-1)^3 tuples per key value",
+    )
     root = Rng(seed)
     keys = _keys_for(prime, root)
     kprime = r = None
@@ -686,22 +642,14 @@ def dv_transcript_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
     else:
         raise RuntimeError("no generic message found")
     pv = prime.value
-    elems = [prime.elt(i) for i in range(pv)]
     units = elems[1:]
 
     def tally(key_values) -> dict:
         out: dict = {}
-        for kp in key_values:
-            for b in units:
-                for d in units:
-                    for eps in units:
-                        for slope_eps in elems:
-                            for slope_k in elems:
-                                sig = _assemble(
-                                    keys.pk, kp, r, b, d, eps, slope_eps, slope_k
-                                )
-                                enc = sig.encode()
-                                out[enc] = out.get(enc, 0) + 1
+        grid = product(key_values, units, units, units, elems, elems)
+        for kp, b, d, eps, slope_eps, slope_k in grid:
+            enc = _assemble(keys.pk, kp, r, b, d, eps, slope_eps, slope_k).encode()
+            out[enc] = out.get(enc, 0) + 1
         return out
 
     honest = tally([kprime])
@@ -788,32 +736,14 @@ def _frac_str(value: Fraction) -> str:
 def result_json_line(res) -> str:
     """One result as a canonical JSON line (sorted keys, rationals as n/d)."""
     if isinstance(res, Estimate):
-        record = {
-            "kind": "estimate",
-            "name": res.name,
-            "p": res.p,
-            "trials": res.trials,
-            "successes": res.successes,
-            "point": _frac_str(res.point),
-            "wilson_95_low": _frac_str(res.wilson_95_low),
-            "wilson_95_high": _frac_str(res.wilson_95_high),
-            "target": _frac_str(res.target),
-            "slack": _frac_str(res.slack),
-            "verdict": res.verdict,
-            "note": res.note,
-        }
+        record = {"kind": "estimate"}
     elif isinstance(res, ExactResult):
-        record = {
-            "kind": "exact",
-            "name": res.name,
-            "p": res.p,
-            "value": _frac_str(res.value),
-            "target": _frac_str(res.target),
-            "verdict": res.verdict,
-            "note": res.note,
-        }
+        record = {"kind": "exact"}
     else:
         raise TypeError(f"cannot serialize {type(res).__name__}")
+    for f in fields(res):
+        value = getattr(res, f.name)
+        record[f.name] = _frac_str(value) if isinstance(value, Fraction) else value
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 

@@ -251,7 +251,6 @@ class P1Signer:
     def __init__(self, keys: KeyMaterial, message: bytes, tape: Rng, ic_coins=None):
         self.keys = keys
         self.message = message
-        self.tape_seed = tape.seed
         self._rng = tape
         self._ic_coins = ic_coins
         self.setup: Optional[IcSetup] = None
@@ -261,9 +260,6 @@ class P1Signer:
         self.challenge: Optional[Challenge] = None
         self.p3_verdict: Optional[LineVerdict] = None
         self.arm: Optional[str] = None
-
-    def describe_inputs(self) -> dict:
-        return {"message": self.message.hex(), "role": "signer"}
 
     def start(self) -> list:
         setup, sig_alg, x, envelopes = p1_start(
@@ -363,7 +359,6 @@ class P2Holder:
 
     def __init__(self, prime, tape: Rng, challenge_coin=None):
         self.prime = prime
-        self.tape_seed = tape.seed
         self._rng = tape
         self._coin = challenge_coin
         self.setup: Optional[HolderSetup] = None
@@ -371,9 +366,6 @@ class P2Holder:
         self.cur_sigma = None
         self.z2 = None
         self._resolved = False
-
-    def describe_inputs(self) -> dict:
-        return {"role": "holder"}
 
     def challenge(self) -> Challenge:
         """Round 2: broadcast a random combination of the two held points."""
@@ -457,7 +449,6 @@ class P3Verifier:
 
     def __init__(self, prime, tape: Rng):
         self.prime = prime
-        self.tape_seed = tape.seed
         self._rng = tape
         self.k1 = None
         self.k2 = None
@@ -467,9 +458,6 @@ class P3Verifier:
         self._z3_set = False
         self._arm_a = False
         self.transfer_payload: Optional[TransferValue] = None
-
-    def describe_inputs(self) -> dict:
-        return {"role": "verifier"}
 
     @property
     def has_keys(self) -> bool:

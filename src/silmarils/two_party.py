@@ -30,9 +30,6 @@ from typing import Union
 
 from .errors import DegenerateExtraction, LengthMismatch, MalformedSignature
 from .hashing import (
-    DOMAIN_ICVAL,
-    DOMAIN_MSGKEY,
-    DOMAIN_NONCE,
     DOMAIN_RECEIPT,
     HashCtx,
     PairKey,
@@ -55,14 +52,6 @@ class Params:
     @classmethod
     def generate(cls, prime, rng) -> "Params":
         return cls(prime, Weights.generate(prime, rng))
-
-    def contexts(self) -> dict:
-        return {
-            "nonce": HashCtx(DOMAIN_NONCE, self.prime),
-            "receipt": HashCtx(DOMAIN_RECEIPT, self.prime),
-            "msgkey": HashCtx(DOMAIN_MSGKEY, self.prime),
-            "icval": HashCtx(DOMAIN_ICVAL, self.prime),
-        }
 
 
 @dataclass(frozen=True)

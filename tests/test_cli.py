@@ -114,9 +114,13 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
     short = tmp_path / "short.hex"
     short.write_text("00ff")
 
-    # 2: usage (bad args, unknown suite size)
+    # 2: usage (bad args, unknown suite size, non-positive trial counts)
     assert main(["stats", "--profile", "toy-251", "--suite", "secrecy",
                  "--trials", "5"]) == 2
+    assert main(["bench", "--profile", "toy-13", "--trials", "0"]) == 2
+    assert main(["sim3p", "--profile", "toy-13", "--trials", "-3"]) == 2
+    assert main(["sim3p", "--profile", "toy-13", "--trials", "0"]) == 2
+    assert main(["stats", "--profile", "toy-13", "--trials", "0"]) == 2
     # 3: IO
     assert main(["verify", str(tmp_path / "nowhere"), "--msg", str(msg),
                  "--sig", str(sig)]) == 3

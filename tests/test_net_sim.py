@@ -42,12 +42,8 @@ class Chatter:
         self.role = role
         self.plan = plan  # {round: [Envelope, ...]}
         self.emit_rounds = frozenset(plan)
-        self.tape_seed = b"\x00" * 32
         self.got = []
         self.got_by_round = {}
-
-    def describe_inputs(self):
-        return {"role": self.role.value}
 
     def emit(self, rnd):
         return list(self.plan.get(rnd, []))
@@ -196,7 +192,6 @@ def test_views_and_broadcast_consistency():
     assert broadcast_consistency_check(net.views)
     assert net.views[Role.P2].received[0].payload == Note("hello all")
     assert [e.payload.text for e in net.views[Role.P3].sent] == ["reply"]
-    assert net.views[Role.P1].inputs == {"role": "P1"}
 
 
 def test_collect_false_drops_bookkeeping():
