@@ -1,10 +1,12 @@
-"""Build script: compiles the optional fast field backend when Cython is present.
+"""Build script: compiles the optional fast field backend.
 
-The package is fully functional without the extension; the field package
-falls back to the pure-Python backend at import time.
+With Cython present the extension is generated from _fast.pyx; without it the
+committed, generated _fast.c is compiled as it stands.  The extension is
+optional: if it fails to build, the package is still fully functional and the
+field package falls back to the pure-Python backend at import time.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
 try:
     from Cython.Build import cythonize
@@ -14,6 +16,10 @@ try:
         language_level=3,
     )
 except ImportError:
-    ext_modules = []
+    ext_modules = [
+        Extension(
+            "silmarils.field._fast", ["src/silmarils/field/_fast.c"], optional=True
+        )
+    ]
 
 setup(ext_modules=ext_modules)

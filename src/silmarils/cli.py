@@ -150,8 +150,13 @@ def _write_keydir(outdir: Path, profile: str, prime, keys: KeyMaterial) -> None:
 
 def _load_keydir(path: str, *, need_sk: bool, need_k_sig: bool):
     keydir = Path(path)
-    descriptor = json.loads((keydir / "params.json").read_text())
-    prime = SelectedPrime(int(descriptor["p"]))
+    try:
+        descriptor = json.loads((keydir / "params.json").read_text())
+        prime = SelectedPrime(int(descriptor["p"]))
+    except KeyError as exc:
+        raise MalformedSignature(f"bad params.json: no {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise MalformedSignature(f"bad params.json: {exc}") from exc
     try:
         pk = Weights.from_bytes(prime, _read_hex(keydir / "pk.hex", "public key"))
     except (ValueError, LengthMismatch, DegenerateWeights) as exc:

@@ -6950,7 +6950,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_10__neg__(stru
  *         return _make(p, -self.bv % p.value, 0)
  * 
  *     def inv(self):             # <<<<<<<<<<<<<<
- *         """Multiplicative inverse (Fermat exponentiation)."""
+ *         """Multiplicative inverse, computed as pow(x, -1, p)."""
  *         cdef Prime p = self.prime
 */
 
@@ -6962,7 +6962,7 @@ PyObject *const *__pyx_args, Py_ssize_t __pyx_nargs, PyObject *__pyx_kwds
 PyObject *__pyx_args, PyObject *__pyx_kwds
 #endif
 ); /*proto*/
-PyDoc_STRVAR(__pyx_doc_9silmarils_5field_5_fast_12FieldElement_12inv, "Multiplicative inverse (Fermat exponentiation).");
+PyDoc_STRVAR(__pyx_doc_9silmarils_5field_5_fast_12FieldElement_12inv, "Multiplicative inverse, computed as pow(x, -1, p).");
 static PyMethodDef __pyx_mdef_9silmarils_5field_5_fast_12FieldElement_13inv = {"inv", (PyCFunction)(void(*)(void))(__Pyx_PyCFunction_FastCallWithKeywords)__pyx_pw_9silmarils_5field_5_fast_12FieldElement_13inv, __Pyx_METH_FASTCALL|METH_KEYWORDS, __pyx_doc_9silmarils_5field_5_fast_12FieldElement_12inv};
 static PyObject *__pyx_pw_9silmarils_5field_5_fast_12FieldElement_13inv(PyObject *__pyx_v_self, 
 #if CYTHON_METH_FASTCALL
@@ -7017,7 +7017,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_12inv(struct _
 
   /* "silmarils/field/_fast.pyx":203
  *     def inv(self):
- *         """Multiplicative inverse (Fermat exponentiation)."""
+ *         """Multiplicative inverse, computed as pow(x, -1, p)."""
  *         cdef Prime p = self.prime             # <<<<<<<<<<<<<<
  *         if not self:
  *             raise ZeroInverse(f"0 has no inverse mod {p.value}")
@@ -7028,7 +7028,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_12inv(struct _
   __pyx_t_1 = 0;
 
   /* "silmarils/field/_fast.pyx":204
- *         """Multiplicative inverse (Fermat exponentiation)."""
+ *         """Multiplicative inverse, computed as pow(x, -1, p)."""
  *         cdef Prime p = self.prime
  *         if not self:             # <<<<<<<<<<<<<<
  *             raise ZeroInverse(f"0 has no inverse mod {p.value}")
@@ -7079,7 +7079,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_12inv(struct _
     __PYX_ERR(0, 205, __pyx_L1_error)
 
     /* "silmarils/field/_fast.pyx":204
- *         """Multiplicative inverse (Fermat exponentiation)."""
+ *         """Multiplicative inverse, computed as pow(x, -1, p)."""
  *         cdef Prime p = self.prime
  *         if not self:             # <<<<<<<<<<<<<<
  *             raise ZeroInverse(f"0 has no inverse mod {p.value}")
@@ -7092,7 +7092,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_12inv(struct _
  *             raise ZeroInverse(f"0 has no inverse mod {p.value}")
  *         if _counting.enabled:             # <<<<<<<<<<<<<<
  *             _counting.bump_inv()
- *         return p.elt(pow(self.residue, p.value - 2, p.value))
+ *         return p.elt(pow(self.residue, -1, p.value))
 */
   __Pyx_GetModuleGlobalName(__pyx_t_1, __pyx_mstate_global->__pyx_n_u_counting); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 206, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_1);
@@ -7107,7 +7107,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_12inv(struct _
  *             raise ZeroInverse(f"0 has no inverse mod {p.value}")
  *         if _counting.enabled:
  *             _counting.bump_inv()             # <<<<<<<<<<<<<<
- *         return p.elt(pow(self.residue, p.value - 2, p.value))
+ *         return p.elt(pow(self.residue, -1, p.value))
  * 
 */
     __pyx_t_1 = NULL;
@@ -7143,14 +7143,14 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_12inv(struct _
  *             raise ZeroInverse(f"0 has no inverse mod {p.value}")
  *         if _counting.enabled:             # <<<<<<<<<<<<<<
  *             _counting.bump_inv()
- *         return p.elt(pow(self.residue, p.value - 2, p.value))
+ *         return p.elt(pow(self.residue, -1, p.value))
 */
   }
 
   /* "silmarils/field/_fast.pyx":208
  *         if _counting.enabled:
  *             _counting.bump_inv()
- *         return p.elt(pow(self.residue, p.value - 2, p.value))             # <<<<<<<<<<<<<<
+ *         return p.elt(pow(self.residue, -1, p.value))             # <<<<<<<<<<<<<<
  * 
  *     def __eq__(self, other):
 */
@@ -7159,7 +7159,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_12inv(struct _
   __Pyx_INCREF(__pyx_t_4);
   __pyx_t_1 = __Pyx_PyObject_GetAttrStr(((PyObject *)__pyx_v_self), __pyx_mstate_global->__pyx_n_u_residue); if (unlikely(!__pyx_t_1)) __PYX_ERR(0, 208, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_1);
-  __pyx_t_7 = __Pyx_PyLong_SubtractObjC(__pyx_v_p->value, __pyx_mstate_global->__pyx_int_2, 2, 0, 0); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 208, __pyx_L1_error)
+  __pyx_t_7 = PyLong_FromLong(-1); if (unlikely(!__pyx_t_7)) __PYX_ERR(0, 208, __pyx_L1_error)
   __Pyx_GOTREF(__pyx_t_7);
   __pyx_t_6 = __pyx_v_p->value;
   __Pyx_INCREF(__pyx_t_6);
@@ -7185,7 +7185,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_12inv(struct _
  *         return _make(p, -self.bv % p.value, 0)
  * 
  *     def inv(self):             # <<<<<<<<<<<<<<
- *         """Multiplicative inverse (Fermat exponentiation)."""
+ *         """Multiplicative inverse, computed as pow(x, -1, p)."""
  *         cdef Prime p = self.prime
 */
 
@@ -7207,7 +7207,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_12inv(struct _
 }
 
 /* "silmarils/field/_fast.pyx":210
- *         return p.elt(pow(self.residue, p.value - 2, p.value))
+ *         return p.elt(pow(self.residue, -1, p.value))
  * 
  *     def __eq__(self, other):             # <<<<<<<<<<<<<<
  *         if type(other) is not FieldElement:
@@ -7372,7 +7372,7 @@ static PyObject *__pyx_pf_9silmarils_5field_5_fast_12FieldElement_14__eq__(struc
   goto __pyx_L0;
 
   /* "silmarils/field/_fast.pyx":210
- *         return p.elt(pow(self.residue, p.value - 2, p.value))
+ *         return p.elt(pow(self.residue, -1, p.value))
  * 
  *     def __eq__(self, other):             # <<<<<<<<<<<<<<
  *         if type(other) is not FieldElement:
@@ -10258,7 +10258,7 @@ __Pyx_RefNannySetupContext("PyInit__fast", 0);
  *         return _make(p, -self.bv % p.value, 0)
  * 
  *     def inv(self):             # <<<<<<<<<<<<<<
- *         """Multiplicative inverse (Fermat exponentiation)."""
+ *         """Multiplicative inverse, computed as pow(x, -1, p)."""
  *         cdef Prime p = self.prime
 */
   __pyx_t_2 = __Pyx_CyFunction_New(&__pyx_mdef_9silmarils_5field_5_fast_12FieldElement_13inv, __Pyx_CYFUNCTION_CCLASS, __pyx_mstate_global->__pyx_n_u_FieldElement_inv, NULL, __pyx_mstate_global->__pyx_n_u_silmarils_field__fast, __pyx_mstate_global->__pyx_d, ((PyObject *)__pyx_mstate_global->__pyx_codeobj_tab[7])); if (unlikely(!__pyx_t_2)) __PYX_ERR(0, 201, __pyx_L1_error)

@@ -199,13 +199,13 @@ cdef class FieldElement:
         return _make(p, -self.bv % p.value, 0)
 
     def inv(self):
-        """Multiplicative inverse (Fermat exponentiation)."""
+        """Multiplicative inverse, computed as pow(x, -1, p)."""
         cdef Prime p = self.prime
         if not self:
             raise ZeroInverse(f"0 has no inverse mod {p.value}")
         if _counting.enabled:
             _counting.bump_inv()
-        return p.elt(pow(self.residue, p.value - 2, p.value))
+        return p.elt(pow(self.residue, -1, p.value))
 
     def __eq__(self, other):
         if type(other) is not FieldElement:

@@ -128,13 +128,13 @@ class FieldElement:
         return _element(-self.residue % p.value, p)
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse (Fermat exponentiation)."""
+        """Multiplicative inverse, computed as pow(x, -1, p)."""
         p = self.prime
         if self.residue == 0:
             raise ZeroInverse(f"0 has no inverse mod {p.value}")
         if counting.enabled:
             counting.bump_inv()
-        return _element(pow(self.residue, p.value - 2, p.value), p)
+        return _element(pow(self.residue, -1, p.value), p)
 
     def __eq__(self, other):
         if type(other) is not FieldElement:

@@ -5,9 +5,9 @@ single global flag check.  Counters are per-thread (a counter opened in one
 thread never sees another thread's operations); callers running trials across
 threads open one counter per worker and sum the results.
 
-An inversion is counted as one inversion event, not as the multiplications
-its exponentiation performs internally: the cost claims being checked count
-inversions as units.
+An inversion is counted as one inversion event, whatever its modular-inverse
+computation does internally: the cost claims being checked count inversions
+as units.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rng import Rng
 
@@ -43,9 +43,16 @@ class HashCtx:
 
 @dataclass(frozen=True)
 class PairKey:
-    """The 32-byte signer/designated-verifier shared key k_sig."""
+    """The 32-byte signer/designated-verifier shared key k_sig.
+
+    derive_receipt keeps its last result on the key: (prime, a bytes copy of
+    the message, (n, r)).  One entry per key object bounds the memory and
+    drops the derived values with the key; it takes no part in ==, hash or
+    repr.
+    """
 
     data: bytes
+    _receipt_memo: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.data) != PAIR_KEY_BYTES:
@@ -88,9 +95,18 @@ def receipt_from_nonce(message: bytes, nonce):
 
 
 def derive_receipt(k_sig: PairKey, message: bytes, prime):
-    """Nonce and receipt for one message: n = PRF(k_sig, M), r = H(M, n)."""
+    """Nonce and receipt for one message: n = PRF(k_sig, M), r = H(M, n).
+
+    The key remembers its last (prime, message) and result, so calling again
+    with the same ones derives nothing.
+    """
+    memo = k_sig._receipt_memo
+    if memo is not None and memo[0] == prime and memo[1] == message:
+        return memo[2]
     nonce = derive_nonce(k_sig, message, prime)
-    return nonce, receipt_from_nonce(message, nonce)
+    result = nonce, receipt_from_nonce(message, nonce)
+    object.__setattr__(k_sig, "_receipt_memo", (prime, bytes(message), result))
+    return result
 
 
 def derive_message_key(long_term_key, message: bytes):

@@ -447,9 +447,8 @@ class P3Verifier:
     emit_rounds = frozenset({ROUND_P3_CHECK})
     role = Role.P3
 
-    def __init__(self, prime, tape: Rng):
+    def __init__(self, prime):
         self.prime = prime
-        self._rng = tape
         self.k1 = None
         self.k2 = None
         self.k2_prime = None
@@ -583,7 +582,7 @@ def run_signing_session(
     parties = {
         Role.P1: P1Signer(keys, message, root.fork(b"tape/P1"), ic_coins=ic_coins),
         Role.P2: P2Holder(prime, root.fork(b"tape/P2"), challenge_coin=challenge_coin),
-        Role.P3: P3Verifier(prime, root.fork(b"tape/P3")),
+        Role.P3: P3Verifier(prime),
     }
     net = run_session(
         parties, adversary, total_rounds=TOTAL_ROUNDS, rushing=rushing, collect=collect

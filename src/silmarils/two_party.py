@@ -25,7 +25,7 @@ which reconstructs to f(0) = 0; a signer unlucky enough to draw sigma4 = 0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import DegenerateExtraction, LengthMismatch, MalformedSignature
@@ -60,11 +60,15 @@ class KeyMaterial:
 
     k_sig is shared with exactly one designated verifier; whoever holds it can
     verify and can simulate (see dv_forge), which is the point of the scheme.
+    sign keeps its last per-message key here, like PairKey's receipt memo:
+    (a bytes copy of the message, K'), outside ==, hash and repr; sk_K fixes
+    the prime, so the message alone keys it.
     """
 
     sk_K: object
     pk: Weights
     k_sig: PairKey
+    _kprime_memo: tuple = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,12 @@ def sign(keys: KeyMaterial, message: bytes, rng):
     d = prime.sample_unit(rng)
     eps = alpha * beta
     slope_eps = prime.sample(rng)
-    Kprime = derive_message_key(keys.sk_K, message)
+    memo = keys._kprime_memo
+    if memo is not None and memo[0] == message:
+        Kprime = memo[1]
+    else:
+        Kprime = derive_message_key(keys.sk_K, message)
+        object.__setattr__(keys, "_kprime_memo", (bytes(message), Kprime))
     slope_K = prime.sample(rng)
     sig = _assemble(keys.pk, Kprime, r, b, d, eps, slope_eps, slope_K)
     tape = SigningTape(

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way, using a
 different algorithm from the implementation wherever one exists: inverses by
-extended Euclid instead of Fermat exponentiation, interpolation from the
-two-point formula instead of cached coefficients, interval endpoints by
+a hand-written extended Euclid and by Fermat's identity through manual
+square-and-multiply instead of the builtin pow(x, -1, p), interpolation from
+the two-point formula instead of cached coefficients, interval endpoints by
 bisecting the defining equation instead of the closed form.
 """
 

@@ -1,6 +1,7 @@
 """Command-line surface: flows, file formats, exit codes, determinism."""
 
 import json
+import shutil
 
 import pytest
 
@@ -127,6 +128,16 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
     # 4: malformed input
     assert main(["verify", str(keydir), "--msg", str(msg), "--sig", str(garbage)]) == 4
     assert main(["verify", str(keydir), "--msg", str(msg), "--sig", str(short)]) == 4
+    capsys.readouterr()
+    descriptor = json.loads((keydir / "params.json").read_text())
+    no_p = {k: v for k, v in descriptor.items() if k != "p"}
+    for bad in ("{not json", json.dumps({**descriptor, "p": 250}), json.dumps(no_p)):
+        broken = tmp_path / "broken"
+        shutil.copytree(keydir, broken, dirs_exist_ok=True)
+        (broken / "params.json").write_text(bad)
+        assert main(["sign", str(broken), "--msg", str(msg), "--seed", SEED]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad params.json: ") and err.count("\n") == 1
     # 5: degenerate algebra
     assert main(["extract", str(keydir), "--msg", str(msg), "--sig", str(sig),
                  "--hint", "d:0"]) == 5

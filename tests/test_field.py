@@ -65,7 +65,8 @@ def test_inverse_matches_ext_gcd(prime, a):
     x = prime.elt(a)
     assert int(x.inv()) == inverse_by_ext_gcd(a, p)
     assert x * x.inv() == prime.one
-    # and the Fermat exponent itself, against manual square-and-multiply
+    # Fermat's identity x^(p-2) = x^-1 still holds; check it against manual
+    # square-and-multiply, independent of how inv() computes the inverse
     assert int(x.inv()) == powmod_by_squaring(a, p - 2, p)
 
 

@@ -95,3 +95,39 @@ def test_derivations_land_in_the_right_field():
     p13 = Prime(13)
     for _ in range(5):
         assert 0 <= int(derive_nonce(KEY, b"x", p13)) < 13
+
+
+def _fresh_receipt(key, msg, prime):
+    nonce = derive_nonce(key, msg, prime)
+    return nonce, receipt_from_nonce(msg, nonce)
+
+
+def test_receipt_memo_follows_message_and_prime():
+    key = PairKey(b"\xcc" * 32)
+    p13 = Prime(13)
+    calls = [(b"m1", P251), (b"m2", P251), (b"m1", P251), (b"m1", p13),
+             (b"m2", p13), (b"m1", P251)]
+    for msg, prime in calls:
+        got = derive_receipt(key, msg, prime)
+        assert got == _fresh_receipt(key, msg, prime)
+        assert got[0].prime == prime
+        # a repeat of the same (message, prime) is served from the memo
+        assert derive_receipt(key, msg, prime) is got
+
+
+def test_receipt_memo_copies_a_mutable_message():
+    key = PairKey(b"\xcd" * 32)
+    msg = bytearray(b"original")
+    first = derive_receipt(key, msg, P251)
+    msg[:] = b"mutated!"
+    assert derive_receipt(key, b"mutated!", P251) == _fresh_receipt(key, b"mutated!", P251)
+    assert derive_receipt(key, b"original", P251) == first
+
+
+def test_receipt_memo_is_per_key_and_invisible():
+    a, twin, other = PairKey(b"\x11" * 32), PairKey(b"\x11" * 32), PairKey(b"\x22" * 32)
+    before = (repr(a), hash(a))
+    derive_receipt(a, b"m", P251)
+    assert derive_receipt(other, b"m", P251) == _fresh_receipt(other, b"m", P251)
+    assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
+    assert (repr(a), hash(a)) == before

@@ -158,13 +158,13 @@ def test_holder_states_guard_their_phases():
         holder.challenge()
     with pytest.raises(PhaseViolation):
         holder.transfer()
-    verifier = P3Verifier(P251, Rng(SEED))
+    verifier = P3Verifier(P251)
     with pytest.raises(MissingSetup):
         verifier.check_challenge(None)
 
 
 def test_verifier_first_setup_wins():
-    verifier = P3Verifier(P251, Rng(SEED))
+    verifier = P3Verifier(P251)
     first = VerifierSetup(P251.elt(1), P251.elt(2), P251.elt(3))
     second = VerifierSetup(P251.elt(9), P251.elt(9), P251.elt(9))
     verifier.deliver(Envelope(ROUND_SETUP, Role.P1, Role.P3, first))

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from silmarils.errors import MalformedSignature
 from silmarils.field import SECURE_PRIME_VALUE, Prime, count_field_ops
-from silmarils.hashing import derive_receipt
+from silmarils.hashing import (
+    derive_message_key,
+    derive_nonce,
+    derive_receipt,
+    receipt_from_nonce,
+)
 from silmarils.rng import Rng
 from silmarils.two_party import (
     KeyMaterial,
@@ -193,3 +198,54 @@ def test_params_generate_properties():
         params = Params.generate(P251, rng)
         assert params.weights.w0 and params.weights.w1
         assert params.weights.w0 != params.weights.w1
+
+
+def _check_tape(keys, msg, tape):
+    # K', n and r recomputed without any memo
+    n = derive_nonce(keys.k_sig, msg, keys.sk_K.prime)
+    assert tape.Kprime == derive_message_key(keys.sk_K, msg)
+    assert (tape.n, tape.r) == (n, receipt_from_nonce(msg, n))
+
+
+def test_sign_memo_follows_message_and_prime():
+    for prime in (Prime(13), P251):
+        keys, rng = _setup(prime)
+        for msg in (b"m1", b"m2", b"m1", b"m1"):
+            sig, tape = sign(keys, msg, rng)
+            _check_tape(keys, msg, tape)
+            assert derive_receipt(keys.k_sig, msg, prime)[1] == tape.r
+            assert verify(keys.pk, keys.k_sig, msg, sig) == bool(sig.s4)
+
+
+def test_sign_memo_copies_a_mutable_message():
+    keys, rng = _setup(P251)
+    msg = bytearray(b"original")
+    _, first = sign(keys, msg, rng)
+    msg[:] = b"mutated!"
+    _, tape = sign(keys, b"mutated!", rng)
+    _check_tape(keys, b"mutated!", tape)
+    _, again = sign(keys, b"original", rng)
+    _check_tape(keys, b"original", again)
+    assert (again.Kprime, again.n, again.r) == (first.Kprime, first.n, first.r)
+
+
+def test_sign_memo_is_per_key_material():
+    keys, rng = _setup(P251)
+    other, _ = _setup(P251, b"\x08" * 32)
+    # shares sk_K and pk but holds another pair key
+    stranger = KeyMaterial(sk_K=keys.sk_K, pk=keys.pk, k_sig=other.k_sig)
+    for km in (keys, other, stranger, keys, stranger):
+        _, tape = sign(km, b"same message", rng)
+        _check_tape(km, b"same message", tape)
+
+
+def test_memos_do_not_change_equality_hash_or_repr():
+    keys, rng = _setup(P251)
+    twin, _ = _setup(P251)
+    before = (repr(keys), repr(keys.k_sig), hash(keys.k_sig))
+    verify(keys.pk, keys.k_sig, b"m", sign(keys, b"m", rng)[0])
+    assert keys == twin and repr(keys) == repr(twin)
+    assert keys.k_sig == twin.k_sig and hash(keys.k_sig) == hash(twin.k_sig)
+    assert (repr(keys), repr(keys.k_sig), hash(keys.k_sig)) == before
+    with pytest.raises(TypeError):  # KeyMaterial holds Weights, which are unhashable
+        hash(keys)
