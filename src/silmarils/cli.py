@@ -115,9 +115,9 @@ def _rng_for(args) -> Rng:
 
 
 def _read_hex(path: str, what: str) -> bytes:
-    text = Path(path).read_text()
+    # OSError propagates (exit 3); undecodable text is a ValueError (exit 4).
     try:
-        return bytes.fromhex("".join(text.split()))
+        return bytes.fromhex("".join(Path(path).read_text().split()))
     except ValueError as exc:
         raise MalformedSignature(f"{what} file {path} is not hex: {exc}") from exc
 

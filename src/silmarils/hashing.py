@@ -38,7 +38,16 @@ class HashCtx:
     prime: object
 
     def frame(self, payload: bytes) -> bytes:
-        return self.domain_tag + len(payload).to_bytes(8, "big") + payload
+        return _frame(self.domain_tag, payload)
+
+
+def _frame(tag: bytes, payload: bytes) -> bytes:
+    return tag + len(payload).to_bytes(8, "big") + payload
+
+
+def _hash(prime, tag: bytes, payload: bytes):
+    # hash_to_field without a HashCtx, for the per-session derivations.
+    return prime.reduce_wide(hashlib.sha512(_frame(tag, payload)).digest())
 
 
 @dataclass(frozen=True)
@@ -68,7 +77,7 @@ class PairKey:
 
 def hash_to_field(ctx: HashCtx, payload: bytes):
     """Unkeyed hash into F_p."""
-    return ctx.prime.reduce_wide(hashlib.sha512(ctx.frame(payload)).digest())
+    return _hash(ctx.prime, ctx.domain_tag, payload)
 
 
 def prf_to_field(key, payload: bytes, ctx: HashCtx):
@@ -88,10 +97,7 @@ def derive_nonce(k_sig: PairKey, message: bytes, prime):
 
 def receipt_from_nonce(message: bytes, nonce):
     """r = H(M, n); anyone holding the nonce can recompute the receipt."""
-    prime = nonce.prime
-    return hash_to_field(
-        HashCtx(DOMAIN_RECEIPT, prime), _message_and_element(message, nonce)
-    )
+    return _hash(nonce.prime, DOMAIN_RECEIPT, _message_and_element(message, nonce))
 
 
 def derive_receipt(k_sig: PairKey, message: bytes, prime):
@@ -120,4 +126,4 @@ def derive_message_key(long_term_key, message: bytes):
 def authenticated_value(message: bytes, sig_bytes: bytes, prime):
     """x = H(M, sig): the value the three-party layer authenticates."""
     payload = len(message).to_bytes(8, "big") + message + sig_bytes
-    return hash_to_field(HashCtx(DOMAIN_ICVAL, prime), payload)
+    return _hash(prime, DOMAIN_ICVAL, payload)

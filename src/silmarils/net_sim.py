@@ -12,6 +12,10 @@ corrupted party's outgoing envelopes, and every replacement must carry the
 corrupted sender: channels are authenticated, so spoofing is structurally
 impossible, as is per-recipient equivocation on broadcast (a broadcast
 envelope is delivered to all parties by the scheduler itself).
+
+With collect=True the scheduler keeps every party's View and the transcript;
+with collect=False it keeps only the corrupted party's View, for the
+adversary's rewrite, and returns neither.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ class Envelope:
 class View:
     """What one party saw: every envelope delivered to it (broadcasts
     included) and every envelope it emitted, in order.  The adversary's
-    rewrite receives the corrupted party's view."""
+    rewrite receives the corrupted party's view, the only one a session keeps
+    when collect=False."""
 
     role: Role
     received: list = field(default_factory=list)
@@ -107,66 +112,73 @@ def run_session(
     if corrupted is not None and corrupted not in parties:
         raise ValueError(f"corrupted role {corrupted} not present")
 
-    views = {role: View(role) for role in parties}
+    # (role, party, view-or-None) by position, in mapping order; only the
+    # corrupted party keeps a view unless collect asks for all of them.
+    slots = [
+        (role, party, View(role) if collect or role is corrupted else None)
+        for role, party in parties.items()
+    ]
+    honest = [slot for slot in slots if slot[0] is not corrupted]
+    adv = next((slot for slot in slots if slot[0] is corrupted), None)
     transcript: Optional[list] = [] if collect else None
     broadcasts: list = []
 
-    def deliver(env: Envelope, role: Role) -> None:
-        parties[role].deliver(env)
-        views[role].received.append(env)
-
-    roles = list(parties)
     for rnd in range(1, total_rounds + 1):
-        # Corrupted party last; honest parties emit on pre-round knowledge.
-        order = [r for r in roles if r != corrupted] + (
-            [corrupted] if corrupted is not None else []
-        )
+        # Honest parties emit on pre-round knowledge; the corrupted one last.
         pending: list[Envelope] = []
-        delivered_early: set[int] = set()
-        for role in order:
-            party = parties[role]
-            if role == corrupted:
-                if rushing:
-                    for env in pending:
-                        if env.addressed_to(role):
-                            deliver(env, role)
-                            delivered_early.add(id(env))
-                out = party.emit(rnd)
-                rewritten: list[Envelope] = []
-                for env in out:
-                    views[role].sent.append(env)
-                    for replacement in rewrite(env, views[role]):
-                        if replacement.sender != corrupted:
-                            raise ValueError(
-                                "adversary cannot forge sender "
-                                f"{replacement.sender}: channels are authenticated"
-                            )
-                        rewritten.append(replacement)
-                out = rewritten
-            else:
-                out = party.emit(rnd)
-                views[role].sent.extend(out)
-            if out and rnd not in party.emit_rounds:
-                raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
-            pending.extend(out)
+        for role, party, view in honest:
+            out = party.emit(rnd)
+            if out:
+                if rnd not in party.emit_rounds:
+                    raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
+                pending.extend(out)
+                if view is not None:
+                    view.sent.extend(out)
+        # Under rushing the corrupted party has already received the first
+        # `early` envelopes addressed to it; the fan-out skips them for it.
+        early = 0
+        if adv is not None:
+            role, party, view = adv
+            if rushing:
+                early = len(pending)
+                for env in pending:
+                    if env.recipient is None or env.recipient is role:
+                        party.deliver(env)
+                        view.received.append(env)
+            rewritten: list[Envelope] = []
+            for env in party.emit(rnd):
+                view.sent.append(env)
+                for replacement in rewrite(env, view):
+                    if replacement.sender is not role:
+                        raise ValueError(
+                            "adversary cannot forge sender "
+                            f"{replacement.sender}: channels are authenticated"
+                        )
+                    rewritten.append(replacement)
+            if rewritten:
+                if rnd not in party.emit_rounds:
+                    raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
+                pending.extend(rewritten)
 
-        for env in pending:
-            if transcript is not None:
-                transcript.append(env)
-            if env.is_broadcast:
+        if transcript is not None:
+            transcript.extend(pending)
+        for i, env in enumerate(pending):
+            recipient = env.recipient
+            if recipient is None:
                 broadcasts.append(env)
-            for role in roles:
-                if env.addressed_to(role):
-                    if role == corrupted and id(env) in delivered_early:
-                        continue
-                    deliver(env, role)
+            skip = corrupted if i < early else None
+            for role, party, view in slots:
+                if role is not skip and (recipient is None or recipient is role):
+                    party.deliver(env)
+                    if view is not None:
+                        view.received.append(env)
 
-    outputs = {role: party.finalize() for role, party in parties.items()}
+    outputs = {role: party.finalize() for role, party, _ in slots}
     return NetResult(
         outputs=outputs,
         broadcasts=broadcasts,
         transcript=transcript,
-        views=views if collect else None,
+        views={role: view for role, _, view in slots} if collect else None,
     )
 
 

@@ -45,6 +45,10 @@ class Rng:
     def take(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("cannot take a negative number of bytes")
+        pos = self._pos
+        if pos + n <= len(self._buf):
+            self._pos = pos + n
+            return self._buf[pos : pos + n]
         out = bytearray()
         while n > 0:
             if self._pos == len(self._buf):

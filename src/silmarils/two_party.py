@@ -86,7 +86,13 @@ class Signature:
         return iter((self.s1, self.s2, self.s3, self.s4, self.s5))
 
     def encode(self) -> bytes:
-        return b"".join(s.to_bytes() for s in self)
+        return (
+            self.s1.to_bytes()
+            + self.s2.to_bytes()
+            + self.s3.to_bytes()
+            + self.s4.to_bytes()
+            + self.s5.to_bytes()
+        )
 
     def hex(self) -> str:
         return self.encode().hex()

@@ -1,9 +1,13 @@
 """Command-line surface: flows, file formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from silmarils.cli import PROFILES, main
 
@@ -114,6 +118,8 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
     garbage.write_text("zz-not-hex")
     short = tmp_path / "short.hex"
     short.write_text("00ff")
+    not_utf8 = tmp_path / "not-utf8.hex"
+    not_utf8.write_bytes(b"\xff\xfe\x00")
 
     # 2: usage (bad args, unknown suite size, non-positive trial counts)
     assert main(["stats", "--profile", "toy-251", "--suite", "secrecy",
@@ -125,10 +131,16 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
     # 3: IO
     assert main(["verify", str(tmp_path / "nowhere"), "--msg", str(msg),
                  "--sig", str(sig)]) == 3
+    assert main(["verify", str(keydir), "--msg", str(msg),
+                 "--sig", str(tmp_path / "no-sig.hex")]) == 3
     # 4: malformed input
     assert main(["verify", str(keydir), "--msg", str(msg), "--sig", str(garbage)]) == 4
     assert main(["verify", str(keydir), "--msg", str(msg), "--sig", str(short)]) == 4
     capsys.readouterr()
+    for argv in (["verify"], ["extract", "--hint", "d:3"]):
+        assert main(argv + [str(keydir), "--msg", str(msg), "--sig", str(not_utf8)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     descriptor = json.loads((keydir / "params.json").read_text())
     no_p = {k: v for k, v in descriptor.items() if k != "p"}
     for bad in ("{not json", json.dumps({**descriptor, "p": 250}), json.dumps(no_p)):
@@ -145,6 +157,37 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
     assert main(["sim3p", "--profile", "toy-13", "--adversary", "mystery",
                  "--trials", "1"]) == 6
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def fuzz_keydir(tmp_path_factory):
+    kd = tmp_path_factory.mktemp("fuzz") / "kd"
+    assert main(["keygen", "--profile", "toy-251", "--seed", SEED, "--out", str(kd)]) == 0
+    (kd.parent / "msg.txt").write_bytes(b"hello world")
+    return kd
+
+
+# Arbitrary bytes, hex-looking text, and well-formed 5-byte toy-251 signatures.
+_SIG_FILES = (
+    st.binary(max_size=40)
+    | st.text(alphabet="0123456789abcdefABCDEF \n", max_size=14).map(str.encode)
+    | st.binary(min_size=5, max_size=5).map(lambda b: b.hex().encode() + b"\n")
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_SIG_FILES)
+def test_fuzzed_signature_file_never_crashes(fuzz_keydir, data):
+    sig = fuzz_keydir.parent / "fuzz-sig.hex"
+    sig.write_bytes(data)
+    msg = fuzz_keydir.parent / "msg.txt"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(fuzz_keydir), "--msg", str(msg), "--sig", str(sig)])
+    assert code in {0, 1, 4}
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+    assert "Traceback" not in err.getvalue()
 
 
 def test_sim3p_summary_and_transcript_determinism(tmp_path, capsys):

@@ -227,3 +227,111 @@ def test_corrupted_role_must_be_present():
             AdversaryHook(corrupted=Role.P2),
             total_rounds=1,
         )
+
+
+def _snapshot(view):
+    return (
+        [(e.round, e.payload.text) for e in view.received],
+        [(e.round, e.payload.text) for e in view.sent],
+    )
+
+
+def _busy_trio():
+    # P2 is corrupted below: it gets private and broadcast traffic in every
+    # round and emits two envelopes per round, so rewrite runs twice a round.
+    return _trio({
+        Role.P1: {
+            1: [
+                Envelope(1, Role.P1, Role.P2, Note("1a")),
+                Envelope(1, Role.P1, None, Note("1b")),
+            ],
+            3: [Envelope(3, Role.P1, Role.P2, Note("3a"))],
+        },
+        Role.P2: {
+            r: [
+                Envelope(r, Role.P2, Role.P1, Note(f"{r}x")),
+                Envelope(r, Role.P2, None, Note(f"{r}y")),
+            ]
+            for r in (1, 2, 3)
+        },
+        Role.P3: {
+            2: [
+                Envelope(2, Role.P3, None, Note("2c")),
+                Envelope(2, Role.P3, Role.P2, Note("2d")),
+            ],
+        },
+    })
+
+
+@pytest.mark.parametrize("rushing", [True, False])
+def test_corrupted_view_is_the_same_with_and_without_collect(rushing):
+    recordings = {}
+    for collect in (True, False):
+        seen = recordings[collect] = []
+
+        def record(env, view):
+            seen.append(_snapshot(view))
+            return [env]
+
+        parties = _busy_trio()
+        net = run_session(
+            parties,
+            AdversaryHook(corrupted=Role.P2, rewrite=record),
+            total_rounds=3,
+            rushing=rushing,
+            collect=collect,
+        )
+        assert len(seen) == 6
+        if collect:
+            received, sent = _snapshot(net.views[Role.P2])
+            assert received == [(e.round, e.payload.text) for e in parties[Role.P2].got]
+            for seen_received, seen_sent in seen:
+                assert seen_received == received[: len(seen_received)]
+                assert seen_sent == sent[: len(seen_sent)]
+            assert seen[-1][1] == sent
+    assert recordings[True] == recordings[False]
+
+
+def test_corrupted_party_in_a_foreign_round_is_a_violation_unless_dropped():
+    def parties():
+        trio = _trio({Role.P2: {1: [Envelope(1, Role.P2, Role.P3, Note("early"))]}})
+        trio[Role.P2].emit_rounds = frozenset({2})  # advertises 2, emits in 1
+        return trio
+
+    with pytest.raises(ScheduleViolation):
+        run_session(parties(), AdversaryHook(corrupted=Role.P2), total_rounds=2)
+    net = run_session(
+        parties(),
+        AdversaryHook(corrupted=Role.P2, rewrite=lambda env, view: []),
+        total_rounds=2,
+    )
+    assert net.outputs[Role.P3] == []
+
+
+@pytest.mark.parametrize("collect", [True, False])
+def test_rushing_delivers_each_envelope_to_the_corrupted_party_once(collect):
+    plans = {
+        Role.P1: {1: [
+            Envelope(1, Role.P1, Role.P2, Note("first")),
+            Envelope(1, Role.P1, Role.P2, Note("second")),
+        ]},
+        Role.P2: {1: [
+            Envelope(1, Role.P2, Role.P2, Note("to myself")),
+            Envelope(1, Role.P2, None, Note("to all")),
+        ]},
+        Role.P3: {1: [
+            Envelope(1, Role.P3, Role.P1, Note("not for P2")),
+            Envelope(1, Role.P3, None, Note("third")),
+        ]},
+    }
+    net = run_session(
+        _trio(plans),
+        AdversaryHook(corrupted=Role.P2),
+        total_rounds=1,
+        rushing=True,
+        collect=collect,
+    )
+    assert [p.text for p in net.outputs[Role.P2]] == [
+        "first", "second", "third", "to myself", "to all",
+    ]
+    assert [p.text for p in net.outputs[Role.P1]] == ["not for P2", "third", "to all"]

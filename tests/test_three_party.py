@@ -7,7 +7,7 @@ from silmarils.field import Prime
 from silmarils.hashing import authenticated_value
 from silmarils.net_sim import AdversaryHook, Envelope, Role, broadcast_consistency_check
 from silmarils.rng import Rng
-from silmarils.stats import get_strategy
+from silmarils.stats import get_strategy, run_trials
 from silmarils.three_party import (
     ROUND_CHALLENGE,
     ROUND_SETUP,
@@ -205,3 +205,20 @@ def test_starved_parties_fail_closed():
         KEYS, MSG, SEED, adversary=AdversaryHook(corrupted=Role.P1, rewrite=blackout)
     )
     assert res.outcome.z3 is None
+
+
+@pytest.mark.parametrize("strategy", [None, "substitute-guess-k1", "inconsistent-line"])
+def test_collect_does_not_change_sessions(strategy):
+    attack = get_strategy(strategy) if strategy else None
+
+    def outcomes(collect):
+        return [
+            (res.outcome.z2, res.outcome.z3, res.arm, res.outcome.verdicts, res.accepted)
+            for res in run_trials(
+                P251, 20, seed=SEED, strategy=attack, collect=collect, interpret=True
+            )
+        ]
+
+    lean, full = outcomes(False), outcomes(True)
+    assert len(lean) == 20
+    assert lean == full
