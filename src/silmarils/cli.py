@@ -133,7 +133,13 @@ def _write_keydir(outdir: Path, profile: str, prime, keys: KeyMaterial) -> None:
     (outdir / "sk.hex").write_text(keys.sk_K.hex() + "\n")
     (outdir / "pk.hex").write_text(keys.pk.to_bytes().hex() + "\n")
     (outdir / "k_sig.hex").write_text(keys.k_sig.hex() + "\n")
-    descriptor = {
+    (outdir / "params.json").write_text(
+        json.dumps(_descriptor(profile, prime), indent=2, sort_keys=True) + "\n"
+    )
+
+
+def _descriptor(profile: str, prime) -> dict:
+    return {
         "element_bytes": prime.byte_length,
         "p": str(prime.value),
         "profile": profile,
@@ -143,20 +149,43 @@ def _write_keydir(outdir: Path, profile: str, prime, keys: KeyMaterial) -> None:
             "sk": prime.byte_length,
         },
     }
-    (outdir / "params.json").write_text(
-        json.dumps(descriptor, indent=2, sort_keys=True) + "\n"
-    )
+
+
+def _check_descriptor(descriptor: dict, prime) -> None:
+    """The optional params.json keys, when present, must be what keygen
+    writes for this p; otherwise the descriptor is malformed (exit 4)."""
+    profile = descriptor.get("profile")
+    if "profile" in descriptor and not (
+        isinstance(profile, str) and PROFILES.get(profile) == prime.value
+    ):
+        raise MalformedSignature(
+            f"bad params.json: profile {json.dumps(profile)} does not name p = {prime.value}"
+        )
+    expected = _descriptor(profile, prime)
+    for key in ("element_bytes", "sizes"):
+        # Compared as JSON text, so 7.0 or true never pass for 7 or 1.
+        found = json.dumps(descriptor.get(key, expected[key]), sort_keys=True)
+        wanted = json.dumps(expected[key], sort_keys=True)
+        if found != wanted:
+            raise MalformedSignature(
+                f"bad params.json: {key} {found} does not match p = {prime.value} "
+                f"(keygen writes {wanted})"
+            )
 
 
 def _load_keydir(path: str, *, need_sk: bool, need_k_sig: bool):
     keydir = Path(path)
     try:
         descriptor = json.loads((keydir / "params.json").read_text())
-        prime = SelectedPrime(int(descriptor["p"]))
+        p = descriptor["p"]
+        if isinstance(p, (bool, float)):  # int() would truncate 251.9 to 251
+            raise TypeError(f"p must be a decimal string or integer, not {json.dumps(p)}")
+        prime = SelectedPrime(int(p))
     except KeyError as exc:
         raise MalformedSignature(f"bad params.json: no {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise MalformedSignature(f"bad params.json: {exc}") from exc
+    _check_descriptor(descriptor, prime)
     try:
         pk = Weights.from_bytes(prime, _read_hex(keydir / "pk.hex", "public key"))
     except (ValueError, LengthMismatch, DegenerateWeights) as exc:

@@ -12,6 +12,7 @@ from . import counting
 from .primality import is_prime
 
 WIDE_BYTES = 64
+_new = object.__new__  # an element without __init__'s reduction
 
 
 class Prime:
@@ -45,7 +46,10 @@ class Prime:
         while True:
             draw = int.from_bytes(rng.take(width), "big")
             if draw < bound:
-                return _element(draw % self.value, self)
+                elt = _new(FieldElement)
+                elt.residue = draw % self.value
+                elt.prime = self
+                return elt
 
     def sample_unit(self, rng) -> "FieldElement":
         """Uniform nonzero element."""
@@ -98,7 +102,10 @@ class FieldElement:
         p = self.prime
         if p is not other.prime and p.value != other.prime.value:
             raise ModulusMismatch(f"{p.value} vs {other.prime.value}")
-        return _element((self.residue + other.residue) % p.value, p)
+        elt = _new(FieldElement)
+        elt.residue = (self.residue + other.residue) % p.value
+        elt.prime = p
+        return elt
 
     def __sub__(self, other):
         if type(other) is not FieldElement:
@@ -106,7 +113,10 @@ class FieldElement:
         p = self.prime
         if p is not other.prime and p.value != other.prime.value:
             raise ModulusMismatch(f"{p.value} vs {other.prime.value}")
-        return _element((self.residue - other.residue) % p.value, p)
+        elt = _new(FieldElement)
+        elt.residue = (self.residue - other.residue) % p.value
+        elt.prime = p
+        return elt
 
     def __mul__(self, other):
         if type(other) is not FieldElement:
@@ -116,7 +126,10 @@ class FieldElement:
             raise ModulusMismatch(f"{p.value} vs {other.prime.value}")
         if counting.enabled:
             counting.bump_mul()
-        return _element(self.residue * other.residue % p.value, p)
+        elt = _new(FieldElement)
+        elt.residue = self.residue * other.residue % p.value
+        elt.prime = p
+        return elt
 
     def __truediv__(self, other):
         if type(other) is not FieldElement:
@@ -161,8 +174,9 @@ class FieldElement:
 
 
 def _element(residue: int, prime: Prime) -> FieldElement:
-    # Internal fast path: residue already canonical.
-    elt = FieldElement.__new__(FieldElement)
+    # Internal fast path: residue already canonical.  The per-trial paths
+    # (+, -, *, Prime.sample) inline these three lines to skip the call.
+    elt = _new(FieldElement)
     elt.residue = residue
     elt.prime = prime
     return elt

@@ -25,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
+from ._record import frozen_record
 from .errors import ScheduleViolation
 
 
@@ -33,11 +34,15 @@ class Role(enum.Enum):
     P2 = "P2"  # holder
     P3 = "P3"  # verifier
 
+    # Members are singletons and compare by identity, so identity hashing
+    # agrees with ==; it skips Enum's Python-level __hash__ on every lookup.
+    __hash__ = object.__hash__
+
     def __repr__(self):
         return self.value
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Envelope:
     """One scheduled message: private (recipient set) or broadcast."""
 
@@ -66,7 +71,7 @@ class View:
     sent: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AdversaryHook:
     """Single-corruption active adversary.
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ._record import frozen_record
 from .errors import MissingNonce, MissingSetup, PhaseViolation
 from .hashing import PairKey, authenticated_value, derive_receipt, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, NetResult, Role, run_session
@@ -66,7 +67,7 @@ def _wire_parts(*parts) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HolderSetup:
     """P1 -> P2: the line points plus the interpretation payload."""
 
@@ -85,7 +86,7 @@ class HolderSetup:
         )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class VerifierSetup:
     """P1 -> P3: the affine line keys."""
 
@@ -97,7 +98,7 @@ class VerifierSetup:
         return _wire_parts(b"\x11", self.k1, self.k2, self.k2_prime)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Challenge:
     """P2's broadcast: a random linear combination of its two points."""
 
@@ -109,7 +110,7 @@ class Challenge:
         return _wire_parts(b"\x12", self.e, self.x_e, self.sigma_e)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ChallengeVerdict:
     """P1's broadcast check of the challenge; carries the reveal on failure."""
 
@@ -124,7 +125,7 @@ class ChallengeVerdict:
         return _wire_parts(b"\x13", self.ok, self.reveal_x, self.reveal_sigma)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class LineVerdict:
     """P3's broadcast check of the challenge against its keys."""
 
@@ -137,7 +138,7 @@ class LineVerdict:
         return _wire_parts(b"\x14", self.ok)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AuditVerdict:
     """P1's broadcast audit of P3's declaration."""
 
@@ -150,7 +151,7 @@ class AuditVerdict:
         return _wire_parts(b"\x15", self.ok)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RevealPoint:
     """Resolution arm C: P1 publishes the authoritative point."""
 
@@ -161,7 +162,7 @@ class RevealPoint:
         return _wire_parts(b"\x16", self.x, self.sigma)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RevealLine:
     """Resolution arm D: P1 publishes the line keys."""
 
@@ -172,7 +173,7 @@ class RevealLine:
         return _wire_parts(b"\x17", self.k1, self.k2)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class TransferValue:
     """P2 -> P3: the held point plus the interpretation payload."""
 
@@ -190,7 +191,7 @@ class TransferValue:
         )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class IcSetup:
     """P1's complete setup record (both parties' packages)."""
 

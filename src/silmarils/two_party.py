@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
+from ._record import frozen_record
 from .errors import DegenerateExtraction, LengthMismatch, MalformedSignature
 from .hashing import (
     DOMAIN_RECEIPT,
@@ -71,7 +72,7 @@ class KeyMaterial:
     _kprime_memo: tuple = field(default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Signature:
     """The 5-tuple (sigma1..sigma5); wire format is the concatenation of the
     fixed-width big-endian elements."""
@@ -113,7 +114,7 @@ class Signature:
         return cls(*parts)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SigningTape:
     """Every ephemeral the signer drew; kept only by tests and extraction
     oracles, never serialized."""

@@ -143,7 +143,14 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
     descriptor = json.loads((keydir / "params.json").read_text())
     no_p = {k: v for k, v in descriptor.items() if k != "p"}
-    for bad in ("{not json", json.dumps({**descriptor, "p": 250}), json.dumps(no_p)):
+    inconsistent = (
+        {**descriptor, "p": 251.9},
+        {**descriptor, "profile": "toy-13"},
+        {**descriptor, "element_bytes": 7},
+        {**descriptor, "sizes": {**descriptor["sizes"], "sig": 99}},
+    )
+    for bad in ("{not json", json.dumps({**descriptor, "p": 250}), json.dumps(no_p),
+                *map(json.dumps, inconsistent)):
         broken = tmp_path / "broken"
         shutil.copytree(keydir, broken, dirs_exist_ok=True)
         (broken / "params.json").write_text(bad)

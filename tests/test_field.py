@@ -1,11 +1,13 @@
 """Field arithmetic against integer-level oracles."""
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from silmarils.errors import LengthMismatch, ModulusMismatch, ZeroInverse
-from silmarils.field import SECURE_PRIME_VALUE, Prime, count_field_ops
+from silmarils.field import SECURE_PRIME_VALUE, FieldElement, Prime, count_field_ops
 from silmarils.rng import Rng
 
 from .oracles import inverse_by_ext_gcd, powmod_by_squaring, reduce_big_endian
@@ -167,3 +169,20 @@ def test_op_counting_nests_and_ignores_uncounted():
         _ = x - y
         _ = -x
     assert (c.muls, c.invs) == (0, 0)
+
+
+def test_per_trial_ops_keep_their_checks_and_counts(prime13, prime251):
+    # +, -, * and Prime.sample build their results inline, not via a helper.
+    ops = (operator.add, operator.sub, operator.mul)
+    for op in ops:
+        with pytest.raises(ModulusMismatch):
+            op(prime13.elt(1), prime251.elt(1))
+        with pytest.raises(ModulusMismatch):
+            op(prime251.elt(1), prime13.elt(1))
+    a, b = prime251.elt(200), prime251.elt(100)
+    with count_field_ops() as counter:
+        results = [op(a, b) for op in ops] + [a * a, prime251.sample(Rng(bytes(32)))]
+    assert (counter.muls, counter.invs) == (2, 0)
+    assert [int(r) for r in results[:4]] == [49, 100, 200 * 100 % 251, 200 * 200 % 251]
+    for r in results:
+        assert type(r) is FieldElement and r.prime is prime251 and 0 <= r.residue < 251

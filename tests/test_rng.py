@@ -76,3 +76,70 @@ def test_from_system_is_fresh():
     a, b = Rng.from_system(), Rng.from_system()
     assert len(a.seed) == SEED_BYTES
     assert a.take(32) != b.take(32)
+
+
+# The stream against hmac.digest, the reference for the RFC 2104 states that
+# Rng keeps: block i is HMAC(key, i), a fork's key is HMAC(key, "fork" ||
+# framed label) cut to SEED_BYTES.
+
+
+def _reference_stream(key: bytes, n: int) -> bytes:
+    blocks = (n + 63) // 64
+    return b"".join(
+        hmac.digest(key, i.to_bytes(8, "big"), "sha512") for i in range(blocks)
+    )[:n]
+
+
+def _reference_fork(key: bytes, label: bytes) -> bytes:
+    framed = b"fork" + len(label).to_bytes(8, "big") + label
+    return hmac.digest(key, framed, "sha512")[:SEED_BYTES]
+
+
+# Around SHA-512's 128-byte block: longer keys are hashed before padding.
+SEED_LENGTHS = [0, 1, 32, 64, 127, 128, 129, 300]
+CHAIN_LABELS = [b"", b"a", b"trial/" + bytes(8), b"x" * 200]
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+@pytest.mark.parametrize("length", SEED_LENGTHS)
+def test_take_and_fork_match_the_hmac_reference(length, kind):
+    seed = kind((7 * i + 3) % 256 for i in range(length))
+    key = bytes(seed)
+    rng = Rng(seed)
+    # Draws that end inside a block, cross one, and span two.
+    assert rng.take(10) + rng.take(60) + rng.take(130) + rng.take(1) == (
+        _reference_stream(key, 201)
+    )
+    child = rng.fork(b"child")
+    assert type(child) is Rng
+    assert child.seed == _reference_fork(key, b"child")
+    assert child.take(150) == _reference_stream(child.seed, 150)
+    assert child.take(5) == Rng(child.seed).take(155)[150:]
+    # The parent's position is untouched by the fork.
+    assert rng.take(64) == _reference_stream(key, 265)[201:]
+
+    chain, chain_key = Rng(seed), key
+    for label in CHAIN_LABELS:
+        chain, chain_key = chain.fork(label), _reference_fork(chain_key, label)
+        assert chain.seed == chain_key
+    assert chain.take(129) == _reference_stream(chain_key, 129)
+
+
+def test_mutating_a_bytearray_seed_afterwards_changes_nothing():
+    seed = bytearray(SEED)
+    rng = Rng(seed)
+    seed[0] ^= 1
+    assert rng.take(70) == _reference_stream(SEED, 70)
+    assert rng.fork(b"f").seed == _reference_fork(SEED, b"f")
+
+
+@given(
+    seed=st.binary(max_size=300),
+    labels=st.lists(st.binary(max_size=150), max_size=3),
+    draws=st.lists(st.integers(min_value=0, max_value=150), max_size=4),
+)
+def test_streams_and_fork_chains_match_the_hmac_reference(seed, labels, draws):
+    rng, key = Rng(seed), seed
+    for label in labels:
+        rng, key = rng.fork(label), _reference_fork(key, label)
+    assert b"".join(rng.take(n) for n in draws) == _reference_stream(key, sum(draws))

@@ -1,11 +1,21 @@
 """Seven-round authenticated-transfer sessions: arms, attacks, determinism."""
 
+import copy
+import enum
+import pickle
+
 import pytest
 
 from silmarils.errors import MissingNonce, MissingSetup, PhaseViolation
 from silmarils.field import Prime
 from silmarils.hashing import authenticated_value
-from silmarils.net_sim import AdversaryHook, Envelope, Role, broadcast_consistency_check
+from silmarils.net_sim import (
+    AdversaryHook,
+    Envelope,
+    Role,
+    broadcast_consistency_check,
+    transcript_lines,
+)
 from silmarils.rng import Rng
 from silmarils.stats import get_strategy, run_trials
 from silmarils.three_party import (
@@ -222,3 +232,34 @@ def test_collect_does_not_change_sessions(strategy):
     lean, full = outcomes(False), outcomes(True)
     assert len(lean) == 20
     assert lean == full
+
+
+def test_role_identity_hash_changes_no_lookup_or_session(monkeypatch):
+    assert hash(Role.P1) == object.__hash__(Role.P1)
+    table = {Role.P1: "signer", Role.P2: "holder", Role.P3: "verifier"}
+    assert [table[r] for r in (Role("P1"), Role["P2"], Role.P3)] == [
+        "signer", "holder", "verifier",
+    ]
+    assert {Role.P2, Role.P1} == {Role("P1"), Role["P2"]} and Role.P3 not in {Role.P1}
+    assert pickle.loads(pickle.dumps(Role.P2)) is Role.P2
+    assert copy.deepcopy(table) == table
+
+    def sessions():
+        runs = []
+        for name in (None, "substitute-guess-k1", "inconsistent-line"):
+            attack = get_strategy(name) if name else None
+            for res in run_trials(P251, 8, seed=SEED, strategy=attack, collect=True):
+                # Role-keyed dicts become item lists: they are compared after
+                # the hash changes, when the old dicts can no longer be probed.
+                net = res.net
+                runs.append((
+                    list(net.outputs.items()),
+                    transcript_lines(net.transcript),
+                    [(role, view.received) for role, view in net.views.items()],
+                ))
+        return runs
+
+    with_identity_hash = sessions()
+    monkeypatch.setattr(Role, "__hash__", enum.Enum.__hash__)
+    assert hash(Role.P1) == hash("P1")
+    assert sessions() == with_identity_hash
