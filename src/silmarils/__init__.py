@@ -7,7 +7,7 @@ A three-party session makes a signed value transferable through an
 information-checking layer without giving the middle party the keys.
 
 Layout:
-    field         prime-field arithmetic (compiled kernel + pure fallback)
+    field         prime-field arithmetic (pure Python, any odd prime)
     sss           2-of-2 linear secret sharing at public weights
     keyed hashes  hashing.py: domain-separated hash/PRF into the field
     two_party     sign / verify / extract / forgery + simulator surfaces

@@ -34,13 +34,7 @@ from .errors import (
     RoleMismatch,
     UnknownStrategy,
 )
-from .field import (
-    SECURE_PRIME_VALUE,
-    available_backends,
-    count_field_ops,
-)
-from .field import Prime as SelectedPrime
-from .field import BACKEND as SELECTED_BACKEND
+from .field import BACKEND, SECURE_PRIME_VALUE, Prime, count_field_ops
 from .hashing import PairKey, derive_receipt
 from .net_sim import transcript_lines
 from .rng import SEED_BYTES, Rng
@@ -180,7 +174,7 @@ def _load_keydir(path: str, *, need_sk: bool, need_k_sig: bool):
         p = descriptor["p"]
         if isinstance(p, (bool, float)):  # int() would truncate 251.9 to 251
             raise TypeError(f"p must be a decimal string or integer, not {json.dumps(p)}")
-        prime = SelectedPrime(int(p))
+        prime = Prime(int(p))
     except KeyError as exc:
         raise MalformedSignature(f"bad params.json: no {exc}") from exc
     except (ValueError, TypeError) as exc:
@@ -216,7 +210,7 @@ def _emit(args, data_hex: str) -> None:
 
 
 def cmd_keygen(args) -> int:
-    prime = SelectedPrime(PROFILES[args.profile])
+    prime = Prime(PROFILES[args.profile])
     root = _rng_for(args)
     params = Params.generate(prime, root.fork(b"params"))
     keys = keygen(params, root.fork(b"keys"))
@@ -273,7 +267,9 @@ def cmd_extract(args) -> int:
         raise MalformedSignature("extract needs --sig <file>")
     sig_bytes = _read_hex(args.sig, "signature")
     kind, value = args.hint
-    hint = (kind, prime.elt(value % prime.value))
+    if not 0 <= value < prime.value:
+        raise MalformedSignature(f"hint {kind}:{value} is not in [0, {prime.value})")
+    hint = (kind, prime.elt(value))
     family = extract_params(keys.k_sig, message, sig_bytes, hint, keys.pk)
     member = family.pinned
     record = {
@@ -306,7 +302,7 @@ def cmd_forge_public_r(args) -> int:
 
 
 def cmd_sim3p(args) -> int:
-    prime = SelectedPrime(PROFILES[args.profile])
+    prime = Prime(PROFILES[args.profile])
     strategy = None
     if args.adversary != "none":
         strategy = harness.get_strategy(args.adversary)
@@ -359,7 +355,7 @@ def cmd_sim3p(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    prime = SelectedPrime(PROFILES[args.profile])
+    prime = Prime(PROFILES[args.profile])
     seed = args.seed if args.seed is not None else harness.DEFAULT_SEED
     results = harness.run_suite(prime, args.suite, args.trials, seed=seed)
     lines = [harness.result_json_line(res) for res in results]
@@ -373,8 +369,7 @@ def cmd_stats(args) -> int:
     return EXIT_OK if verdicts_ok else EXIT_REJECT
 
 
-def _bench_backend(name: str, module, p_value: int, seed: bytes, reps: int) -> list:
-    prime = module.Prime(p_value)
+def _bench(prime, seed: bytes, reps: int) -> None:
     root = Rng(seed)
     params = Params.generate(prime, root.fork(b"params"))
     keys = keygen(params, root.fork(b"keys"))
@@ -397,25 +392,22 @@ def _bench_backend(name: str, module, p_value: int, seed: bytes, reps: int) -> l
         verify_times.append(time.perf_counter() - t0)
     med_sign = pystats.median(sign_times) * 1e6
     med_verify = pystats.median(verify_times) * 1e6
-    selected = " (selected)" if name == SELECTED_BACKEND else ""
-    return [
-        f"backend={name}{selected}",
+    print(f"backend={BACKEND}")
+    print(
         f"  sign: muls={sign_ops.muls} invs={sign_ops.invs}"
-        f"  verify: muls={verify_ops.muls} invs={verify_ops.invs}",
-        f"  median sign={med_sign:.2f}us  median verify={med_verify:.2f}us  (n={reps})",
-    ]
+        f"  verify: muls={verify_ops.muls} invs={verify_ops.invs}"
+    )
+    print(f"  median sign={med_sign:.2f}us  median verify={med_verify:.2f}us  (n={reps})")
 
 
 def cmd_bench(args) -> int:
     p_value = PROFILES[args.profile]
-    prime = SelectedPrime(p_value)
+    prime = Prime(p_value)
     seed = args.seed if args.seed is not None else harness.DEFAULT_SEED
     width = prime.byte_length
     print(f"profile={args.profile} p={p_value}")
     print(f"sizes: sk={width} B  pk={2 * width} B  sig={5 * width} B")
-    for name, module in sorted(available_backends().items()):
-        for line in _bench_backend(name, module, p_value, seed, args.trials):
-            print(line)
+    _bench(prime, seed, args.trials)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Primality validation shared by both field backends.
+"""Primality validation for the field modulus.
 
 Small candidates (< 2^32) get exact trial division; larger ones get
 Miller-Rabin with 40 bases derived deterministically from the candidate, so

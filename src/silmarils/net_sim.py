@@ -55,9 +55,6 @@ class Envelope:
     def is_broadcast(self) -> bool:
         return self.recipient is None
 
-    def addressed_to(self, role: Role) -> bool:
-        return self.recipient is None or self.recipient == role
-
 
 @dataclass
 class View:

@@ -157,6 +157,14 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
         assert main(["sign", str(broken), "--msg", str(msg), "--seed", SEED]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: bad params.json: ") and err.count("\n") == 1
+    for hint in ("d:999", "d:-5", "s:251", "d:254"):  # outside [0, p): not reduced
+        assert main(["extract", str(keydir), "--msg", str(msg), "--sig", str(sig),
+                     "--hint", hint]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["extract", str(keydir), "--msg", str(msg), "--sig", str(sig),
+                 "--hint", "d:250"]) == 0
+    capsys.readouterr()
     # 5: degenerate algebra
     assert main(["extract", str(keydir), "--msg", str(msg), "--sig", str(sig),
                  "--hint", "d:0"]) == 5
@@ -254,11 +262,10 @@ def test_stats_exit_one_on_failed_verdict(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_bench_reports_all_backends(capsys):
+def test_bench_reports_sizes_and_op_counts(capsys):
     assert main(["bench", "--profile", "toy-251", "--trials", "5"]) == 0
     out = capsys.readouterr().out
     assert "backend=pure" in out
-    assert "(selected)" in out
     assert "sign: muls=13 invs=2" in out
     assert "verify: muls=4 invs=0" in out
     assert "sizes: sk=1 B  pk=2 B  sig=5 B" in out

@@ -26,8 +26,9 @@ def test_rejects_non_primes_and_bad_types():
             Prime(bad)
     with pytest.raises(ValueError):
         Prime(2)  # too small: the schemes need odd p >= 3
-    with pytest.raises(TypeError):
-        Prime(13.0)
+    for bad_type in (13.0, "251"):
+        with pytest.raises(TypeError):
+            Prime(bad_type)
 
 
 def test_byte_length_and_bound(prime):
@@ -130,6 +131,7 @@ def test_mixed_type_arithmetic_is_refused(prime):
             x + other
         with pytest.raises(TypeError):
             other * x
+    assert x.__eq__(3) is NotImplemented
     assert (x == 3) is False
     assert x != 3
 
@@ -163,6 +165,9 @@ def test_op_counting_nests_and_ignores_uncounted():
     assert (inner.muls, inner.invs) == (1, 2)
     # the innermost open counter owns the events
     assert (outer.muls, outer.invs) == (2, 0)
+    with count_field_ops() as division:
+        _ = x / y
+    assert (division.muls, division.invs) == (1, 1)
     # additions are free by design; only muls and invs are budget events
     with count_field_ops() as c:
         _ = x + y
