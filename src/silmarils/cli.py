@@ -369,7 +369,14 @@ def cmd_stats(args) -> int:
     return EXIT_OK if verdicts_ok else EXIT_REJECT
 
 
-def _bench(prime, seed: bytes, reps: int) -> None:
+def cmd_bench(args) -> int:
+    p_value = PROFILES[args.profile]
+    prime = Prime(p_value)
+    seed = args.seed if args.seed is not None else harness.DEFAULT_SEED
+    width = prime.byte_length
+    print(f"profile={args.profile} p={p_value}")
+    print(f"sizes: sk={width} B  pk={2 * width} B  sig={5 * width} B")
+
     root = Rng(seed)
     params = Params.generate(prime, root.fork(b"params"))
     keys = keygen(params, root.fork(b"keys"))
@@ -383,7 +390,7 @@ def _bench(prime, seed: bytes, reps: int) -> None:
 
     sign_times = []
     verify_times = []
-    for _ in range(reps):
+    for _ in range(args.trials):
         t0 = time.perf_counter()
         sig, _ = sign(keys, message, rng)
         sign_times.append(time.perf_counter() - t0)
@@ -397,17 +404,7 @@ def _bench(prime, seed: bytes, reps: int) -> None:
         f"  sign: muls={sign_ops.muls} invs={sign_ops.invs}"
         f"  verify: muls={verify_ops.muls} invs={verify_ops.invs}"
     )
-    print(f"  median sign={med_sign:.2f}us  median verify={med_verify:.2f}us  (n={reps})")
-
-
-def cmd_bench(args) -> int:
-    p_value = PROFILES[args.profile]
-    prime = Prime(p_value)
-    seed = args.seed if args.seed is not None else harness.DEFAULT_SEED
-    width = prime.byte_length
-    print(f"profile={args.profile} p={p_value}")
-    print(f"sizes: sk={width} B  pk={2 * width} B  sig={5 * width} B")
-    _bench(prime, seed, args.trials)
+    print(f"  median sign={med_sign:.2f}us  median verify={med_verify:.2f}us  (n={args.trials})")
     return EXIT_OK
 
 

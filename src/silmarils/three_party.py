@@ -28,6 +28,11 @@ check, 5 P1's audit, 6 resolution reveals, 7 transfer.  Honest parties fall
 back to zero-valued defaults when a (corrupt) counterparty starves them of
 state, keeping every session total; the MissingSetup errors are raised only
 when the per-step methods are driven directly out of order.
+
+Wire format (to_wire, the ``payload`` hex of a transcript line): the class's
+tag byte, written as a one-byte message, then each field in declared order:
+00 None, 01 + one byte for a bool, 02 + 8-byte big-endian length + bytes for
+the message and a signature (Signature.encode()), 03 + fixed-width element.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ TOTAL_ROUNDS = 7
 def _wire_parts(*parts) -> bytes:
     out = bytearray()
     for part in parts:
+        if isinstance(part, Signature):
+            part = part.encode()
         if part is None:
             out += b"\x00"
         elif isinstance(part, bool):
@@ -67,10 +74,20 @@ def _wire_parts(*parts) -> bytes:
     return bytes(out)
 
 
+class _Payload:
+    """A session message; each subclass sets its one-byte ``tag``."""
+
+    def to_wire(self) -> bytes:
+        # frozen_record stores the fields in the instance __dict__ in
+        # declared order.
+        return _wire_parts(self.tag, *vars(self).values())
+
+
 @frozen_record
-class HolderSetup:
+class HolderSetup(_Payload):
     """P1 -> P2: the line points plus the interpretation payload."""
 
+    tag = b"\x10"
     x: object
     x_prime: object
     sigma: object
@@ -79,129 +96,84 @@ class HolderSetup:
     sig_alg: Signature
     nonce: object
 
-    def to_wire(self) -> bytes:
-        return _wire_parts(
-            b"\x10", self.x, self.x_prime, self.sigma, self.sigma_prime,
-            self.message, self.sig_alg.encode(), self.nonce,
-        )
-
 
 @frozen_record
-class VerifierSetup:
+class VerifierSetup(_Payload):
     """P1 -> P3: the affine line keys."""
 
+    tag = b"\x11"
     k1: object
     k2: object
     k2_prime: object
 
-    def to_wire(self) -> bytes:
-        return _wire_parts(b"\x11", self.k1, self.k2, self.k2_prime)
-
 
 @frozen_record
-class Challenge:
+class Challenge(_Payload):
     """P2's broadcast: a random linear combination of its two points."""
 
+    tag = b"\x12"
     e: object
     x_e: object
     sigma_e: object
 
-    def to_wire(self) -> bytes:
-        return _wire_parts(b"\x12", self.e, self.x_e, self.sigma_e)
-
 
 @frozen_record
-class ChallengeVerdict:
+class ChallengeVerdict(_Payload):
     """P1's broadcast check of the challenge; carries the reveal on failure."""
 
+    tag = b"\x13"
+    labels = ("P2 corrupt", "accept")
     ok: bool
     reveal_x: object = None
     reveal_sigma: object = None
 
-    def verdict_label(self) -> str:
-        return "accept" if self.ok else "P2 corrupt"
-
-    def to_wire(self) -> bytes:
-        return _wire_parts(b"\x13", self.ok, self.reveal_x, self.reveal_sigma)
-
 
 @frozen_record
-class LineVerdict:
+class LineVerdict(_Payload):
     """P3's broadcast check of the challenge against its keys."""
 
+    tag = b"\x14"
+    labels = ("reject", "accept")
     ok: bool
-
-    def verdict_label(self) -> str:
-        return "accept" if self.ok else "reject"
-
-    def to_wire(self) -> bytes:
-        return _wire_parts(b"\x14", self.ok)
 
 
 @frozen_record
-class AuditVerdict:
+class AuditVerdict(_Payload):
     """P1's broadcast audit of P3's declaration."""
 
+    tag = b"\x15"
+    labels = ("P3 corrupt", "accept")
     ok: bool
-
-    def verdict_label(self) -> str:
-        return "accept" if self.ok else "P3 corrupt"
-
-    def to_wire(self) -> bytes:
-        return _wire_parts(b"\x15", self.ok)
 
 
 @frozen_record
-class RevealPoint:
+class RevealPoint(_Payload):
     """Resolution arm C: P1 publishes the authoritative point."""
 
+    tag = b"\x16"
     x: object
     sigma: object
 
-    def to_wire(self) -> bytes:
-        return _wire_parts(b"\x16", self.x, self.sigma)
-
 
 @frozen_record
-class RevealLine:
+class RevealLine(_Payload):
     """Resolution arm D: P1 publishes the line keys."""
 
+    tag = b"\x17"
     k1: object
     k2: object
 
-    def to_wire(self) -> bytes:
-        return _wire_parts(b"\x17", self.k1, self.k2)
-
 
 @frozen_record
-class TransferValue:
+class TransferValue(_Payload):
     """P2 -> P3: the held point plus the interpretation payload."""
 
+    tag = b"\x18"
     x: object
     sigma: object
     message: bytes
     sig_alg: Optional[Signature]
     nonce: object
-
-    def to_wire(self) -> bytes:
-        return _wire_parts(
-            b"\x18", self.x, self.sigma, self.message,
-            self.sig_alg.encode() if self.sig_alg is not None else None,
-            self.nonce,
-        )
-
-
-@frozen_record
-class IcSetup:
-    """P1's complete setup record (both parties' packages)."""
-
-    x: object
-    x_prime: object
-    sigma: object
-    sigma_prime: object
-    k1: object
-    k2: object
-    k2_prime: object
 
 
 @dataclass
@@ -212,35 +184,6 @@ class SessionOutcome:
     z2: object
     z3: object
     verdicts: list
-
-
-def p1_start(keys: KeyMaterial, message: bytes, rng, ic_coins=None):
-    """Sign, derive x, and build both setup packages.
-
-    Returns (IcSetup, sig_alg, x, envelopes).  ic_coins, when given, forces
-    (k1, k2, x_prime, k2_prime) instead of drawing them from rng.
-    """
-    prime = keys.sk_K.prime
-    sig_alg, tape = sign(keys, message, rng)
-    x = authenticated_value(message, sig_alg.encode(), prime)
-    if ic_coins is None:
-        k1 = prime.sample(rng)
-        k2 = prime.sample(rng)
-        x_prime = prime.sample(rng)
-        k2_prime = prime.sample(rng)
-    else:
-        k1, k2, x_prime, k2_prime = ic_coins
-    sigma = k1 * x + k2
-    sigma_prime = k1 * x_prime + k2_prime
-    setup = IcSetup(x, x_prime, sigma, sigma_prime, k1, k2, k2_prime)
-    envelopes = [
-        Envelope(
-            ROUND_SETUP, Role.P1, Role.P2,
-            HolderSetup(x, x_prime, sigma, sigma_prime, message, sig_alg, tape.n),
-        ),
-        Envelope(ROUND_SETUP, Role.P1, Role.P3, VerifierSetup(k1, k2, k2_prime)),
-    ]
-    return setup, sig_alg, x, envelopes
 
 
 class P1Signer:
@@ -254,23 +197,35 @@ class P1Signer:
         self.message = message
         self._rng = tape
         self._ic_coins = ic_coins
-        self.setup: Optional[IcSetup] = None
-        self.sig_alg: Optional[Signature] = None
-        self.x = None
-        self.nonce = None
+        self.setup: Optional[HolderSetup] = None
+        self.line: Optional[VerifierSetup] = None
         self.challenge: Optional[Challenge] = None
         self.p3_verdict: Optional[LineVerdict] = None
         self.arm: Optional[str] = None
 
     def start(self) -> list:
-        setup, sig_alg, x, envelopes = p1_start(
-            self.keys, self.message, self._rng, self._ic_coins
+        """Round 1: sign, derive x, and deal both setup packages; ic_coins,
+        when given, forces (k1, k2, x_prime, k2_prime) over the tape's draws."""
+        rng = self._rng
+        prime = self.keys.sk_K.prime
+        sig_alg, tape = sign(self.keys, self.message, rng)
+        x = authenticated_value(self.message, sig_alg.encode(), prime)
+        if self._ic_coins is None:
+            k1 = prime.sample(rng)
+            k2 = prime.sample(rng)
+            x_prime = prime.sample(rng)
+            k2_prime = prime.sample(rng)
+        else:
+            k1, k2, x_prime, k2_prime = self._ic_coins
+        self.setup = HolderSetup(
+            x, x_prime, k1 * x + k2, k1 * x_prime + k2_prime,
+            self.message, sig_alg, tape.n,
         )
-        self.setup = setup
-        self.sig_alg = sig_alg
-        self.x = x
-        self.nonce = envelopes[0].payload.nonce
-        return envelopes
+        self.line = VerifierSetup(k1, k2, k2_prime)
+        return [
+            Envelope(ROUND_SETUP, Role.P1, Role.P2, self.setup),
+            Envelope(ROUND_SETUP, Role.P1, Role.P3, self.line),
+        ]
 
     def check_challenge(self, ch: Optional[Challenge]) -> ChallengeVerdict:
         """Round 3: compare the broadcast combination against the real line.
@@ -289,19 +244,17 @@ class P1Signer:
             return ChallengeVerdict(True)
         return ChallengeVerdict(False, reveal_x=s.x, reveal_sigma=s.sigma)
 
-    def challenge_truth(self, ch: Challenge) -> bool:
-        """What P3's keys actually imply about the challenge."""
-        s = self.setup
-        return ch.sigma_e == s.k1 * ch.x_e + s.k2_prime + ch.e * s.k2
-
     def audit(self, p3_verdict: Optional[LineVerdict]) -> AuditVerdict:
-        """Round 5: is P3's declaration consistent with the keys P1 dealt?"""
+        """Round 5: is P3's declaration what the keys P1 dealt imply?"""
         if self.setup is None:
             raise MissingSetup("P1 has not run setup")
-        if self.challenge is None or p3_verdict is None:
+        ch = self.challenge
+        if ch is None or p3_verdict is None:
             # No basis to audit: a silent P3 is inconsistent by definition.
             return AuditVerdict(False)
-        return AuditVerdict(p3_verdict.ok == self.challenge_truth(self.challenge))
+        k = self.line
+        on_line = ch.sigma_e == k.k1 * ch.x_e + k.k2_prime + ch.e * k.k2
+        return AuditVerdict(p3_verdict.ok == on_line)
 
     def emit(self, rnd: int) -> list:
         if rnd == ROUND_SETUP:
@@ -321,11 +274,12 @@ class P1Signer:
         if rnd == ROUND_RESOLUTION:
             if self.arm == "A":
                 return []
-            s = self.setup
             if self.arm == "D":
-                return [Envelope(rnd, Role.P1, None, RevealLine(s.k1, s.k2))]
+                k = self.line
+                return [Envelope(rnd, Role.P1, None, RevealLine(k.k1, k.k2))]
             if self.p3_verdict is not None and not self.p3_verdict.ok:
                 self.arm = "C"
+                s = self.setup
                 return [Envelope(rnd, Role.P1, None, RevealPoint(s.x, s.sigma))]
             self.arm = "B"
             return []
@@ -343,12 +297,14 @@ class P1Signer:
                 self.p3_verdict = payload
 
     def finalize(self) -> dict:
+        s = self.setup
         return {
             "arm": self.arm,
-            "x": self.x,
-            "sig_alg": self.sig_alg,
-            "nonce": self.nonce,
-            "setup": self.setup,
+            "x": s.x,
+            "sig_alg": s.sig_alg,
+            "nonce": s.nonce,
+            "setup": s,
+            "keys": self.line,
         }
 
 
@@ -382,8 +338,6 @@ class P2Holder:
     def _resolve(self) -> None:
         if not self._resolved:
             self._resolved = True
-            if self.z2 is not None:
-                raise PhaseViolation("z2 already set")
             self.z2 = self.cur_x
 
     def transfer(self) -> TransferValue:
@@ -408,8 +362,7 @@ class P2Holder:
                 return [Envelope(rnd, Role.P2, None, Challenge(zero, zero, zero))]
             return [Envelope(rnd, Role.P2, None, self.challenge())]
         if rnd == ROUND_TRANSFER:
-            if not self._resolved:
-                self._resolve()
+            self._resolve()
             return [Envelope(rnd, Role.P2, Role.P3, self.transfer())]
         return []
 
@@ -473,6 +426,13 @@ class P3Verifier:
             ch.sigma_e == self.k1 * ch.x_e + self.k2_prime + ch.e * self.k2
         )
 
+    def _rekey(self, x, sigma) -> None:
+        """Arms A and C: keep k1 (zero when starved of keys) and move the
+        line onto the revealed point, k2 := sigma - k1*x."""
+        if not self.has_keys:
+            self.k1 = self.prime.zero
+        self.k2 = sigma - self.k1 * x
+
     def extract_transfer(self, x, sigma):
         """Transfer phase: output x iff the point lies on the line."""
         if self._z3_set:
@@ -509,16 +469,10 @@ class P3Verifier:
         elif isinstance(payload, ChallengeVerdict):
             if not payload.ok and not self._arm_a:
                 self._arm_a = True
-                k1 = self.k1 if self.has_keys else self.prime.zero
-                self.k2 = payload.reveal_sigma - k1 * payload.reveal_x
-                if not self.has_keys:
-                    self.k1 = k1
+                self._rekey(payload.reveal_x, payload.reveal_sigma)
         elif isinstance(payload, RevealPoint):
             if not self._arm_a:
-                k1 = self.k1 if self.has_keys else self.prime.zero
-                self.k2 = payload.sigma - k1 * payload.x
-                if not self.has_keys:
-                    self.k1 = k1
+                self._rekey(payload.x, payload.sigma)
         elif isinstance(payload, RevealLine):
             if not self._arm_a:
                 self.k1 = payload.k1
@@ -591,9 +545,10 @@ def run_signing_session(
     p1_out = net.outputs[Role.P1]
     verdicts = []
     for env in net.broadcasts:
-        label = getattr(env.payload, "verdict_label", None)
-        if label is not None:
-            verdicts.append((env.round, env.sender.value, label()))
+        # Verdict payloads carry (reject label, accept label), indexed by ok.
+        labels = getattr(env.payload, "labels", None)
+        if labels is not None:
+            verdicts.append((env.round, env.sender.value, labels[env.payload.ok]))
     outcome = SessionOutcome(
         z2=net.outputs[Role.P2]["z2"], z3=net.outputs[Role.P3]["z3"], verdicts=verdicts
     )

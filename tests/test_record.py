@@ -23,7 +23,6 @@ RECORDS = [
     three_party.RevealPoint,
     three_party.RevealLine,
     three_party.TransferValue,
-    three_party.IcSetup,
     two_party.Signature,
     two_party.SigningTape,
 ]

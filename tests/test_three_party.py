@@ -1,6 +1,7 @@
 """Seven-round authenticated-transfer sessions: arms, attacks, determinism."""
 
 import copy
+import dataclasses
 import enum
 import pickle
 
@@ -14,23 +15,33 @@ from silmarils.net_sim import (
     Envelope,
     Role,
     broadcast_consistency_check,
+    run_session,
     transcript_lines,
 )
 from silmarils.rng import Rng
 from silmarils.stats import get_strategy, run_trials
 from silmarils.three_party import (
     ROUND_CHALLENGE,
+    ROUND_P3_CHECK,
+    ROUND_RESOLUTION,
     ROUND_SETUP,
+    TOTAL_ROUNDS,
+    AuditVerdict,
     Challenge,
+    ChallengeVerdict,
     HolderSetup,
+    LineVerdict,
+    P1Signer,
     P2Holder,
     P3Verifier,
+    RevealLine,
+    RevealPoint,
+    TransferValue,
     VerifierSetup,
     interpret_value,
-    p1_start,
     run_signing_session,
 )
-from silmarils.two_party import Params, keygen
+from silmarils.two_party import Params, Signature, keygen
 
 P251 = Prime(251)
 SEED = b"\x5a" * 32
@@ -83,8 +94,8 @@ def test_rushing_does_not_change_honest_sessions():
 def test_forced_ic_coins_are_used():
     coins = (P251.elt(3), P251.elt(7), P251.elt(11), P251.elt(13))
     res = run_signing_session(KEYS, MSG, SEED, ic_coins=coins, collect=True)
-    setup = res.net.outputs[Role.P1]["setup"]
-    assert (setup.k1, setup.k2, setup.x_prime, setup.k2_prime) == coins
+    setup, keys = res.net.outputs[Role.P1]["setup"], res.net.outputs[Role.P1]["keys"]
+    assert (keys.k1, keys.k2, setup.x_prime, keys.k2_prime) == coins
     assert setup.sigma == coins[0] * res.x + coins[1]
     assert res.arm == "B" and res.outcome.z3 == res.x
 
@@ -184,14 +195,12 @@ def test_verifier_first_setup_wins():
 
 def test_holder_first_setup_wins():
     holder = P2Holder(P251, Rng(SEED))
-    setup, sig_alg, x, envs = p1_start(KEYS, MSG, Rng(b"\x77" * 32))
+    envs = P1Signer(KEYS, MSG, Rng(b"\x77" * 32)).start()
+    setup = envs[0].payload
     holder.deliver(envs[0])
-    tampered = HolderSetup(
-        x + P251.one, setup.x_prime, setup.sigma, setup.sigma_prime,
-        MSG, sig_alg, envs[0].payload.nonce,
-    )
+    tampered = dataclasses.replace(setup, x=setup.x + P251.one)
     holder.deliver(Envelope(ROUND_SETUP, Role.P1, Role.P2, tampered))
-    assert holder.cur_x == x
+    assert holder.cur_x == setup.x
 
 
 def test_interpret_value_paths():
@@ -263,3 +272,144 @@ def test_role_identity_hash_changes_no_lookup_or_session(monkeypatch):
     monkeypatch.setattr(Role, "__hash__", enum.Enum.__hash__)
     assert hash(Role.P1) == hash("P1")
     assert sessions() == with_identity_hash
+
+
+def test_payload_wire_bytes():
+    # Each payload is its tag as a one-byte message (02, 8-byte length 1,
+    # tag), then its fields in declared order: 00 None, 01+byte bool,
+    # 02+8-byte length+bytes for message and signature, 03+element.
+    e = P251.elt
+    sig = Signature(e(1), e(2), e(3), e(4), e(250))
+    sig_part = "020000000000000005" "01020304fa"
+    msg_part = "020000000000000003" "6d7367"
+    tag = "020000000000000001"
+    cases = [
+        (
+            HolderSetup(e(10), e(11), e(12), e(13), b"msg", sig, e(14)),
+            tag + "10" "030a" "030b" "030c" "030d" + msg_part + sig_part + "030e",
+        ),
+        (VerifierSetup(e(20), e(21), e(22)), tag + "11" "0314" "0315" "0316"),
+        (Challenge(e(30), e(31), e(32)), tag + "12" "031e" "031f" "0320"),
+        (ChallengeVerdict(True), tag + "13" "0101" "00" "00"),
+        (ChallengeVerdict(False, e(40), e(41)), tag + "13" "0100" "0328" "0329"),
+        (LineVerdict(True), tag + "14" "0101"),
+        (LineVerdict(False), tag + "14" "0100"),
+        (AuditVerdict(True), tag + "15" "0101"),
+        (AuditVerdict(False), tag + "15" "0100"),
+        (RevealPoint(e(50), e(51)), tag + "16" "0332" "0333"),
+        (RevealLine(e(60), e(61)), tag + "17" "033c" "033d"),
+        (
+            TransferValue(e(70), e(71), b"msg", sig, e(72)),
+            tag + "18" "0346" "0347" + msg_part + sig_part + "0348",
+        ),
+        (
+            TransferValue(e(0), e(0), b"", None, None),
+            tag + "18" "0300" "0300" "020000000000000000" "00" "00",
+        ),
+    ]
+    for payload, wire in cases:
+        assert payload.to_wire().hex() == wire, payload
+
+
+def _run_parties(keys, adversary, *, ic_coins=None):
+    """One session through run_session with the party objects kept, so a
+    test can read the state each party ended in."""
+    root = Rng(SEED)
+    parties = {
+        Role.P1: P1Signer(keys, MSG, root.fork(b"tape/P1"), ic_coins=ic_coins),
+        Role.P2: P2Holder(P251, root.fork(b"tape/P2")),
+        Role.P3: P3Verifier(P251),
+    }
+    net = run_session(parties, adversary, total_rounds=TOTAL_ROUNDS, collect=True)
+    return parties, net
+
+
+def test_arm_d_false_reject_reveals_the_line():
+    # A corrupt P3 flips its round-4 verdict to reject.  P1's audit sees the
+    # challenge on the line, declares "P3 corrupt" and reveals (k1, k2); P2
+    # re-derives sigma from it, P3 adopts it, and the transfer still lands.
+    def flip(env: Envelope, view) -> list:
+        if env.round == ROUND_P3_CHECK and isinstance(env.payload, LineVerdict):
+            return [Envelope(env.round, env.sender, env.recipient, LineVerdict(False))]
+        return [env]
+
+    adversary = AdversaryHook(corrupted=Role.P3, rewrite=flip)
+    res = run_signing_session(KEYS, MSG, SEED, adversary=adversary, interpret=True)
+    assert res.arm == "D"
+    assert res.outcome.z2 == res.outcome.z3 == res.x
+    assert res.accepted is True
+    assert [v[2] for v in res.outcome.verdicts] == ["accept", "reject", "P3 corrupt"]
+
+    coins = (P251.elt(42), P251.elt(7), P251.elt(11), P251.elt(13))
+    parties, net = _run_parties(KEYS, adversary, ic_coins=coins)
+    x = net.outputs[Role.P1]["x"]
+    reveals = [env.payload for env in net.transcript if env.round == ROUND_RESOLUTION]
+    assert reveals == [RevealLine(coins[0], coins[1])]
+    holder, verifier = parties[Role.P2], parties[Role.P3]
+    assert holder.cur_sigma == coins[0] * x + coins[1]
+    assert net.outputs[Role.P3]["transfer"].sigma == holder.cur_sigma
+    assert (verifier.k1, verifier.k2) == (coins[0], coins[1])
+    assert net.outputs[Role.P2]["z2"] == net.outputs[Role.P3]["z3"] == x
+
+    # Held off the revealed line, P2 moves sigma onto it and keeps x.
+    holder = P2Holder(P251, Rng(SEED))
+    x = P251.elt(5)
+    off_line = HolderSetup(x, P251.elt(6), P251.elt(99), P251.elt(98), MSG, None, None)
+    holder.deliver(Envelope(ROUND_SETUP, Role.P1, Role.P2, off_line))
+    holder.deliver(Envelope(ROUND_RESOLUTION, Role.P1, None, RevealLine(*coins[:2])))
+    assert (holder.cur_x, holder.cur_sigma) == (x, coins[0] * x + coins[1])
+
+
+FAKE = (P251.elt(77), P251.elt(88))
+
+
+def _reveal_point_instead(*, starve_p3=False, force_arm_a=False):
+    """A corrupt P1 that swaps its round-6 reveal for RevealPoint(FAKE).
+
+    P1 only reveals in round 6 after an audit failure, so the hook provokes
+    one: it garbles P3's k2' (P3 then rejects the honest challenge), or
+    drops P3's keys altogether (a starved P3 rejects), or publishes the true
+    point in round 3 (arm A, after which P3 stays silent in round 4)."""
+
+    def rewrite(env: Envelope, view) -> list:
+        payload = env.payload
+        if isinstance(payload, VerifierSetup):
+            if starve_p3:
+                return []
+            bad = VerifierSetup(payload.k1, payload.k2, payload.k2_prime + P251.one)
+            return [Envelope(env.round, env.sender, env.recipient, bad)]
+        if force_arm_a and isinstance(payload, ChallengeVerdict):
+            setup = view.sent[0].payload
+            reveal = ChallengeVerdict(False, setup.x, setup.sigma)
+            return [Envelope(env.round, env.sender, None, reveal)]
+        if env.round == ROUND_RESOLUTION:
+            return [Envelope(env.round, env.sender, None, RevealPoint(*FAKE))]
+        return [env]
+
+    return AdversaryHook(corrupted=Role.P1, rewrite=rewrite)
+
+
+@pytest.mark.parametrize("starve_p3", [False, True], ids=["keyed-p3", "starved-p3"])
+def test_reveal_point_is_adopted_before_arm_a(starve_p3):
+    parties, net = _run_parties(KEYS, _reveal_point_instead(starve_p3=starve_p3))
+    assert [env.payload for env in net.transcript if env.round == ROUND_RESOLUTION] == [
+        RevealPoint(*FAKE)
+    ]
+    assert net.outputs[Role.P1]["arm"] == "D"
+    holder, verifier = parties[Role.P2], parties[Role.P3]
+    assert (holder.cur_x, holder.cur_sigma) == FAKE
+    if starve_p3:
+        # No keys to keep: P3 re-keys with k1 = 0, so k2 = sigma.
+        assert (verifier.k1, verifier.k2) == (P251.zero, FAKE[1])
+    assert verifier.k2 == FAKE[1] - verifier.k1 * FAKE[0]
+    assert net.outputs[Role.P2]["z2"] == net.outputs[Role.P3]["z3"] == FAKE[0]
+
+
+def test_reveal_point_after_arm_a_is_a_dead_letter():
+    parties, net = _run_parties(KEYS, _reveal_point_instead(force_arm_a=True))
+    x = net.outputs[Role.P1]["x"]
+    sent = [(env.round, type(env.payload)) for env in net.broadcasts]
+    assert (3, ChallengeVerdict) in sent and (6, RevealPoint) in sent
+    assert not any(env.sender is Role.P3 for env in net.broadcasts)
+    assert parties[Role.P2].cur_x == x
+    assert net.outputs[Role.P2]["z2"] == net.outputs[Role.P3]["z3"] == x
