@@ -42,10 +42,8 @@ from .sss import Weights
 from .two_party import (
     HINT_KINDS,
     KeyMaterial,
-    Params,
     dv_forge,
     extract_params,
-    keygen,
     public_r_forge,
     sign,
     verify,
@@ -114,12 +112,6 @@ def _read_hex(path: str, what: str) -> bytes:
         return bytes.fromhex("".join(Path(path).read_text().split()))
     except ValueError as exc:
         raise MalformedSignature(f"{what} file {path} is not hex: {exc}") from exc
-
-
-def _read_message(args) -> bytes:
-    if args.msg is None:
-        raise MalformedSignature("this subcommand needs --msg <file>")
-    return Path(args.msg).read_bytes()
 
 
 def _write_keydir(outdir: Path, profile: str, prime, keys: KeyMaterial) -> None:
@@ -211,9 +203,7 @@ def _emit(args, data_hex: str) -> None:
 
 def cmd_keygen(args) -> int:
     prime = Prime(PROFILES[args.profile])
-    root = _rng_for(args)
-    params = Params.generate(prime, root.fork(b"params"))
-    keys = keygen(params, root.fork(b"keys"))
+    keys = harness._keys_for(prime, _rng_for(args))
     outdir = Path(args.out or ".")
     _write_keydir(outdir, args.profile, prime, keys)
     for name in ("sk.hex", "pk.hex", "k_sig.hex", "params.json"):
@@ -223,7 +213,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_sign(args) -> int:
     _, keys = _load_keydir(args.keys, need_sk=True, need_k_sig=True)
-    message = _read_message(args)
+    message = Path(args.msg).read_bytes()
     sig, _ = sign(keys, message, _rng_for(args))
     _emit(args, sig.encode().hex())
     return EXIT_OK
@@ -232,9 +222,7 @@ def cmd_sign(args) -> int:
 def cmd_verify(args) -> int:
     need_k_sig = args.receipt is None
     prime, keys = _load_keydir(args.keys, need_sk=False, need_k_sig=need_k_sig)
-    message = _read_message(args)
-    if args.sig is None:
-        raise MalformedSignature("verify needs --sig <file>")
+    message = Path(args.msg).read_bytes()
     sig_bytes = _read_hex(args.sig, "signature")
     if args.receipt is not None:
         try:
@@ -252,7 +240,7 @@ def cmd_verify(args) -> int:
 
 def cmd_forge_dv(args) -> int:
     _, keys = _load_keydir(args.keys, need_sk=False, need_k_sig=True)
-    message = _read_message(args)
+    message = Path(args.msg).read_bytes()
     sig = dv_forge(keys.k_sig, keys.pk, message, _rng_for(args))
     accepted = verify(keys.pk, keys.k_sig, message, sig)
     _emit(args, sig.encode().hex())
@@ -262,9 +250,7 @@ def cmd_forge_dv(args) -> int:
 
 def cmd_extract(args) -> int:
     prime, keys = _load_keydir(args.keys, need_sk=False, need_k_sig=True)
-    message = _read_message(args)
-    if args.sig is None:
-        raise MalformedSignature("extract needs --sig <file>")
+    message = Path(args.msg).read_bytes()
     sig_bytes = _read_hex(args.sig, "signature")
     kind, value = args.hint
     if not 0 <= value < prime.value:
@@ -290,7 +276,7 @@ def cmd_forge_public_r(args) -> int:
     keydir = Path(args.keys)
     has_k_sig = (keydir / "k_sig.hex").exists()
     _, keys = _load_keydir(args.keys, need_sk=False, need_k_sig=has_k_sig)
-    message = _read_message(args)
+    message = Path(args.msg).read_bytes()
     sig = public_r_forge(keys.pk, message, _rng_for(args))
     _emit(args, sig.encode().hex())
     weakened = verify_public_r(keys.pk, message, sig)
@@ -323,8 +309,8 @@ def cmd_sim3p(args) -> int:
         z2_eq += out.z2 == res.x
         z3_eq += out.z3 == res.x
         bottom += out.z3 is None
-        forged += out.z3 is not None and out.z3 != res.x
-        divergent += out.z2 is not None and out.z2 != out.z3
+        forged += harness._forged(res)
+        divergent += harness._divergent(res)
         verdict_counts.update(label for _, _, label in out.verdicts)
         arm_counts[res.arm] += 1
         if collect:
@@ -378,8 +364,7 @@ def cmd_bench(args) -> int:
     print(f"sizes: sk={width} B  pk={2 * width} B  sig={5 * width} B")
 
     root = Rng(seed)
-    params = Params.generate(prime, root.fork(b"params"))
-    keys = keygen(params, root.fork(b"keys"))
+    keys = harness._keys_for(prime, root)
     message = b"bench message"
     rng = root.fork(b"bench")
 
@@ -442,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     def keyed(name: str, help_text: str, parents=(common,)):
         q = sub.add_parser(name, parents=list(parents), help=help_text)
         q.add_argument("keys", help="key directory written by keygen")
-        q.add_argument("--msg", default=None, help="message file")
+        q.add_argument("--msg", required=True, help="message file")
         return q
 
     p = keyed("sign", "sign a message file")
@@ -450,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sign)
 
     p = keyed("verify", "verify a signature (designated key or published receipt)")
-    p.add_argument("--sig", default=None, help="signature file (hex)")
+    p.add_argument("--sig", required=True, help="signature file (hex)")
     p.add_argument(
         "--receipt",
         default=None,
@@ -463,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forge_dv)
 
     p = keyed("extract", "recover signer parameters from a signature")
-    p.add_argument("--sig", default=None, help="signature file (hex)")
+    p.add_argument("--sig", required=True, help="signature file (hex)")
     p.add_argument(
         "--hint",
         type=_hint_arg,

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from .errors import EmptyExperiment, PrimeTooLarge, RoleMismatch, UnknownStrategy
 from .field import Prime
@@ -175,23 +175,24 @@ def exact_result(name: str, p: int, value, target, note: str = "") -> ExactResul
 
 @dataclass(frozen=True)
 class AttackStrategy:
-    """A named single-corruption attack with a documented analytic bound.
+    """A named attack by the one corrupted role.
 
-    build(prime, rng, forced) returns the AdversaryHook; forced parameters
-    (ghat, offset, x_star, delta, delta_prime) replace the random draws so the
-    exhaustive enumerations can sweep them.
+    build(prime, rng, forced) returns only the rewrite(envelope, view) that
+    the corrupted party applies to its traffic; hook() wraps it in the
+    AdversaryHook for `corrupted`.  forced parameters (ghat, offset, x_star,
+    delta, delta_prime) replace the random draws so the exhaustive
+    enumerations can sweep them.
     """
 
     name: str
     corrupted: Role
-    bound: str
     build: Callable
 
     def hook(self, prime, rng: Rng, **forced) -> AdversaryHook:
-        return self.build(prime, rng, forced)
+        return AdversaryHook(self.corrupted, self.build(prime, rng, forced))
 
 
-def _substitute_guess_k1(prime, rng: Rng, forced: dict) -> AdversaryHook:
+def _substitute_guess_k1(prime, rng: Rng, forced: dict) -> Callable:
     # Corrupt P2 rewrites the transfer to (x*, sigma + g*(x* - x)); the result
     # passes P3's line check iff the guess g hits k1, so success rate is 1/p.
     def rewrite(env: Envelope, view) -> list:
@@ -216,10 +217,10 @@ def _substitute_guess_k1(prime, rng: Rng, forced: dict) -> AdversaryHook:
             return [Envelope(env.round, env.sender, env.recipient, forged)]
         return [env]
 
-    return AdversaryHook(corrupted=Role.P2, rewrite=rewrite)
+    return rewrite
 
 
-def _inconsistent_line(prime, rng: Rng, forced: dict) -> AdversaryHook:
+def _inconsistent_line(prime, rng: Rng, forced: dict) -> Callable:
     # Corrupt P1 offsets P2's line points by (delta, delta_prime) while giving
     # P3 honest keys, then plays every later round honestly.  The tampering
     # survives the challenge exactly when delta_prime + e*delta = 0, one value
@@ -245,28 +246,19 @@ def _inconsistent_line(prime, rng: Rng, forced: dict) -> AdversaryHook:
             return [Envelope(env.round, env.sender, env.recipient, tampered)]
         return [env]
 
-    return AdversaryHook(corrupted=Role.P1, rewrite=rewrite)
+    return rewrite
 
 
 STRATEGIES = {
-    "substitute-guess-k1": AttackStrategy(
-        name="substitute-guess-k1",
-        corrupted=Role.P2,
-        bound="1/p",
-        build=_substitute_guess_k1,
-    ),
-    "inconsistent-line": AttackStrategy(
-        name="inconsistent-line",
-        corrupted=Role.P1,
-        bound="1/p",
-        build=_inconsistent_line,
-    ),
+    strategy.name: strategy
+    for strategy in (
+        AttackStrategy("substitute-guess-k1", Role.P2, _substitute_guess_k1),
+        AttackStrategy("inconsistent-line", Role.P1, _inconsistent_line),
+    )
 }
 
 
-def get_strategy(name: Union[str, AttackStrategy]) -> AttackStrategy:
-    if isinstance(name, AttackStrategy):
-        return name
+def get_strategy(name: str) -> AttackStrategy:
     strategy = STRATEGIES.get(name)
     if strategy is None:
         known = ", ".join(sorted(STRATEGIES))
@@ -294,29 +286,24 @@ def run_trials(
     seed: bytes,
     strategy: Optional[AttackStrategy] = None,
     message: bytes = DEFAULT_MESSAGE,
-    rushing: bool = True,
-    forced: Optional[dict] = None,
     **session,
 ) -> Iterator:
     """Yield one run_signing_session result per trial, in trial order.
 
     Keys come from the b"params"/b"keys" forks of Rng(seed); trial i runs on
     the b"trial/<i>" fork and, under an attack strategy, the adversary draws
-    from that trial's b"adversary" fork (forced pins its draws).  Remaining
-    keyword arguments (collect, interpret) go to run_signing_session.
+    from that trial's b"adversary" fork.  The other keyword arguments
+    (rushing, collect, interpret) pass through **session to run_signing_session.
     """
     prime = _as_prime(prime)
     root = Rng(seed)
     keys = _keys_for(prime, root)
-    forced = forced or {}
     for i in range(trials):
         tri = root.fork(b"trial/" + i.to_bytes(8, "big"))
         hook = None
         if strategy is not None:
-            hook = strategy.hook(prime, tri.fork(b"adversary"), **forced)
-        yield run_signing_session(
-            keys, message, tri.seed, adversary=hook, rushing=rushing, **session
-        )
+            hook = strategy.hook(prime, tri.fork(b"adversary"))
+        yield run_signing_session(keys, message, tri.seed, adversary=hook, **session)
 
 
 def _grid(p, limit: int, sweep: str) -> tuple:
@@ -384,9 +371,7 @@ _ATTACK_EXPERIMENTS = {
 }
 
 
-def _estimate_attack(
-    role: Role, p, strategy, trials: int, seed: bytes, rushing: bool, forced
-) -> Estimate:
+def _estimate_attack(role: Role, p, strategy: str, trials: int, seed: bytes) -> Estimate:
     prime = _as_prime(p)
     strategy = get_strategy(strategy)
     experiment, success, note = _ATTACK_EXPERIMENTS[role]
@@ -395,9 +380,7 @@ def _estimate_attack(
             f"{experiment} needs a {role.value}-corrupting strategy, "
             f"{strategy.name} corrupts {strategy.corrupted.value}"
         )
-    results = run_trials(
-        prime, trials, seed=seed, strategy=strategy, rushing=rushing, forced=forced
-    )
+    results = run_trials(prime, trials, seed=seed, strategy=strategy)
     successes = sum(1 for res in results if success(res))
     return make_estimate(
         f"{experiment}/{strategy.name}",
@@ -410,29 +393,17 @@ def _estimate_attack(
 
 
 def estimate_unforgeability(
-    p,
-    strategy,
-    trials: int,
-    *,
-    seed: bytes = DEFAULT_SEED,
-    rushing: bool = True,
-    forced: Optional[dict] = None,
+    p, strategy: str, trials: int, *, seed: bytes = DEFAULT_SEED
 ) -> Estimate:
     """Corrupt-P2 forgery rate: success = z3 outside {x, bottom}; target 1/p."""
-    return _estimate_attack(Role.P2, p, strategy, trials, seed, rushing, forced)
+    return _estimate_attack(Role.P2, p, strategy, trials, seed)
 
 
 def estimate_transferability(
-    p,
-    strategy,
-    trials: int,
-    *,
-    seed: bytes = DEFAULT_SEED,
-    rushing: bool = True,
-    forced: Optional[dict] = None,
+    p, strategy: str, trials: int, *, seed: bytes = DEFAULT_SEED
 ) -> Estimate:
     """Corrupt-P1 divergence rate: success = z2 != z3 with z2 set; target 1/p."""
-    return _estimate_attack(Role.P1, p, strategy, trials, seed, rushing, forced)
+    return _estimate_attack(Role.P1, p, strategy, trials, seed)
 
 
 def estimate_core_forgery(
@@ -502,62 +473,63 @@ def exhaustive_core_forgery(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     )
 
 
-def exhaustive_unforgeability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
-    """Sweep (k1, k2, x', k2', e, guess): success iff guess = k1, rate 1/p."""
+def _exhaustive_attack(
+    strategy: str, p, seed: bytes, size: str, points, note: str
+) -> Estimate:
+    """Count the attack's successes exactly: one session on a fixed seed per
+    point (e, ic_coins, forced) that points(elems) yields, where forced pins
+    the strategy's draws and e, ic_coins the honest ones (None: drawn)."""
+    strategy = STRATEGIES[strategy]
+    experiment, success, _ = _ATTACK_EXPERIMENTS[strategy.corrupted]
     prime, elems = _grid(
-        p, EXHAUSTIVE_ATTACK_MAX, "exhaustive unforgeability sweeps p^6 sessions"
+        p, EXHAUSTIVE_ATTACK_MAX, f"exhaustive {experiment} sweeps {size} sessions"
     )
-    strategy = STRATEGIES["substitute-guess-k1"]
     root = Rng(seed)
     keys = _keys_for(prime, root)
-    pv = prime.value
     adv_rng = root.fork(b"adversary")
-    one = elems[1]
-    successes = 0
-    # (k1, k2, x', k2') are the installer's coins, e the challenge.
-    for coins, e, guess in product(product(elems, repeat=4), elems, elems):
-        hook = strategy.hook(prime, adv_rng, ghat=guess, offset=one)
+    trials = successes = 0
+    for e, coins, forced in points(elems):
         res = run_signing_session(
             keys, DEFAULT_MESSAGE, DEFAULT_SEED,
-            adversary=hook, ic_coins=coins, challenge_coin=e,
+            adversary=strategy.hook(prime, adv_rng, **forced),
+            ic_coins=coins, challenge_coin=e,
         )
-        if _forged(res):
-            successes += 1
+        trials += 1
+        successes += success(res)
     return make_estimate(
-        "unforgeability-exhaustive",
-        pv,
-        pv**6,
+        f"{experiment}-exhaustive",
+        prime.value,
+        trials,
         successes,
-        Fraction(1, pv),
-        note="grid (k1, k2, x', k2', e, guess); success iff guess = k1",
+        Fraction(1, prime.value),
+        note=note,
+    )
+
+
+def exhaustive_unforgeability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
+    """Sweep (k1, k2, x', k2', e, guess): success iff guess = k1, rate 1/p."""
+
+    def points(elems):
+        # (k1, k2, x', k2') are the installer's coins, e the challenge.
+        for coins, e, guess in product(product(elems, repeat=4), elems, elems):
+            yield e, coins, {"ghat": guess, "offset": elems[1]}
+
+    return _exhaustive_attack(
+        "substitute-guess-k1", p, seed, "p^6", points,
+        "grid (k1, k2, x', k2', e, guess); success iff guess = k1",
     )
 
 
 def exhaustive_transferability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     """Sweep (e, delta != 0, delta'): success iff delta' + e*delta = 0."""
-    prime, elems = _grid(
-        p, EXHAUSTIVE_ATTACK_MAX, "exhaustive transferability sweeps p^2(p-1) sessions"
-    )
-    strategy = STRATEGIES["inconsistent-line"]
-    root = Rng(seed)
-    keys = _keys_for(prime, root)
-    pv = prime.value
-    adv_rng = root.fork(b"adversary")
-    successes = 0
-    for e, delta, delta_prime in product(elems, elems[1:], elems):
-        hook = strategy.hook(prime, adv_rng, delta=delta, delta_prime=delta_prime)
-        res = run_signing_session(
-            keys, DEFAULT_MESSAGE, DEFAULT_SEED, adversary=hook, challenge_coin=e
-        )
-        if _divergent(res):
-            successes += 1
-    return make_estimate(
-        "transferability-exhaustive",
-        pv,
-        pv * pv * (pv - 1),
-        successes,
-        Fraction(1, pv),
-        note="grid (e, delta, delta'); success iff delta' + e*delta = 0",
+
+    def points(elems):
+        for e, delta, delta_prime in product(elems, elems[1:], elems):
+            yield e, None, {"delta": delta, "delta_prime": delta_prime}
+
+    return _exhaustive_attack(
+        "inconsistent-line", p, seed, "p^2(p-1)", points,
+        "grid (e, delta, delta'); success iff delta' + e*delta = 0",
     )
 
 
@@ -569,6 +541,12 @@ def _signing_phase_view(net, role: Role) -> tuple:
         for env in view.received
         if env.round < ROUND_TRANSFER
     )
+
+
+def _total_variation(a: dict, a_total: int, b: dict, b_total: int) -> Fraction:
+    """Exact total variation between count tables over a_total, b_total draws."""
+    l1 = sum(abs(a.get(k, 0) * b_total - b.get(k, 0) * a_total) for k in a.keys() | b.keys())
+    return Fraction(l1, 2 * a_total * b_total)
 
 
 def _distinct_x_messages(keys, seed: bytes) -> tuple:
@@ -593,7 +571,6 @@ def estimate_secrecy_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
     )
     root = Rng(seed)
     keys = _keys_for(prime, root)
-    pv = prime.value
     counts = []
     for msg in _distinct_x_messages(keys, seed):
         tally: dict = {}
@@ -604,13 +581,8 @@ def estimate_secrecy_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
             key = _signing_phase_view(res.net, Role.P3)
             tally[key] = tally.get(key, 0) + 1
         counts.append(tally)
-    total = pv**5
-    count_a, count_b = counts
-    l1 = sum(
-        abs(count_a.get(k, 0) - count_b.get(k, 0))
-        for k in set(count_a) | set(count_b)
-    )
-    return Fraction(l1, 2 * total)
+    total = prime.value**5
+    return _total_variation(counts[0], total, counts[1], total)
 
 
 def dv_transcript_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
@@ -655,12 +627,7 @@ def dv_transcript_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
     honest = tally([kprime])
     simulated = tally(elems)
     h_total = (pv - 1) ** 3 * pv * pv
-    s_total = h_total * pv
-    l1 = sum(
-        abs(Fraction(honest.get(t, 0), h_total) - Fraction(simulated.get(t, 0), s_total))
-        for t in set(honest) | set(simulated)
-    )
-    return l1 / 2
+    return _total_variation(honest, h_total, simulated, h_total * pv)
 
 
 # ---------------------------------------------------------------------------
@@ -752,29 +719,14 @@ def render_table(results) -> str:
     rows = [header]
     for res in results:
         if isinstance(res, Estimate):
-            rows.append(
-                (
-                    res.name,
-                    str(res.p),
-                    str(res.trials),
-                    f"{float(res.point):.6g}",
-                    f"[{float(res.wilson_95_low):.6g}, {float(res.wilson_95_high):.6g}]",
-                    f"{float(res.target):.6g}",
-                    res.verdict,
-                )
-            )
+            trials, value = str(res.trials), res.point
+            interval = f"[{float(res.wilson_95_low):.6g}, {float(res.wilson_95_high):.6g}]"
         else:
-            rows.append(
-                (
-                    res.name,
-                    str(res.p),
-                    "exhaustive",
-                    f"{float(res.value):.6g}",
-                    "-",
-                    f"{float(res.target):.6g}",
-                    res.verdict,
-                )
-            )
+            trials, value, interval = "exhaustive", res.value, "-"
+        rows.append((
+            res.name, str(res.p), trials, f"{float(value):.6g}", interval,
+            f"{float(res.target):.6g}", res.verdict,
+        ))
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = []
     for idx, row in enumerate(rows):

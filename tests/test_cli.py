@@ -128,6 +128,9 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
     assert main(["sim3p", "--profile", "toy-13", "--trials", "-3"]) == 2
     assert main(["sim3p", "--profile", "toy-13", "--trials", "0"]) == 2
     assert main(["stats", "--profile", "toy-13", "--trials", "0"]) == 2
+    assert main(["sign", str(keydir)]) == 2
+    assert main(["verify", str(keydir), "--msg", str(msg)]) == 2
+    assert main(["extract", str(keydir), "--msg", str(msg), "--hint", "d:3"]) == 2
     # 3: IO
     assert main(["verify", str(tmp_path / "nowhere"), "--msg", str(msg),
                  "--sig", str(sig)]) == 3

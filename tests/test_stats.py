@@ -95,11 +95,18 @@ def test_correctness_session_path_counts_all_outputs():
 
 
 def test_exhaustive_attack_rates_are_exactly_one_over_p():
-    un = H.exhaustive_unforgeability(5)
-    assert un.point == Fraction(1, 5)
-    tr = H.exhaustive_transferability(5)
-    assert tr.point == Fraction(1, 5)
-    assert un.verdict == "pass" and tr.verdict == "pass"
+    # p^6 sessions for unforgeability, p^2 (p - 1) for transferability.
+    for p, uf_counts, tr_counts in [
+        (3, (729, 243), (18, 6)),
+        (5, (15625, 3125), (100, 20)),
+    ]:
+        un = H.exhaustive_unforgeability(p)
+        assert un.point == Fraction(1, p)
+        assert (un.trials, un.successes) == uf_counts
+        tr = H.exhaustive_transferability(p)
+        assert tr.point == Fraction(1, p)
+        assert (tr.trials, tr.successes) == tr_counts
+        assert un.verdict == "pass" and tr.verdict == "pass"
     with pytest.raises(PrimeTooLarge):
         H.exhaustive_unforgeability(11)
 
@@ -178,3 +185,19 @@ def test_render_table_lines_up():
     lines = text.splitlines()
     assert lines[0].startswith("name")
     assert "demo" in lines[2] and "pass" in lines[2]
+
+
+def test_render_table_pins_the_toy5_suite():
+    text = H.render_table(H.run_suite(5, "all", 300, seed=b"g" * 32))
+    assert text == "\n".join([
+        "name                                p  trials      point     wilson 95%            target  verdict",
+        "----------------------------------  -  ----------  --------  --------------------  ------  -------",
+        "correctness                         5  300         0.196667  [0.155644, 0.24536]   0.2     pass",
+        "unforgeability/substitute-guess-k1  5  300         0.226667  [0.182919, 0.277326]  0.2     pass",
+        "unforgeability-exhaustive           5  15625       0.2       [0.193802, 0.206345]  0.2     pass",
+        "transferability/inconsistent-line   5  300         0.173333  [0.1347, 0.220227]    0.2     pass",
+        "transferability-exhaustive          5  100         0.2       [0.133366, 0.288831]  0.2     pass",
+        "secrecy-tv                          5  exhaustive  0         -                     0       pass",
+        "core-forgery                        5  300         0.19      [0.149634, 0.238205]  0.2     pass",
+        "core-forgery-exhaustive             5  3125        0.16      [0.147565, 0.17327]   0.16    pass",
+    ])
