@@ -24,9 +24,7 @@ from .errors import (
     LengthMismatch,
     MalformedSignature,
     MissingNonce,
-    MissingSetup,
     ModulusMismatch,
-    PhaseViolation,
     PrimeTooLarge,
     RoleMismatch,
     ScheduleViolation,
@@ -73,12 +71,10 @@ __all__ = [
     "LengthMismatch",
     "MalformedSignature",
     "MissingNonce",
-    "MissingSetup",
     "ModulusMismatch",
     "OpCounter",
     "PairKey",
     "Params",
-    "PhaseViolation",
     "Prime",
     "PrimeTooLarge",
     "Rng",

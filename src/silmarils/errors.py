@@ -33,14 +33,6 @@ class DegenerateExtraction(SilmarilsError):
     """Extraction precondition violated (sigma3 = 0, r = 0, or ratio edge case)."""
 
 
-class MissingSetup(SilmarilsError):
-    """A party was asked to act before receiving its setup package."""
-
-
-class PhaseViolation(SilmarilsError):
-    """Protocol step invoked outside its phase (e.g. transfer before resolution)."""
-
-
 class MissingNonce(SilmarilsError):
     """Interpreting an authenticated value needs either the nonce or the pair key."""
 

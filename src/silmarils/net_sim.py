@@ -2,9 +2,12 @@
 authenticated broadcast, a fixed round schedule, and one actively corrupted
 party.
 
-Parties are state machines exposing emit(round) -> [Envelope] and
-deliver(envelope); the scheduler runs rounds in lockstep, delivering each
-round's traffic before the next round begins.  Within a round the corrupted
+The party contract is three members: emit(round) -> [Envelope],
+deliver(envelope), and emit_rounds, the set of rounds the party may emit in.
+The scheduler runs rounds in lockstep, delivering each round's traffic before
+the next round begins.  It returns only what travelled over the network; a
+party's result is its own state, which the caller reads off the party object
+it built.  Within a round the corrupted
 party acts last and — under the default weak-rushing rule — sees the honest
 envelopes addressed to it before emitting; with rushing=False it emits on the
 same pre-round knowledge as everyone else.  The adversary rewrites only the
@@ -15,7 +18,8 @@ envelope is delivered to all parties by the scheduler itself).
 
 With collect=True the scheduler keeps every party's View and the transcript;
 with collect=False it keeps only the corrupted party's View, for the
-adversary's rewrite, and returns neither.
+adversary's rewrite, and returns neither.  The broadcasts are returned either
+way.
 """
 
 from __future__ import annotations
@@ -87,9 +91,10 @@ def _identity_rewrite(envelope: Envelope, view: View):
 
 @dataclass
 class NetResult:
-    """Raw scheduler output; protocol-level meaning is applied by callers."""
+    """What travelled over the network: every broadcast envelope in delivery
+    order, plus the full transcript and each party's View when collect=True
+    (None otherwise).  Protocol-level meaning is applied by callers."""
 
-    outputs: dict
     broadcasts: list
     transcript: Optional[list]
     views: Optional[dict]
@@ -105,9 +110,12 @@ def run_session(
 ) -> NetResult:
     """Run one synchronous session to completion.
 
-    Deterministic: the parties' tapes and the adversary's choices carry all
-    the randomness.  Raises ScheduleViolation if any party emits in a round
-    it does not own (parties advertise their rounds via .emit_rounds).
+    Each party implements emit(round), deliver(envelope) and emit_rounds; the
+    session's result is the state the parties end in, read by the caller.
+    The returned NetResult carries the broadcasts and, with collect=True, the
+    transcript and every View.  Deterministic: the parties' tapes and the
+    adversary's choices carry all the randomness.  Raises ScheduleViolation
+    if any party emits in a round outside its emit_rounds.
     """
     corrupted = adversary.corrupted if adversary else None
     rewrite = adversary.rewrite if adversary and adversary.rewrite else _identity_rewrite
@@ -175,9 +183,7 @@ def run_session(
                     if view is not None:
                         view.received.append(env)
 
-    outputs = {role: party.finalize() for role, party, _ in slots}
     return NetResult(
-        outputs=outputs,
         broadcasts=broadcasts,
         transcript=transcript,
         views={role: view for role, _, view in slots} if collect else None,

@@ -5,18 +5,18 @@ Signing phase: P1 signs the message, hashes (M, sig) to the authenticated
 value x, and installs an affine line: P2 gets the points (x, sigma) and
 (x', sigma'), P3 gets the line keys (k1, k2, k2') with sigma = k1*x + k2 and
 sigma' = k1*x' + k2'.  P2 broadcasts a random linear combination as a
-challenge; P1 and P3 each check it against what they hold, P1 audits P3's
+challenge; P1 and P3 each check it against what they hold, P1 judges P3's
 declaration, and one of four resolution arms runs:
 
     A: P1 declares "P2 corrupt", reveals (x, sigma); P2 adopts it, P3 re-keys.
     B: everyone accepts; nothing to fix.
-    C: P3 rejected and the audit agrees the line is bad; P1 reveals (x, sigma)
-       and P3 re-keys k2 := sigma - k1*x.
+    C: P3 rejected and P1's judgement agrees the line is bad; P1 reveals
+       (x, sigma) and P3 re-keys k2 := sigma - k1*x.
     D: P3's declaration contradicts what the keys imply; P1 declares
        "P3 corrupt", reveals (k1, k2); P2 re-derives sigma, P3 adopts the keys.
 
 Every arm ends the signing phase with z2 = x (never bottom).  Transfer phase:
-P2 sends its current (x, sigma) to P3, who outputs z3 = x iff
+P2 sends its current (x, sigma) to P3, who sets z3 = x iff
 sigma = k1*x + k2 and bottom otherwise.
 
 The payload (M, sig, n) rides along P1 -> P2 -> P3 so the transferred value
@@ -24,10 +24,11 @@ can be interpreted: interpret_value accepts x iff H(M, sig) = x and the
 two-party predicate verifies under the receipt derived from n (or from k_sig).
 
 Fixed round schedule: 1 setup, 2 challenge, 3 P1's challenge check, 4 P3's
-check, 5 P1's audit, 6 resolution reveals, 7 transfer.  Honest parties fall
-back to zero-valued defaults when a (corrupt) counterparty starves them of
-state, keeping every session total; the MissingSetup errors are raised only
-when the per-step methods are driven directly out of order.
+check, 5 P1's judgement of P3's check, 6 resolution reveals, 7 transfer.
+Honest parties fall back to zero-valued defaults when a (corrupt)
+counterparty starves them of state, keeping every session total.  A session's
+result is read off the parties' final state: P1's setup and arm, P2's z2,
+P3's z3 and the transfer it received.
 
 Wire format (to_wire, the ``payload`` hex of a transcript line): the class's
 tag byte, written as a one-byte message, then each field in declared order:
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._record import frozen_record
-from .errors import MissingNonce, MissingSetup, PhaseViolation
+from .errors import MissingNonce
 from .hashing import PairKey, authenticated_value, derive_receipt, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, NetResult, Role, run_session
 from .rng import Rng
@@ -139,7 +140,7 @@ class LineVerdict(_Payload):
 
 @frozen_record
 class AuditVerdict(_Payload):
-    """P1's broadcast audit of P3's declaration."""
+    """P1's broadcast judgement of P3's declaration."""
 
     tag = b"\x15"
     labels = ("P3 corrupt", "accept")
@@ -190,7 +191,6 @@ class P1Signer:
     """The signer's state machine; emits in rounds 1, 3, 5, 6."""
 
     emit_rounds = frozenset({ROUND_SETUP, ROUND_P1_CHECK, ROUND_AUDIT, ROUND_RESOLUTION})
-    role = Role.P1
 
     def __init__(self, keys: KeyMaterial, message: bytes, tape: Rng, ic_coins=None):
         self.keys = keys
@@ -227,50 +227,35 @@ class P1Signer:
             Envelope(ROUND_SETUP, Role.P1, Role.P3, self.line),
         ]
 
-    def check_challenge(self, ch: Optional[Challenge]) -> ChallengeVerdict:
-        """Round 3: compare the broadcast combination against the real line.
-
-        A missing challenge counts as a deviation (silence is not honest
-        behavior in a synchronous protocol)."""
-        if self.setup is None:
-            raise MissingSetup("P1 has not run setup")
-        s = self.setup
-        ok = (
-            ch is not None
-            and ch.x_e == s.x_prime + ch.e * s.x
-            and ch.sigma_e == s.sigma_prime + ch.e * s.sigma
-        )
-        if ok:
-            return ChallengeVerdict(True)
-        return ChallengeVerdict(False, reveal_x=s.x, reveal_sigma=s.sigma)
-
-    def audit(self, p3_verdict: Optional[LineVerdict]) -> AuditVerdict:
-        """Round 5: is P3's declaration what the keys P1 dealt imply?"""
-        if self.setup is None:
-            raise MissingSetup("P1 has not run setup")
-        ch = self.challenge
-        if ch is None or p3_verdict is None:
-            # No basis to audit: a silent P3 is inconsistent by definition.
-            return AuditVerdict(False)
-        k = self.line
-        on_line = ch.sigma_e == k.k1 * ch.x_e + k.k2_prime + ch.e * k.k2
-        return AuditVerdict(p3_verdict.ok == on_line)
-
     def emit(self, rnd: int) -> list:
         if rnd == ROUND_SETUP:
             return self.start()
         if rnd == ROUND_P1_CHECK:
-            verdict = self.check_challenge(self.challenge)
-            if not verdict.ok:
-                self.arm = "A"
-            return [Envelope(rnd, Role.P1, None, verdict)]
+            # Compare the broadcast combination against the real line.  A
+            # missing challenge counts as a deviation (silence is not honest
+            # behavior in a synchronous protocol).
+            s, ch = self.setup, self.challenge
+            if (
+                ch is not None
+                and ch.x_e == s.x_prime + ch.e * s.x
+                and ch.sigma_e == s.sigma_prime + ch.e * s.sigma
+            ):
+                return [Envelope(rnd, Role.P1, None, ChallengeVerdict(True))]
+            self.arm = "A"
+            return [Envelope(rnd, Role.P1, None, ChallengeVerdict(False, s.x, s.sigma))]
         if rnd == ROUND_AUDIT:
             if self.arm == "A":
                 return []
-            verdict = self.audit(self.p3_verdict)
-            if not verdict.ok:
+            # Is P3's declaration what the keys P1 dealt imply?  With no
+            # challenge or no declaration there is no basis to judge: a
+            # silent P3 is inconsistent by definition.
+            ch, declared, k = self.challenge, self.p3_verdict, self.line
+            ok = ch is not None and declared is not None and declared.ok == (
+                ch.sigma_e == k.k1 * ch.x_e + k.k2_prime + ch.e * k.k2
+            )
+            if not ok:
                 self.arm = "D"
-            return [Envelope(rnd, Role.P1, None, verdict)]
+            return [Envelope(rnd, Role.P1, None, AuditVerdict(ok))]
         if rnd == ROUND_RESOLUTION:
             if self.arm == "A":
                 return []
@@ -296,23 +281,11 @@ class P1Signer:
             if self.p3_verdict is None:
                 self.p3_verdict = payload
 
-    def finalize(self) -> dict:
-        s = self.setup
-        return {
-            "arm": self.arm,
-            "x": s.x,
-            "sig_alg": s.sig_alg,
-            "nonce": s.nonce,
-            "setup": s,
-            "keys": self.line,
-        }
-
 
 class P2Holder:
     """The holder's state machine; emits in rounds 2 and 7."""
 
     emit_rounds = frozenset({ROUND_CHALLENGE, ROUND_TRANSFER})
-    role = Role.P2
 
     def __init__(self, prime, tape: Rng, challenge_coin=None):
         self.prime = prime
@@ -324,46 +297,30 @@ class P2Holder:
         self.z2 = None
         self._resolved = False
 
-    def challenge(self) -> Challenge:
-        """Round 2: broadcast a random combination of the two held points."""
-        if self.setup is None:
-            raise MissingSetup("P2 holds no setup package")
-        e = self._coin if self._coin is not None else self.prime.sample(self._rng)
-        return Challenge(
-            e=e,
-            x_e=self.setup.x_prime + e * self.setup.x,
-            sigma_e=self.setup.sigma_prime + e * self.setup.sigma,
-        )
-
     def _resolve(self) -> None:
         if not self._resolved:
             self._resolved = True
             self.z2 = self.cur_x
 
-    def transfer(self) -> TransferValue:
-        """Round 7: hand the current point (and payload) to the verifier."""
-        if not self._resolved:
-            raise PhaseViolation("transfer before the signing phase resolved")
-        s = self.setup
-        return TransferValue(
-            x=self.cur_x,
-            sigma=self.cur_sigma,
-            message=s.message if s else b"",
-            sig_alg=s.sig_alg if s else None,
-            nonce=s.nonce if s else None,
-        )
-
     def emit(self, rnd: int) -> list:
+        s = self.setup
         if rnd == ROUND_CHALLENGE:
-            if self.setup is None:
-                # Starved by a corrupt signer: challenge over zeros keeps the
-                # session total; every check downstream will fail closed.
+            # Broadcast a random combination of the two held points.  Starved
+            # by a corrupt signer, challenge over zeros: the session stays
+            # total and every check downstream fails closed.
+            if s is None:
                 zero = self.prime.zero
-                return [Envelope(rnd, Role.P2, None, Challenge(zero, zero, zero))]
-            return [Envelope(rnd, Role.P2, None, self.challenge())]
+                ch = Challenge(zero, zero, zero)
+            else:
+                e = self._coin if self._coin is not None else self.prime.sample(self._rng)
+                ch = Challenge(e, s.x_prime + e * s.x, s.sigma_prime + e * s.sigma)
+            return [Envelope(rnd, Role.P2, None, ch)]
         if rnd == ROUND_TRANSFER:
+            # Hand the current point (and payload) to the verifier.
             self._resolve()
-            return [Envelope(rnd, Role.P2, Role.P3, self.transfer())]
+            payload = (s.message, s.sig_alg, s.nonce) if s else (b"", None, None)
+            transfer = TransferValue(self.cur_x, self.cur_sigma, *payload)
+            return [Envelope(rnd, Role.P2, Role.P3, transfer)]
         return []
 
     def deliver(self, env: Envelope) -> None:
@@ -391,15 +348,11 @@ class P2Holder:
                     self.cur_x = self.prime.zero
                 self.cur_sigma = payload.k1 * self.cur_x + payload.k2
 
-    def finalize(self) -> dict:
-        return {"z2": self.z2}
-
 
 class P3Verifier:
     """The verifier's state machine; emits in round 4."""
 
     emit_rounds = frozenset({ROUND_P3_CHECK})
-    role = Role.P3
 
     def __init__(self, prime):
         self.prime = prime
@@ -408,23 +361,12 @@ class P3Verifier:
         self.k2_prime = None
         self.challenge: Optional[Challenge] = None
         self.z3 = None
-        self._z3_set = False
         self._arm_a = False
         self.transfer_payload: Optional[TransferValue] = None
 
     @property
     def has_keys(self) -> bool:
         return self.k1 is not None
-
-    def check_challenge(self, ch: Optional[Challenge]) -> LineVerdict:
-        """Round 4: does the broadcast combination lie on the keyed line?"""
-        if not self.has_keys:
-            raise MissingSetup("P3 holds no line keys")
-        if ch is None:
-            return LineVerdict(False)
-        return LineVerdict(
-            ch.sigma_e == self.k1 * ch.x_e + self.k2_prime + ch.e * self.k2
-        )
 
     def _rekey(self, x, sigma) -> None:
         """Arms A and C: keep k1 (zero when starved of keys) and move the
@@ -433,25 +375,19 @@ class P3Verifier:
             self.k1 = self.prime.zero
         self.k2 = sigma - self.k1 * x
 
-    def extract_transfer(self, x, sigma):
-        """Transfer phase: output x iff the point lies on the line."""
-        if self._z3_set:
-            raise PhaseViolation("z3 already set")
-        self._z3_set = True
-        if self.has_keys and sigma == self.k1 * x + self.k2:
-            self.z3 = x
-        else:
-            self.z3 = None
-        return self.z3
-
     def emit(self, rnd: int) -> list:
         if rnd == ROUND_P3_CHECK:
             if self._arm_a:
                 return []
-            if not self.has_keys:
-                # Starved by a corrupt signer: fail closed.
-                return [Envelope(rnd, Role.P3, None, LineVerdict(False))]
-            return [Envelope(rnd, Role.P3, None, self.check_challenge(self.challenge))]
+            # Does the broadcast combination lie on the keyed line?  Starved
+            # of keys or of the challenge: fail closed.
+            ch = self.challenge
+            ok = (
+                self.has_keys
+                and ch is not None
+                and ch.sigma_e == self.k1 * ch.x_e + self.k2_prime + ch.e * self.k2
+            )
+            return [Envelope(rnd, Role.P3, None, LineVerdict(ok))]
         return []
 
     def deliver(self, env: Envelope) -> None:
@@ -478,12 +414,11 @@ class P3Verifier:
                 self.k1 = payload.k1
                 self.k2 = payload.k2
         elif isinstance(payload, TransferValue):
-            if not self._z3_set:
+            # Transfer phase: output x iff the point lies on the line.
+            if self.transfer_payload is None:
                 self.transfer_payload = payload
-                self.extract_transfer(payload.x, payload.sigma)
-
-    def finalize(self) -> dict:
-        return {"z3": self.z3, "transfer": self.transfer_payload}
+                if self.has_keys and payload.sigma == self.k1 * payload.x + self.k2:
+                    self.z3 = payload.x
 
 
 def interpret_value(
@@ -534,44 +469,42 @@ def run_signing_session(
     """Construct the three parties from a root seed and run all seven rounds."""
     prime = keys.sk_K.prime
     root = Rng(seed)
-    parties = {
-        Role.P1: P1Signer(keys, message, root.fork(b"tape/P1"), ic_coins=ic_coins),
-        Role.P2: P2Holder(prime, root.fork(b"tape/P2"), challenge_coin=challenge_coin),
-        Role.P3: P3Verifier(prime),
-    }
+    p1 = P1Signer(keys, message, root.fork(b"tape/P1"), ic_coins=ic_coins)
+    p2 = P2Holder(prime, root.fork(b"tape/P2"), challenge_coin=challenge_coin)
+    p3 = P3Verifier(prime)
     net = run_session(
-        parties, adversary, total_rounds=TOTAL_ROUNDS, rushing=rushing, collect=collect
+        {Role.P1: p1, Role.P2: p2, Role.P3: p3},
+        adversary,
+        total_rounds=TOTAL_ROUNDS,
+        rushing=rushing,
+        collect=collect,
     )
-    p1_out = net.outputs[Role.P1]
     verdicts = []
     for env in net.broadcasts:
         # Verdict payloads carry (reject label, accept label), indexed by ok.
         labels = getattr(env.payload, "labels", None)
         if labels is not None:
             verdicts.append((env.round, env.sender.value, labels[env.payload.ok]))
-    outcome = SessionOutcome(
-        z2=net.outputs[Role.P2]["z2"], z3=net.outputs[Role.P3]["z3"], verdicts=verdicts
-    )
+    outcome = SessionOutcome(z2=p2.z2, z3=p3.z3, verdicts=verdicts)
     accepted = None
     if interpret:
-        transfer = net.outputs[Role.P3]["transfer"]
-        accepted = False
-        if (
-            outcome.z3 is not None
-            and transfer is not None
+        # z3 is set only by a delivered transfer, so one is present here.
+        transfer = p3.transfer_payload
+        accepted = (
+            p3.z3 is not None
             and transfer.sig_alg is not None
             and transfer.nonce is not None
-        ):
-            accepted = interpret_value(
-                keys.pk, transfer.message, transfer.sig_alg, outcome.z3,
-                nonce=transfer.nonce,
+            and interpret_value(
+                keys.pk, transfer.message, transfer.sig_alg, p3.z3, nonce=transfer.nonce
             )
+        )
+    s = p1.setup
     return IcSessionResult(
         outcome=outcome,
-        x=p1_out["x"],
-        sig_alg=p1_out["sig_alg"],
-        nonce=p1_out["nonce"],
-        arm=p1_out["arm"],
+        x=s.x,
+        sig_alg=s.sig_alg,
+        nonce=s.nonce,
+        arm=p1.arm,
         accepted=accepted,
         net=net,
     )

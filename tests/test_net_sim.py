@@ -52,7 +52,8 @@ class Chatter:
         self.got.append(env)
         self.got_by_round.setdefault(env.round, []).append(env)
 
-    def finalize(self):
+    @property
+    def payloads(self):
         return [e.payload for e in self.got]
 
 
@@ -61,19 +62,17 @@ def _trio(plans):
 
 
 def test_private_delivery_and_broadcast_fanout():
-    net = run_session(
-        _trio({
-            Role.P1: {1: [
-                Envelope(1, Role.P1, Role.P2, Note("private to P2")),
-                Envelope(1, Role.P1, None, Note("to everyone")),
-            ]},
-        }),
-        total_rounds=1,
-    )
-    assert net.outputs[Role.P2] == [Note("private to P2"), Note("to everyone")]
-    assert net.outputs[Role.P3] == [Note("to everyone")]
+    parties = _trio({
+        Role.P1: {1: [
+            Envelope(1, Role.P1, Role.P2, Note("private to P2")),
+            Envelope(1, Role.P1, None, Note("to everyone")),
+        ]},
+    })
+    net = run_session(parties, total_rounds=1)
+    assert parties[Role.P2].payloads == [Note("private to P2"), Note("to everyone")]
+    assert parties[Role.P3].payloads == [Note("to everyone")]
     # broadcast reaches the sender too
-    assert net.outputs[Role.P1] == [Note("to everyone")]
+    assert parties[Role.P1].payloads == [Note("to everyone")]
     assert [e.payload for e in net.broadcasts] == [Note("to everyone")]
 
 
@@ -82,8 +81,9 @@ def test_round_ordering_is_strict():
         Role.P1: {2: [Envelope(2, Role.P1, Role.P3, Note("second"))]},
         Role.P2: {1: [Envelope(1, Role.P2, Role.P3, Note("first"))]},
     }
-    net = run_session(_trio(plans), total_rounds=2)
-    texts = [p.text for p in net.outputs[Role.P3]]
+    parties = _trio(plans)
+    run_session(parties, total_rounds=2)
+    texts = [p.text for p in parties[Role.P3].payloads]
     assert texts == ["first", "second"]
 
 
@@ -118,10 +118,9 @@ def test_adversary_rewrites_only_its_own_traffic():
     def tamper(env, view):
         return [Envelope(env.round, env.sender, env.recipient, Note("tampered"))]
 
-    net = run_session(
-        _trio(plans), AdversaryHook(corrupted=Role.P2, rewrite=tamper), total_rounds=1
-    )
-    texts = sorted(p.text for p in net.outputs[Role.P3])
+    parties = _trio(plans)
+    run_session(parties, AdversaryHook(corrupted=Role.P2, rewrite=tamper), total_rounds=1)
+    texts = sorted(p.text for p in parties[Role.P3].payloads)
     assert texts == ["honest", "tampered"]
 
 
@@ -134,13 +133,14 @@ def test_adversary_may_drop_and_inject():
             Envelope(env.round, env.sender, Role.P1, Note("twice")),
         ]
 
-    net = run_session(
-        _trio(plans),
+    parties = _trio(plans)
+    run_session(
+        parties,
         AdversaryHook(corrupted=Role.P2, rewrite=drop_then_spam),
         total_rounds=1,
     )
-    assert net.outputs[Role.P3] == []
-    assert [p.text for p in net.outputs[Role.P1]] == ["injected", "twice"]
+    assert parties[Role.P3].payloads == []
+    assert [p.text for p in parties[Role.P1].payloads] == ["injected", "twice"]
 
 
 def test_rushing_shows_the_corrupted_party_incoming_traffic_early():
@@ -177,10 +177,9 @@ def test_rushing_shows_the_corrupted_party_incoming_traffic_early():
 
 def test_early_delivery_is_not_duplicated():
     plans = {Role.P1: {1: [Envelope(1, Role.P1, Role.P2, Note("once"))]}}
-    net = run_session(
-        _trio(plans), AdversaryHook(corrupted=Role.P2), total_rounds=1, rushing=True
-    )
-    assert [p.text for p in net.outputs[Role.P2]] == ["once"]
+    parties = _trio(plans)
+    run_session(parties, AdversaryHook(corrupted=Role.P2), total_rounds=1, rushing=True)
+    assert [p.text for p in parties[Role.P2].payloads] == ["once"]
 
 
 def test_views_and_broadcast_consistency():
@@ -300,12 +299,13 @@ def test_corrupted_party_in_a_foreign_round_is_a_violation_unless_dropped():
 
     with pytest.raises(ScheduleViolation):
         run_session(parties(), AdversaryHook(corrupted=Role.P2), total_rounds=2)
-    net = run_session(
-        parties(),
+    trio = parties()
+    run_session(
+        trio,
         AdversaryHook(corrupted=Role.P2, rewrite=lambda env, view: []),
         total_rounds=2,
     )
-    assert net.outputs[Role.P3] == []
+    assert trio[Role.P3].payloads == []
 
 
 @pytest.mark.parametrize("collect", [True, False])
@@ -324,14 +324,15 @@ def test_rushing_delivers_each_envelope_to_the_corrupted_party_once(collect):
             Envelope(1, Role.P3, None, Note("third")),
         ]},
     }
-    net = run_session(
-        _trio(plans),
+    parties = _trio(plans)
+    run_session(
+        parties,
         AdversaryHook(corrupted=Role.P2),
         total_rounds=1,
         rushing=True,
         collect=collect,
     )
-    assert [p.text for p in net.outputs[Role.P2]] == [
+    assert [p.text for p in parties[Role.P2].payloads] == [
         "first", "second", "third", "to myself", "to all",
     ]
-    assert [p.text for p in net.outputs[Role.P1]] == ["not for P2", "third", "to all"]
+    assert [p.text for p in parties[Role.P1].payloads] == ["not for P2", "third", "to all"]
