@@ -169,7 +169,7 @@ def _load_keydir(path: str, *, need_sk: bool, need_k_sig: bool):
         prime = Prime(int(p))
     except KeyError as exc:
         raise MalformedSignature(f"bad params.json: no {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise MalformedSignature(f"bad params.json: {exc}") from exc
     _check_descriptor(descriptor, prime)
     try:

@@ -7,14 +7,16 @@ deliver(envelope), and emit_rounds, the set of rounds the party may emit in.
 The scheduler runs rounds in lockstep, delivering each round's traffic before
 the next round begins.  It returns only what travelled over the network; a
 party's result is its own state, which the caller reads off the party object
-it built.  Within a round the corrupted
-party acts last and — under the default weak-rushing rule — sees the honest
-envelopes addressed to it before emitting; with rushing=False it emits on the
-same pre-round knowledge as everyone else.  The adversary rewrites only the
-corrupted party's outgoing envelopes, and every replacement must carry the
-corrupted sender: channels are authenticated, so spoofing is structurally
-impossible, as is per-recipient equivocation on broadcast (a broadcast
-envelope is delivered to all parties by the scheduler itself).
+it built.
+
+Within a round the corrupted party acts last and — under the default
+weak-rushing rule — sees the honest envelopes addressed to it before
+emitting; with rushing=False it emits on the same pre-round knowledge as
+everyone else.  The adversary rewrites only the corrupted party's outgoing
+envelopes, and every replacement must carry the corrupted sender: channels
+are authenticated, so spoofing is structurally impossible, as is
+per-recipient equivocation on broadcast (a broadcast envelope is delivered to
+all parties by the scheduler itself).
 
 With collect=True the scheduler keeps every party's View and the transcript;
 with collect=False it keeps only the corrupted party's View, for the

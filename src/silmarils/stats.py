@@ -336,6 +336,7 @@ def estimate_correctness(
             if not ok:
                 failures += 1
         name = "correctness-sessions"
+        note = "failure = z2 or z3 misses x, or the transfer is not accepted"
     else:
         root = Rng(seed)
         keys = _keys_for(prime, root)
@@ -346,13 +347,9 @@ def estimate_correctness(
             if not verify(pk, k_sig, DEFAULT_MESSAGE, sig):
                 failures += 1
         name = "correctness"
+        note = "failure = honest signature rejected (sigma4 = 0)"
     return make_estimate(
-        name,
-        prime.value,
-        trials,
-        failures,
-        Fraction(1, prime.value),
-        note="failure = honest signature rejected (sigma4 = 0)",
+        name, prime.value, trials, failures, Fraction(1, prime.value), note=note
     )
 
 

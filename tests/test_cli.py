@@ -152,8 +152,8 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
         {**descriptor, "element_bytes": 7},
         {**descriptor, "sizes": {**descriptor["sizes"], "sig": 99}},
     )
-    for bad in ("{not json", json.dumps({**descriptor, "p": 250}), json.dumps(no_p),
-                *map(json.dumps, inconsistent)):
+    for bad in ("{not json", "[" * 100_000, json.dumps({**descriptor, "p": 250}),
+                json.dumps(no_p), *map(json.dumps, inconsistent)):
         broken = tmp_path / "broken"
         shutil.copytree(keydir, broken, dirs_exist_ok=True)
         (broken / "params.json").write_text(bad)

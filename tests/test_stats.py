@@ -89,6 +89,7 @@ def test_estimator_input_validation():
 def test_correctness_session_path_counts_all_outputs():
     est = H.estimate_correctness(13, 40, seed=b"\x03" * 32, sessions=True)
     assert est.name == "correctness-sessions"
+    assert est.note == "failure = z2 or z3 misses x, or the transfer is not accepted"
     assert est.trials == 40
     # failures at p=13 run near 1/13; the session path must see some of both
     assert 0 <= est.successes < 40
