@@ -23,7 +23,6 @@ from .errors import (
     EmptyExperiment,
     LengthMismatch,
     MalformedSignature,
-    MissingNonce,
     ModulusMismatch,
     PrimeTooLarge,
     RoleMismatch,
@@ -70,7 +69,6 @@ __all__ = [
     "KeyMaterial",
     "LengthMismatch",
     "MalformedSignature",
-    "MissingNonce",
     "ModulusMismatch",
     "OpCounter",
     "PairKey",

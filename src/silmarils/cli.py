@@ -114,6 +114,22 @@ def _read_hex(path: str, what: str) -> bytes:
         raise MalformedSignature(f"{what} file {path} is not hex: {exc}") from exc
 
 
+def _decode(what: str, decode, *args):
+    """decode(*args), with a decoding failure reported as a bad <what> (exit 4)."""
+    try:
+        return decode(*args)
+    except (ValueError, LengthMismatch, DegenerateWeights) as exc:
+        raise MalformedSignature(f"bad {what}: {exc}") from exc
+
+
+def _secret_key(prime, data: bytes):
+    # keygen draws K from F_p*; with K = 0, K' = PRF(K, M) is public.
+    sk = prime.from_bytes(data)
+    if not sk:
+        raise ValueError("K = 0 is outside F_p*")
+    return sk
+
+
 def _write_keydir(outdir: Path, profile: str, prime, keys: KeyMaterial) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "sk.hex").write_text(keys.sk_K.hex() + "\n")
@@ -172,21 +188,14 @@ def _load_keydir(path: str, *, need_sk: bool, need_k_sig: bool):
     except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise MalformedSignature(f"bad params.json: {exc}") from exc
     _check_descriptor(descriptor, prime)
-    try:
-        pk = Weights.from_bytes(prime, _read_hex(keydir / "pk.hex", "public key"))
-    except (ValueError, LengthMismatch, DegenerateWeights) as exc:
-        raise MalformedSignature(f"bad public key: {exc}") from exc
+    pk_bytes = _read_hex(keydir / "pk.hex", "public key")
+    pk = _decode("public key", Weights.from_bytes, prime, pk_bytes)
     sk = k_sig = None
     if need_sk:
-        try:
-            sk = prime.from_bytes(_read_hex(keydir / "sk.hex", "secret key"))
-        except (ValueError, LengthMismatch) as exc:
-            raise MalformedSignature(f"bad secret key: {exc}") from exc
+        sk_bytes = _read_hex(keydir / "sk.hex", "secret key")
+        sk = _decode("secret key", _secret_key, prime, sk_bytes)
     if need_k_sig:
-        try:
-            k_sig = PairKey(_read_hex(keydir / "k_sig.hex", "pair key"))
-        except ValueError as exc:
-            raise MalformedSignature(f"bad pair key: {exc}") from exc
+        k_sig = _decode("pair key", PairKey, _read_hex(keydir / "k_sig.hex", "pair key"))
     return prime, KeyMaterial(sk_K=sk, pk=pk, k_sig=k_sig)
 
 
@@ -225,10 +234,7 @@ def cmd_verify(args) -> int:
     message = Path(args.msg).read_bytes()
     sig_bytes = _read_hex(args.sig, "signature")
     if args.receipt is not None:
-        try:
-            receipt = prime.from_bytes(bytes.fromhex(args.receipt))
-        except (ValueError, LengthMismatch) as exc:
-            raise MalformedSignature(f"bad receipt: {exc}") from exc
+        receipt = _decode("receipt", lambda: prime.from_bytes(bytes.fromhex(args.receipt)))
         accepted = verify_with_receipt(keys.pk, receipt, message, sig_bytes)
     else:
         accepted = verify(keys.pk, keys.k_sig, message, sig_bytes)

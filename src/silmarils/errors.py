@@ -33,10 +33,6 @@ class DegenerateExtraction(SilmarilsError):
     """Extraction precondition violated (sigma3 = 0, r = 0, or ratio edge case)."""
 
 
-class MissingNonce(SilmarilsError):
-    """Interpreting an authenticated value needs either the nonce or the pair key."""
-
-
 class ScheduleViolation(SilmarilsError):
     """A party emitted envelopes in a round it does not own."""
 

@@ -30,24 +30,18 @@ DOMAIN_ICVAL = b"SLM/v1/icval"
 PAIR_KEY_BYTES = 32
 
 
-@dataclass(frozen=True)
-class HashCtx:
-    """A derivation context: domain tag plus target field."""
-
-    domain_tag: bytes
-    prime: object
-
-    def frame(self, payload: bytes) -> bytes:
-        return _frame(self.domain_tag, payload)
-
-
 def _frame(tag: bytes, payload: bytes) -> bytes:
     return tag + len(payload).to_bytes(8, "big") + payload
 
 
-def _hash(prime, tag: bytes, payload: bytes):
-    # hash_to_field without a HashCtx, for the per-session derivations.
+def hash_to_field(prime, tag: bytes, payload: bytes):
+    """Unkeyed hash of the framed payload into F_p."""
     return prime.reduce_wide(hashlib.sha512(_frame(tag, payload)).digest())
+
+
+def prf_to_field(key: bytes, prime, tag: bytes, payload: bytes):
+    """Keyed (HMAC) hash of the framed payload into F_p."""
+    return prime.reduce_wide(hmac.digest(key, _frame(tag, payload), "sha512"))
 
 
 @dataclass(frozen=True)
@@ -75,29 +69,18 @@ class PairKey:
         return self.data.hex()
 
 
-def hash_to_field(ctx: HashCtx, payload: bytes):
-    """Unkeyed hash into F_p."""
-    return _hash(ctx.prime, ctx.domain_tag, payload)
-
-
-def prf_to_field(key, payload: bytes, ctx: HashCtx):
-    """Keyed (HMAC) hash into F_p; key is a PairKey or raw bytes."""
-    key_bytes = key.data if isinstance(key, PairKey) else key
-    return ctx.prime.reduce_wide(hmac.digest(key_bytes, ctx.frame(payload), "sha512"))
-
-
 def _message_and_element(message: bytes, element) -> bytes:
     # Injective pairing: length-prefixed message, then a fixed-width element.
     return len(message).to_bytes(8, "big") + message + element.to_bytes()
 
 
 def derive_nonce(k_sig: PairKey, message: bytes, prime):
-    return prf_to_field(k_sig, message, HashCtx(DOMAIN_NONCE, prime))
+    return prf_to_field(k_sig.data, prime, DOMAIN_NONCE, message)
 
 
 def receipt_from_nonce(message: bytes, nonce):
     """r = H(M, n); anyone holding the nonce can recompute the receipt."""
-    return _hash(nonce.prime, DOMAIN_RECEIPT, _message_and_element(message, nonce))
+    return hash_to_field(nonce.prime, DOMAIN_RECEIPT, _message_and_element(message, nonce))
 
 
 def derive_receipt(k_sig: PairKey, message: bytes, prime):
@@ -117,13 +100,12 @@ def derive_receipt(k_sig: PairKey, message: bytes, prime):
 
 def derive_message_key(long_term_key, message: bytes):
     """K' = PRF(K, M); the long-term field element keys the PRF via its encoding."""
-    prime = long_term_key.prime
     return prf_to_field(
-        long_term_key.to_bytes(), message, HashCtx(DOMAIN_MSGKEY, prime)
+        long_term_key.to_bytes(), long_term_key.prime, DOMAIN_MSGKEY, message
     )
 
 
 def authenticated_value(message: bytes, sig_bytes: bytes, prime):
     """x = H(M, sig): the value the three-party layer authenticates."""
     payload = len(message).to_bytes(8, "big") + message + sig_bytes
-    return _hash(prime, DOMAIN_ICVAL, payload)
+    return hash_to_field(prime, DOMAIN_ICVAL, payload)

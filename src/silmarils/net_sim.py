@@ -9,14 +9,13 @@ the next round begins.  It returns only what travelled over the network; a
 party's result is its own state, which the caller reads off the party object
 it built.
 
-Within a round the corrupted party acts last and — under the default
-weak-rushing rule — sees the honest envelopes addressed to it before
-emitting; with rushing=False it emits on the same pre-round knowledge as
-everyone else.  The adversary rewrites only the corrupted party's outgoing
-envelopes, and every replacement must carry the corrupted sender: channels
-are authenticated, so spoofing is structurally impossible, as is
-per-recipient equivocation on broadcast (a broadcast envelope is delivered to
-all parties by the scheduler itself).
+Within a round the corrupted party acts last: it receives the honest
+envelopes addressed to it before it emits, as the broadcast model's adversary
+may.  The adversary rewrites only the corrupted party's outgoing envelopes,
+and every replacement must carry the corrupted sender: channels are
+authenticated, so spoofing is structurally impossible, as is per-recipient
+equivocation on broadcast (a broadcast envelope is delivered to all parties
+by the scheduler itself).
 
 With collect=True the scheduler keeps every party's View and the transcript;
 with collect=False it keeps only the corrupted party's View, for the
@@ -80,10 +79,10 @@ class AdversaryHook:
 
     rewrite(envelope, view) -> list of replacement envelopes; it may drop
     (empty list), replace, or inject extra envelopes, all with
-    sender = corrupted.  corrupted = None means no corruption.
+    sender = corrupted.  A session without corruption takes no hook.
     """
 
-    corrupted: Optional[Role] = None
+    corrupted: Role
     rewrite: Callable = None  # type: ignore[assignment]
 
 
@@ -107,7 +106,6 @@ def run_session(
     adversary: Optional[AdversaryHook] = None,
     *,
     total_rounds: int,
-    rushing: bool = True,
     collect: bool = True,
 ) -> NetResult:
     """Run one synchronous session to completion.
@@ -146,17 +144,16 @@ def run_session(
                 pending.extend(out)
                 if view is not None:
                     view.sent.extend(out)
-        # Under rushing the corrupted party has already received the first
-        # `early` envelopes addressed to it; the fan-out skips them for it.
+        # The corrupted party receives the first `early` envelopes addressed
+        # to it before it emits; the fan-out skips them for it.
         early = 0
         if adv is not None:
             role, party, view = adv
-            if rushing:
-                early = len(pending)
-                for env in pending:
-                    if env.recipient is None or env.recipient is role:
-                        party.deliver(env)
-                        view.received.append(env)
+            early = len(pending)
+            for env in pending:
+                if env.recipient is None or env.recipient is role:
+                    party.deliver(env)
+                    view.received.append(env)
             rewritten: list[Envelope] = []
             for env in party.emit(rnd):
                 view.sent.append(env)

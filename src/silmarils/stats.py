@@ -293,7 +293,7 @@ def run_trials(
     Keys come from the b"params"/b"keys" forks of Rng(seed); trial i runs on
     the b"trial/<i>" fork and, under an attack strategy, the adversary draws
     from that trial's b"adversary" fork.  The other keyword arguments
-    (rushing, collect, interpret) pass through **session to run_signing_session.
+    (collect, interpret) pass through **session to run_signing_session.
     """
     prime = _as_prime(prime)
     root = Rng(seed)
@@ -403,37 +403,21 @@ def estimate_transferability(
     return _estimate_attack(Role.P1, p, strategy, trials, seed)
 
 
-def estimate_core_forgery(
-    p, trials: int, *, seed: bytes = DEFAULT_SEED, see_receipt: bool = False
-) -> Estimate:
-    """Uniform 5-tuples against a fresh uniform receipt; target 1/p.
-
-    see_receipt=True plays the weakened game where the adversary learns r
-    before choosing sigma5 and solves the acceptance identity; target 1.
-    """
+def estimate_core_forgery(p, trials: int, *, seed: bytes = DEFAULT_SEED) -> Estimate:
+    """Uniform 5-tuples against a fresh uniform receipt; target 1/p."""
     prime = _as_prime(p)
     root = Rng(seed)
     weights = Weights.generate(prime, root.fork(b"weights"))
     rng = root.fork(b"tuples")
-    ratio = weights.w0 / weights.w1
     successes = 0
     for _ in range(trials):
         r = prime.sample(rng)
-        if see_receipt:
-            s1 = prime.sample(rng)
-            s2 = prime.sample(rng)
-            s3 = prime.sample(rng)
-            s4 = prime.sample_unit(rng)
-            m = s1 * s2
-            s5 = m - ratio * (m - s3 + r * s4)
-            sig = Signature(s1, s2, s3, s4, s5)
-        else:
-            sig = Signature(*(prime.sample(rng) for _ in range(5)))
+        sig = Signature(*(prime.sample(rng) for _ in range(5)))
         if _core_verify(weights, r, sig):
             successes += 1
-    name = "core-forgery-weakened" if see_receipt else "core-forgery"
-    target = Fraction(1) if see_receipt else Fraction(1, prime.value)
-    return make_estimate(name, prime.value, trials, successes, target)
+    return make_estimate(
+        "core-forgery", prime.value, trials, successes, Fraction(1, prime.value)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ sigma = k1*x + k2 and bottom otherwise.
 
 The payload (M, sig, n) rides along P1 -> P2 -> P3 so the transferred value
 can be interpreted: interpret_value accepts x iff H(M, sig) = x and the
-two-party predicate verifies under the receipt derived from n (or from k_sig).
+two-party predicate verifies under the receipt derived from n.
 
 Fixed round schedule: 1 setup, 2 challenge, 3 P1's challenge check, 4 P3's
 check, 5 P1's judgement of P3's check, 6 resolution reveals, 7 transfer.
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._record import frozen_record
-from .errors import MissingNonce
-from .hashing import PairKey, authenticated_value, derive_receipt, receipt_from_nonce
+from .hashing import authenticated_value, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, NetResult, Role, run_session
 from .rng import Rng
 from .sss import Weights
@@ -380,10 +379,11 @@ class P3Verifier:
             if self._arm_a:
                 return []
             # Does the broadcast combination lie on the keyed line?  Starved
-            # of keys or of the challenge: fail closed.
+            # of the setup (the only message that deals k2') or of the
+            # challenge: fail closed.
             ch = self.challenge
             ok = (
-                self.has_keys
+                self.k2_prime is not None
                 and ch is not None
                 and ch.sigma_e == self.k1 * ch.x_e + self.k2_prime + ch.e * self.k2
             )
@@ -414,29 +414,23 @@ class P3Verifier:
                 self.k1 = payload.k1
                 self.k2 = payload.k2
         elif isinstance(payload, TransferValue):
-            # Transfer phase: output x iff the point lies on the line.
+            # Transfer phase: output x iff the point lies on the line.  A
+            # holder starved of every point transfers none: bottom.
             if self.transfer_payload is None:
                 self.transfer_payload = payload
-                if self.has_keys and payload.sigma == self.k1 * payload.x + self.k2:
+                if (
+                    self.has_keys
+                    and payload.x is not None
+                    and payload.sigma == self.k1 * payload.x + self.k2
+                ):
                     self.z3 = payload.x
 
 
-def interpret_value(
-    pk: Weights, message: bytes, sig_alg: Signature, x, *, nonce=None, k_sig=None
-) -> bool:
-    """Accept x iff it hashes from (M, sig) and the signature verifies.
-
-    The receipt comes from the nonce when given, else from k_sig (the
-    designated-verifier path); with neither there is nothing to check against.
-    """
-    prime = pk.prime
-    if nonce is not None:
-        r = receipt_from_nonce(message, nonce)
-    elif k_sig is not None:
-        _, r = derive_receipt(k_sig, message, prime)
-    else:
-        raise MissingNonce("need the nonce or the pair key to derive the receipt")
-    if authenticated_value(message, sig_alg.encode(), prime) != x:
+def interpret_value(pk: Weights, message: bytes, sig_alg: Signature, x, *, nonce) -> bool:
+    """Accept x iff it hashes from (M, sig) and the signature verifies under
+    the receipt derived from the nonce."""
+    r = receipt_from_nonce(message, nonce)
+    if authenticated_value(message, sig_alg.encode(), pk.prime) != x:
         return False
     return _core_verify(pk, r, sig_alg)
 
@@ -460,7 +454,6 @@ def run_signing_session(
     seed: bytes,
     *,
     adversary: Optional[AdversaryHook] = None,
-    rushing: bool = True,
     collect: bool = False,
     interpret: bool = False,
     ic_coins=None,
@@ -476,7 +469,6 @@ def run_signing_session(
         {Role.P1: p1, Role.P2: p2, Role.P3: p3},
         adversary,
         total_rounds=TOTAL_ROUNDS,
-        rushing=rushing,
         collect=collect,
     )
     verdicts = []

@@ -32,7 +32,6 @@ from ._record import frozen_record
 from .errors import DegenerateExtraction, LengthMismatch, MalformedSignature
 from .hashing import (
     DOMAIN_RECEIPT,
-    HashCtx,
     PairKey,
     derive_message_key,
     derive_receipt,
@@ -351,7 +350,7 @@ def extract_params(
 def public_receipt(message: bytes, prime):
     """The weakened receipt r' = H(M) with no nonce: publicly computable."""
     payload = len(message).to_bytes(8, "big") + message
-    return hash_to_field(HashCtx(DOMAIN_RECEIPT, prime), payload)
+    return hash_to_field(prime, DOMAIN_RECEIPT, payload)
 
 
 def verify_public_r(pk: Weights, message: bytes, sig) -> bool:

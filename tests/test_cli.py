@@ -160,6 +160,12 @@ def test_exit_codes(tmp_path, keydir, msg, capsys):
         assert main(["sign", str(broken), "--msg", str(msg), "--seed", SEED]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: bad params.json: ") and err.count("\n") == 1
+    zero_key = tmp_path / "zero-key"
+    shutil.copytree(keydir, zero_key)
+    (zero_key / "sk.hex").write_text("00\n")  # keygen draws K from F_p*
+    assert main(["sign", str(zero_key), "--msg", str(msg), "--seed", SEED]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad secret key: ") and err.count("\n") == 1
     for hint in ("d:999", "d:-5", "s:251", "d:254"):  # outside [0, p): not reduced
         assert main(["extract", str(keydir), "--msg", str(msg), "--sig", str(sig),
                      "--hint", hint]) == 4
@@ -182,27 +188,81 @@ def fuzz_keydir(tmp_path_factory):
     kd = tmp_path_factory.mktemp("fuzz") / "kd"
     assert main(["keygen", "--profile", "toy-251", "--seed", SEED, "--out", str(kd)]) == 0
     (kd.parent / "msg.txt").write_bytes(b"hello world")
+    _sign(kd.parent, kd, kd.parent / "msg.txt")
     return kd
 
 
-# Arbitrary bytes, hex-looking text, and well-formed 5-byte toy-251 signatures.
-_SIG_FILES = (
-    st.binary(max_size=40)
-    | st.text(alphabet="0123456789abcdefABCDEF \n", max_size=14).map(str.encode)
-    | st.binary(min_size=5, max_size=5).map(lambda b: b.hex().encode() + b"\n")
+def _hex_files(width):
+    """Arbitrary bytes, hex-looking text, and well-formed width-byte hex."""
+    return (
+        st.binary(max_size=40)
+        | st.text(alphabet="0123456789abcdefABCDEF \n", max_size=2 * width + 4).map(str.encode)
+        | st.binary(min_size=width, max_size=width).map(lambda b: b.hex().encode() + b"\n")
+    )
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=6,
 )
+_DESCRIPTOR_VALUES = {
+    "p": st.sampled_from(["251", 251, "13", "0x fb", "250"]) | _JSON,
+    "profile": st.sampled_from(sorted(PROFILES)) | _JSON,
+    "element_bytes": st.sampled_from([1, 32]) | _JSON,
+    "sizes": st.just({"pk": 2, "sig": 5, "sk": 1}) | _JSON,
+}
+_DESCRIPTORS = st.binary(max_size=40) | _JSON.map(json.dumps).map(str.encode) | (
+    st.fixed_dictionaries({}, optional=_DESCRIPTOR_VALUES).map(json.dumps).map(str.encode)
+)
+# Hint values reach cmd_extract only as <kind>:<integer>; any other text is
+# argparse's usage error (exit 2), covered by test_exit_codes.
+_HINTS = st.builds(
+    lambda kind, value, spelling: f"{kind}:{spelling.format(value)}",
+    st.sampled_from("dsa"),
+    st.integers(-300, 300) | st.integers(),
+    st.sampled_from(["{}", "{:#x}", "{:#o}"]),
+)
+# Fuzzed input -> (values, subcommand it feeds, exit codes it may end in);
+# every code is in the README's exit-code table.
+_FUZZ_TARGETS = {
+    "--sig": (_hex_files(5), "verify", {0, 1, 4}),
+    "pk.hex": (_hex_files(2), "sign", {0, 4}),
+    "sk.hex": (_hex_files(1), "sign", {0, 4}),
+    "k_sig.hex": (_hex_files(32), "sign", {0, 4}),
+    "params.json": (_DESCRIPTORS, "sign", {0, 4}),
+    "--receipt": (st.text(alphabet="0123456789abcdefxyz-", max_size=4) | st.text(max_size=4),
+                  "verify", {0, 1, 4}),
+    "--hint": (_HINTS, "extract", {0, 4, 5}),
+}
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=_SIG_FILES)
-def test_fuzzed_signature_file_never_crashes(fuzz_keydir, data):
-    sig = fuzz_keydir.parent / "fuzz-sig.hex"
-    sig.write_bytes(data)
-    msg = fuzz_keydir.parent / "msg.txt"
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(sorted(_FUZZ_TARGETS)).flatmap(
+    lambda target: st.tuples(st.just(target), _FUZZ_TARGETS[target][0])
+))
+def test_fuzzed_signature_file_never_crashes(fuzz_keydir, case):
+    target, value = case
+    _, command, codes = _FUZZ_TARGETS[target]
+    root = fuzz_keydir.parent
+    kd, sig = fuzz_keydir, root / "sig.hex"
+    if target.endswith((".hex", ".json")):
+        kd = root / "broken"
+        shutil.copytree(fuzz_keydir, kd, dirs_exist_ok=True)
+        (kd / target).write_bytes(value)
+    elif target == "--sig":
+        sig = root / "fuzz-sig.hex"
+        sig.write_bytes(value)
+    argv = [command, str(kd), "--msg", str(root / "msg.txt"), "--seed", SEED]
+    if command != "sign":
+        argv += ["--sig", str(sig)]
+    if target in ("--receipt", "--hint"):
+        argv.append(f"{target}={value}")  # one token, even for a leading "-"
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", str(fuzz_keydir), "--msg", str(msg), "--sig", str(sig)])
-    assert code in {0, 1, 4}
+        code = main(argv)
+    assert code in codes
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
     assert "Traceback" not in err.getvalue()
@@ -255,8 +315,8 @@ def test_stats_exit_one_on_failed_verdict(tmp_path, capsys, monkeypatch):
 
     real = harness.estimate_core_forgery
 
-    def rigged(p, trials, *, seed=harness.DEFAULT_SEED, see_receipt=False):
-        est = real(p, trials, seed=seed, see_receipt=see_receipt)
+    def rigged(p, trials, *, seed=harness.DEFAULT_SEED):
+        est = real(p, trials, seed=seed)
         return harness.Estimate(**{**est.__dict__, "verdict": "fail"})
 
     monkeypatch.setattr(harness, "estimate_core_forgery", rigged)

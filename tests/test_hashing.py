@@ -13,7 +13,6 @@ from silmarils.hashing import (
     DOMAIN_MSGKEY,
     DOMAIN_NONCE,
     DOMAIN_RECEIPT,
-    HashCtx,
     PairKey,
     authenticated_value,
     derive_message_key,
@@ -40,24 +39,25 @@ def test_pair_key_validation_and_generate():
 
 @given(message=st.binary(max_size=64))
 def test_hash_to_field_matches_direct_recomputation(message):
-    ctx = HashCtx(DOMAIN_RECEIPT, P251)
     framed = DOMAIN_RECEIPT + len(message).to_bytes(8, "big") + message
     expect = int.from_bytes(hashlib.sha512(framed).digest(), "big") % 251
-    assert int(hash_to_field(ctx, message)) == expect
+    assert int(hash_to_field(P251, DOMAIN_RECEIPT, message)) == expect
 
 
 @given(message=st.binary(max_size=64))
 def test_prf_to_field_matches_direct_recomputation(message):
-    ctx = HashCtx(DOMAIN_NONCE, P251)
     framed = DOMAIN_NONCE + len(message).to_bytes(8, "big") + message
     expect = int.from_bytes(hmac.digest(KEY.data, framed, "sha512"), "big") % 251
-    assert int(prf_to_field(KEY, message, ctx)) == expect
+    assert int(prf_to_field(KEY.data, P251, DOMAIN_NONCE, message)) == expect
+    assert derive_nonce(KEY, message, P251) == prf_to_field(
+        KEY.data, P251, DOMAIN_NONCE, message
+    )
 
 
 def test_domains_separate_the_derivations():
     msg = b"same payload"
     values = {
-        int(hash_to_field(HashCtx(tag, P251), msg))
+        int(hash_to_field(P251, tag, msg))
         for tag in (DOMAIN_NONCE, DOMAIN_RECEIPT, DOMAIN_MSGKEY, DOMAIN_ICVAL)
     }
     assert len(values) > 1  # 251 possible outputs; four tags colliding is ~1e-5

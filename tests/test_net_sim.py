@@ -161,24 +161,14 @@ def test_rushing_shows_the_corrupted_party_incoming_traffic_early():
     spy.emit_rounds = frozenset({1})
     parties[Role.P2] = spy
 
-    run_session(parties, AdversaryHook(corrupted=Role.P2), total_rounds=1, rushing=True)
+    run_session(parties, AdversaryHook(corrupted=Role.P2), total_rounds=1)
     assert seen_at_emit == [["for the spy"]]
-
-    seen_at_emit.clear()
-    parties = _trio({
-        Role.P1: {1: [Envelope(1, Role.P1, Role.P2, Note("for the spy"))]},
-    })
-    spy = Spy(Role.P2, {1: []})
-    spy.emit_rounds = frozenset({1})
-    parties[Role.P2] = spy
-    run_session(parties, AdversaryHook(corrupted=Role.P2), total_rounds=1, rushing=False)
-    assert seen_at_emit == [[]]  # without rushing it emits on pre-round knowledge
 
 
 def test_early_delivery_is_not_duplicated():
     plans = {Role.P1: {1: [Envelope(1, Role.P1, Role.P2, Note("once"))]}}
     parties = _trio(plans)
-    run_session(parties, AdversaryHook(corrupted=Role.P2), total_rounds=1, rushing=True)
+    run_session(parties, AdversaryHook(corrupted=Role.P2), total_rounds=1)
     assert [p.text for p in parties[Role.P2].payloads] == ["once"]
 
 
@@ -262,8 +252,7 @@ def _busy_trio():
     })
 
 
-@pytest.mark.parametrize("rushing", [True, False])
-def test_corrupted_view_is_the_same_with_and_without_collect(rushing):
+def test_corrupted_view_is_the_same_with_and_without_collect():
     recordings = {}
     for collect in (True, False):
         seen = recordings[collect] = []
@@ -277,7 +266,6 @@ def test_corrupted_view_is_the_same_with_and_without_collect(rushing):
             parties,
             AdversaryHook(corrupted=Role.P2, rewrite=record),
             total_rounds=3,
-            rushing=rushing,
             collect=collect,
         )
         assert len(seen) == 6
@@ -329,7 +317,6 @@ def test_rushing_delivers_each_envelope_to_the_corrupted_party_once(collect):
         parties,
         AdversaryHook(corrupted=Role.P2),
         total_rounds=1,
-        rushing=True,
         collect=collect,
     )
     assert [p.text for p in parties[Role.P2].payloads] == [

@@ -142,11 +142,6 @@ def test_dv_transcript_tv_p5_within_band():
         H.dv_transcript_tv(251)
 
 
-def test_core_forgery_see_receipt_variant_always_wins():
-    est = H.estimate_core_forgery(251, 300, seed=b"\x04" * 32, see_receipt=True)
-    assert est.successes == est.trials
-
-
 def test_run_suite_all_skips_what_it_cannot_enumerate():
     results = H.run_suite(251, "all", 200, seed=b"\x05" * 32)
     names = [r.name for r in results]
