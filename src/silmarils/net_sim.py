@@ -4,10 +4,20 @@ party.
 
 The party contract is three members: emit(round) -> [Envelope],
 deliver(envelope), and emit_rounds, the set of rounds the party may emit in.
-The scheduler runs rounds in lockstep, delivering each round's traffic before
-the next round begins.  It returns only what travelled over the network; a
-party's result is its own state, which the caller reads off the party object
-it built.
+A party's state is its attributes: they are rebound, never mutated in place,
+except a tape Rng, which advances (the keys' per-message memos cache a pure
+function, so sharing them changes nothing).  The scheduler runs rounds in
+lockstep, delivering each round's traffic before the next round begins.  It
+returns only what travelled over the network; a party's result is its own
+state, which the caller reads off the party object it built.  The parties'
+tapes and the adversary's choices carry all the randomness.
+
+A Session runs in steps: run(k) runs on through round k.  branch(adversary)
+returns an independent twin under a new hook for the same corrupted role:
+each party a new instance of its type with its attributes copied one level
+deep and each tape Rng copied (by the state contract, a full copy), and new
+views, transcript and broadcasts.  Exhaustive sweeps branch to run the
+rounds their grid points share once.  run_session runs a Session to the end.
 
 Within a round the corrupted party acts last: it receives the honest
 envelopes addressed to it before it emits, as the broadcast model's adversary
@@ -32,6 +42,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import frozen_record
 from .errors import ScheduleViolation
+from .rng import Rng
 
 
 class Role(enum.Enum):
@@ -101,92 +112,125 @@ class NetResult:
     views: Optional[dict]
 
 
-def run_session(
-    parties: Mapping[Role, object],
-    adversary: Optional[AdversaryHook] = None,
-    *,
-    total_rounds: int,
-    collect: bool = True,
-) -> NetResult:
-    """Run one synchronous session to completion.
+class Session:
+    """One session, run in steps from round 0 (see the module docstring)."""
 
-    Each party implements emit(round), deliver(envelope) and emit_rounds; the
-    session's result is the state the parties end in, read by the caller.
-    The returned NetResult carries the broadcasts and, with collect=True, the
-    transcript and every View.  Deterministic: the parties' tapes and the
-    adversary's choices carry all the randomness.  Raises ScheduleViolation
-    if any party emits in a round outside its emit_rounds.
-    """
-    corrupted = adversary.corrupted if adversary else None
-    rewrite = adversary.rewrite if adversary and adversary.rewrite else _identity_rewrite
-    if corrupted is not None and corrupted not in parties:
-        raise ValueError(f"corrupted role {corrupted} not present")
+    def __init__(self, parties: Mapping[Role, object], adversary=None, *, collect=True):
+        corrupted = adversary.corrupted if adversary else None
+        if corrupted is not None and corrupted not in parties:
+            raise ValueError(f"corrupted role {corrupted} not present")
+        self.adversary = adversary
+        # (role, party, view-or-None) by position, in mapping order; only the
+        # corrupted party keeps a view unless collect asks for all of them.
+        self._slots = [
+            (role, party, View(role) if collect or role is corrupted else None)
+            for role, party in parties.items()
+        ]
+        self._transcript: Optional[list] = [] if collect else None
+        self._broadcasts: list = []
+        self._round = 0
 
-    # (role, party, view-or-None) by position, in mapping order; only the
-    # corrupted party keeps a view unless collect asks for all of them.
-    slots = [
-        (role, party, View(role) if collect or role is corrupted else None)
-        for role, party in parties.items()
-    ]
-    honest = [slot for slot in slots if slot[0] is not corrupted]
-    adv = next((slot for slot in slots if slot[0] is corrupted), None)
-    transcript: Optional[list] = [] if collect else None
-    broadcasts: list = []
+    @property
+    def parties(self) -> dict:
+        return {role: party for role, party, _ in self._slots}
 
-    for rnd in range(1, total_rounds + 1):
-        # Honest parties emit on pre-round knowledge; the corrupted one last.
-        pending: list[Envelope] = []
-        for role, party, view in honest:
-            out = party.emit(rnd)
-            if out:
-                if rnd not in party.emit_rounds:
-                    raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
-                pending.extend(out)
-                if view is not None:
-                    view.sent.extend(out)
-        # The corrupted party receives the first `early` envelopes addressed
-        # to it before it emits; the fan-out skips them for it.
-        early = 0
-        if adv is not None:
-            role, party, view = adv
-            early = len(pending)
-            for env in pending:
-                if env.recipient is None or env.recipient is role:
-                    party.deliver(env)
-                    view.received.append(env)
-            rewritten: list[Envelope] = []
-            for env in party.emit(rnd):
-                view.sent.append(env)
-                for replacement in rewrite(env, view):
-                    if replacement.sender is not role:
-                        raise ValueError(
-                            "adversary cannot forge sender "
-                            f"{replacement.sender}: channels are authenticated"
-                        )
-                    rewritten.append(replacement)
-            if rewritten:
-                if rnd not in party.emit_rounds:
-                    raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
-                pending.extend(rewritten)
+    def run(self, until: int) -> "Session":
+        """Run the rounds after the last one run, through round `until`.
+        Raises ScheduleViolation if a party emits outside its emit_rounds."""
+        adversary = self.adversary
+        corrupted = adversary.corrupted if adversary else None
+        rewrite = adversary.rewrite if adversary and adversary.rewrite else _identity_rewrite
+        slots = self._slots
+        honest = [slot for slot in slots if slot[0] is not corrupted]
+        adv = next((slot for slot in slots if slot[0] is corrupted), None)
+        transcript, broadcasts = self._transcript, self._broadcasts
 
-        if transcript is not None:
-            transcript.extend(pending)
-        for i, env in enumerate(pending):
-            recipient = env.recipient
-            if recipient is None:
-                broadcasts.append(env)
-            skip = corrupted if i < early else None
-            for role, party, view in slots:
-                if role is not skip and (recipient is None or recipient is role):
-                    party.deliver(env)
+        for rnd in range(self._round + 1, until + 1):
+            # Honest parties emit on pre-round knowledge; the corrupted one last.
+            pending: list[Envelope] = []
+            for role, party, view in honest:
+                out = party.emit(rnd)
+                if out:
+                    if rnd not in party.emit_rounds:
+                        raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
+                    pending.extend(out)
                     if view is not None:
+                        view.sent.extend(out)
+            # The corrupted party receives the first `early` envelopes
+            # addressed to it before it emits; the fan-out skips them for it.
+            early = 0
+            if adv is not None:
+                role, party, view = adv
+                early = len(pending)
+                for env in pending:
+                    if env.recipient is None or env.recipient is role:
+                        party.deliver(env)
                         view.received.append(env)
+                rewritten: list[Envelope] = []
+                for env in party.emit(rnd):
+                    view.sent.append(env)
+                    for replacement in rewrite(env, view):
+                        if replacement.sender is not role:
+                            raise ValueError(
+                                "adversary cannot forge sender "
+                                f"{replacement.sender}: channels are authenticated"
+                            )
+                        rewritten.append(replacement)
+                if rewritten:
+                    if rnd not in party.emit_rounds:
+                        raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
+                    pending.extend(rewritten)
 
-    return NetResult(
-        broadcasts=broadcasts,
-        transcript=transcript,
-        views={role: view for role, _, view in slots} if collect else None,
-    )
+            if transcript is not None:
+                transcript.extend(pending)
+            for i, env in enumerate(pending):
+                recipient = env.recipient
+                if recipient is None:
+                    broadcasts.append(env)
+                skip = corrupted if i < early else None
+                for role, party, view in slots:
+                    if role is not skip and (recipient is None or recipient is role):
+                        party.deliver(env)
+                        if view is not None:
+                            view.received.append(env)
+            self._round = rnd
+        return self
+
+    def result(self) -> NetResult:
+        collect = self._transcript is not None
+        views = {role: view for role, _, view in self._slots} if collect else None
+        return NetResult(self._broadcasts, self._transcript, views)
+
+    def branch(self, adversary: Optional[AdversaryHook]) -> "Session":
+        """An independent twin under a new hook for the same corrupted role."""
+        corrupted = self.adversary.corrupted if self.adversary else None
+        if (adversary.corrupted if adversary else None) is not corrupted:
+            raise ValueError(f"a branch must corrupt the same role as its stem ({corrupted})")
+        twin = object.__new__(Session)
+        twin.__dict__.update(vars(self), adversary=adversary, _broadcasts=list(self._broadcasts))
+        twin._slots = [
+            (role, _copy_party(party), view and View(role, [*view.received], [*view.sent]))
+            for role, party, view in self._slots
+        ]
+        if self._transcript is not None:
+            twin._transcript = list(self._transcript)
+        return twin
+
+
+def _copy_party(party):
+    twin = object.__new__(type(party))
+    twin.__dict__ = {
+        name: value.copy() if isinstance(value, Rng) else value
+        for name, value in vars(party).items()
+    }
+    return twin
+
+
+def run_session(
+    parties: Mapping[Role, object], adversary=None, *, total_rounds: int, collect=True
+) -> NetResult:
+    """Run one synchronous session to completion; see Session."""
+    return Session(parties, adversary, collect=collect).run(total_rounds).result()
 
 
 def broadcast_consistency_check(views: Mapping[Role, View]) -> bool:

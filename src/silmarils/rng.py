@@ -96,13 +96,19 @@ class Rng:
             n -= len(chunk)
         return bytes(out)
 
+    def copy(self) -> "Rng":
+        """Twin at the same stream position: both yield the same bytes next,
+        and advancing one leaves the other where it was.  The keyed states
+        are shared; they are only ever copied, never updated."""
+        return _stream(self._key, self._counter, self._buf, self._pos, self._states)
+
     def fork(self, label: bytes) -> "Rng":
         """Independent child stream; distinct labels give unrelated streams."""
-        # The child's key is already bytes, so __init__'s check is skipped.
-        child = object.__new__(Rng)
-        child._key = self._hmac(b"fork" + _frame(label))[:SEED_BYTES]
-        child._counter = 0
-        child._buf = b""
-        child._pos = 0
-        child._states = None
-        return child
+        return _stream(self._hmac(b"fork" + _frame(label))[:SEED_BYTES])
+
+
+def _stream(key: bytes, counter=0, buf=b"", pos=0, states=None) -> Rng:
+    # The key is already bytes, so __init__'s check is skipped.
+    rng = object.__new__(Rng)
+    rng._key, rng._counter, rng._buf, rng._pos, rng._states = key, counter, buf, pos, states
+    return rng

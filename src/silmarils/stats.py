@@ -22,6 +22,11 @@ that trial's b"adversary" fork.  Trial i therefore depends only on (seed, i),
 never on the trials before it, so trials can be split into contiguous shards
 and their counts summed exactly.  The sign+verify correctness loop is not a
 session: it draws every trial from one b"sign" stream and runs by itself.
+
+The exhaustive attack sweeps run each shared prefix once: one stem session
+per honest (coins, e) runs the rounds before the strategy's acts_in, and
+each of the adversary's grid choices branches from it (see
+_exhaustive_attack), so the p^6 unforgeability grid runs p^5 stems.
 """
 
 from __future__ import annotations
@@ -42,9 +47,12 @@ from .sss import Weights
 from .three_party import (
     ROUND_SETUP,
     ROUND_TRANSFER,
+    TOTAL_ROUNDS,
     HolderSetup,
     TransferValue,
+    open_signing_session,
     run_signing_session,
+    signing_result,
 )
 from .two_party import (
     Params,
@@ -179,14 +187,16 @@ class AttackStrategy:
 
     build(prime, rng, forced) returns only the rewrite(envelope, view) that
     the corrupted party applies to its traffic; hook() wraps it in the
-    AdversaryHook for `corrupted`.  forced parameters (ghat, offset, x_star,
-    delta, delta_prime) replace the random draws so the exhaustive
-    enumerations can sweep them.
+    AdversaryHook for `corrupted`.  forced parameters (ghat, offset, delta,
+    delta_prime) replace the random draws so the exhaustive enumerations can
+    sweep them.  acts_in is the first round whose envelopes the rewrite can
+    change: before it, the rewrite returns [envelope] and draws nothing.
     """
 
     name: str
     corrupted: Role
     build: Callable
+    acts_in: int
 
     def hook(self, prime, rng: Rng, **forced) -> AdversaryHook:
         return AdversaryHook(self.corrupted, self.build(prime, rng, forced))
@@ -201,18 +211,11 @@ def _substitute_guess_k1(prime, rng: Rng, forced: dict) -> Callable:
             g = forced.get("ghat")
             if g is None:
                 g = prime.sample(rng)
-            x_star = forced.get("x_star")
-            if x_star is None:
-                offset = forced.get("offset")
-                if offset is None:
-                    offset = prime.sample_unit(rng)
-                x_star = t.x + offset
+            offset = forced.get("offset")
+            if offset is None:
+                offset = prime.sample_unit(rng)
             forged = TransferValue(
-                x=x_star,
-                sigma=t.sigma + g * (x_star - t.x),
-                message=t.message,
-                sig_alg=t.sig_alg,
-                nonce=t.nonce,
+                t.x + offset, t.sigma + g * offset, t.message, t.sig_alg, t.nonce
             )
             return [Envelope(env.round, env.sender, env.recipient, forged)]
         return [env]
@@ -252,8 +255,8 @@ def _inconsistent_line(prime, rng: Rng, forced: dict) -> Callable:
 STRATEGIES = {
     strategy.name: strategy
     for strategy in (
-        AttackStrategy("substitute-guess-k1", Role.P2, _substitute_guess_k1),
-        AttackStrategy("inconsistent-line", Role.P1, _inconsistent_line),
+        AttackStrategy("substitute-guess-k1", Role.P2, _substitute_guess_k1, ROUND_TRANSFER),
+        AttackStrategy("inconsistent-line", Role.P1, _inconsistent_line, ROUND_SETUP),
     )
 }
 
@@ -457,9 +460,14 @@ def exhaustive_core_forgery(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
 def _exhaustive_attack(
     strategy: str, p, seed: bytes, size: str, points, note: str
 ) -> Estimate:
-    """Count the attack's successes exactly: one session on a fixed seed per
-    point (e, ic_coins, forced) that points(elems) yields, where forced pins
-    the strategy's draws and e, ic_coins the honest ones (None: drawn)."""
+    """Count the attack's successes exactly, one session per grid point.
+
+    points(elems) yields groups (e, ic_coins, [forced, ...]): e and ic_coins
+    fix the honest coins (None: drawn), each forced the strategy's draws.  A
+    group's stem runs under an identity hook through round acts_in - 1, once,
+    and each forced branches from it and runs to the end.  That is exact:
+    before acts_in the rewrite passes every envelope through and draws nothing.
+    """
     strategy = STRATEGIES[strategy]
     experiment, success, _ = _ATTACK_EXPERIMENTS[strategy.corrupted]
     prime, elems = _grid(
@@ -469,14 +477,15 @@ def _exhaustive_attack(
     keys = _keys_for(prime, root)
     adv_rng = root.fork(b"adversary")
     trials = successes = 0
-    for e, coins, forced in points(elems):
-        res = run_signing_session(
+    for e, coins, group in points(elems):
+        stem = open_signing_session(
             keys, DEFAULT_MESSAGE, DEFAULT_SEED,
-            adversary=strategy.hook(prime, adv_rng, **forced),
-            ic_coins=coins, challenge_coin=e,
-        )
-        trials += 1
-        successes += success(res)
+            adversary=AdversaryHook(strategy.corrupted), ic_coins=coins, challenge_coin=e,
+        ).run(strategy.acts_in - 1)
+        for forced in group:
+            leaf = stem.branch(strategy.hook(prime, adv_rng, **forced))
+            trials += 1
+            successes += success(signing_result(leaf.run(TOTAL_ROUNDS)))
     return make_estimate(
         f"{experiment}-exhaustive",
         prime.value,
@@ -492,8 +501,8 @@ def exhaustive_unforgeability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
 
     def points(elems):
         # (k1, k2, x', k2') are the installer's coins, e the challenge.
-        for coins, e, guess in product(product(elems, repeat=4), elems, elems):
-            yield e, coins, {"ghat": guess, "offset": elems[1]}
+        for coins, e in product(product(elems, repeat=4), elems):
+            yield e, coins, [{"ghat": guess, "offset": elems[1]} for guess in elems]
 
     return _exhaustive_attack(
         "substitute-guess-k1", p, seed, "p^6", points,
@@ -505,8 +514,9 @@ def exhaustive_transferability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     """Sweep (e, delta != 0, delta'): success iff delta' + e*delta = 0."""
 
     def points(elems):
-        for e, delta, delta_prime in product(elems, elems[1:], elems):
-            yield e, None, {"delta": delta, "delta_prime": delta_prime}
+        for e in elems:
+            deltas = product(elems[1:], elems)
+            yield e, None, [{"delta": d, "delta_prime": dp} for d, dp in deltas]
 
     return _exhaustive_attack(
         "inconsistent-line", p, seed, "p^2(p-1)", points,

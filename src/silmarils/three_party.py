@@ -39,11 +39,12 @@ the message and a signature (Signature.encode()), 03 + fixed-width element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ._record import frozen_record
 from .hashing import authenticated_value, receipt_from_nonce
-from .net_sim import AdversaryHook, Envelope, NetResult, Role, run_session
+from .net_sim import AdversaryHook, Envelope, NetResult, Role, Session
 from .rng import Rng
 from .sss import Weights
 from .two_party import KeyMaterial, Signature, _core_verify, sign
@@ -127,6 +128,11 @@ class ChallengeVerdict(_Payload):
     reveal_x: object = None
     reveal_sigma: object = None
 
+    @property
+    def reveals(self) -> bool:
+        """Failing with its point; P2 and P3 take one without it as silence."""
+        return not self.ok and self.reveal_x is not None and self.reveal_sigma is not None
+
 
 @frozen_record
 class LineVerdict(_Payload):
@@ -178,12 +184,21 @@ class TransferValue(_Payload):
 
 @dataclass
 class SessionOutcome:
-    """z2 (holder), z3 (verifier, None = bottom), and the broadcast verdicts
-    as (round, sender, declaration) triples."""
+    """z2 (holder), z3 (verifier, None = bottom) and the broadcasts, whose
+    verdicts, as (round, sender, declaration) triples, are built on read."""
 
     z2: object
     z3: object
-    verdicts: list
+    broadcasts: list
+
+    @cached_property
+    def verdicts(self) -> list:
+        # Verdict payloads carry (reject label, accept label), indexed by ok.
+        return [
+            (env.round, env.sender.value, env.payload.labels[env.payload.ok])
+            for env in self.broadcasts
+            if hasattr(env.payload, "labels")
+        ]
 
 
 class P1Signer:
@@ -332,7 +347,7 @@ class P2Holder:
                 self.cur_x = payload.x
                 self.cur_sigma = payload.sigma
         elif isinstance(payload, ChallengeVerdict):
-            if not payload.ok and not self._resolved:
+            if payload.reveals and not self._resolved:
                 # Arm A: the revealed point is authoritative.
                 self.cur_x = payload.reveal_x
                 self.cur_sigma = payload.reveal_sigma
@@ -403,7 +418,7 @@ class P3Verifier:
             if self.challenge is None:
                 self.challenge = payload
         elif isinstance(payload, ChallengeVerdict):
-            if not payload.ok and not self._arm_a:
+            if payload.reveals and not self._arm_a:
                 self._arm_a = True
                 self._rekey(payload.reveal_x, payload.reveal_sigma)
         elif isinstance(payload, RevealPoint):
@@ -448,36 +463,26 @@ class IcSessionResult:
     net: NetResult
 
 
-def run_signing_session(
-    keys: KeyMaterial,
-    message: bytes,
-    seed: bytes,
-    *,
-    adversary: Optional[AdversaryHook] = None,
-    collect: bool = False,
-    interpret: bool = False,
-    ic_coins=None,
-    challenge_coin=None,
-) -> IcSessionResult:
-    """Construct the three parties from a root seed and run all seven rounds."""
+def open_signing_session(
+    keys: KeyMaterial, message: bytes, seed: bytes, *,
+    adversary: Optional[AdversaryHook] = None, collect=False, ic_coins=None, challenge_coin=None,
+) -> Session:
+    """The three parties built from a root seed, in a Session at round 0."""
     prime = keys.sk_K.prime
     root = Rng(seed)
-    p1 = P1Signer(keys, message, root.fork(b"tape/P1"), ic_coins=ic_coins)
-    p2 = P2Holder(prime, root.fork(b"tape/P2"), challenge_coin=challenge_coin)
-    p3 = P3Verifier(prime)
-    net = run_session(
-        {Role.P1: p1, Role.P2: p2, Role.P3: p3},
-        adversary,
-        total_rounds=TOTAL_ROUNDS,
-        collect=collect,
-    )
-    verdicts = []
-    for env in net.broadcasts:
-        # Verdict payloads carry (reject label, accept label), indexed by ok.
-        labels = getattr(env.payload, "labels", None)
-        if labels is not None:
-            verdicts.append((env.round, env.sender.value, labels[env.payload.ok]))
-    outcome = SessionOutcome(z2=p2.z2, z3=p3.z3, verdicts=verdicts)
+    parties = {
+        Role.P1: P1Signer(keys, message, root.fork(b"tape/P1"), ic_coins=ic_coins),
+        Role.P2: P2Holder(prime, root.fork(b"tape/P2"), challenge_coin=challenge_coin),
+        Role.P3: P3Verifier(prime),
+    }
+    return Session(parties, adversary, collect=collect)
+
+
+def signing_result(session: Session, *, interpret: bool = False) -> IcSessionResult:
+    """Read a session that has run all seven rounds off its parties."""
+    parties = session.parties
+    p1, p2, p3 = parties[Role.P1], parties[Role.P2], parties[Role.P3]
+    net = session.result()
     accepted = None
     if interpret:
         # z3 is set only by a delivered transfer, so one is present here.
@@ -487,12 +492,12 @@ def run_signing_session(
             and transfer.sig_alg is not None
             and transfer.nonce is not None
             and interpret_value(
-                keys.pk, transfer.message, transfer.sig_alg, p3.z3, nonce=transfer.nonce
+                p1.keys.pk, transfer.message, transfer.sig_alg, p3.z3, nonce=transfer.nonce
             )
         )
     s = p1.setup
     return IcSessionResult(
-        outcome=outcome,
+        outcome=SessionOutcome(p2.z2, p3.z3, net.broadcasts),
         x=s.x,
         sig_alg=s.sig_alg,
         nonce=s.nonce,
@@ -500,3 +505,16 @@ def run_signing_session(
         accepted=accepted,
         net=net,
     )
+
+
+def run_signing_session(
+    keys: KeyMaterial, message: bytes, seed: bytes, *,
+    adversary: Optional[AdversaryHook] = None, collect=False, interpret=False,
+    ic_coins=None, challenge_coin=None,
+) -> IcSessionResult:
+    """Construct the three parties from a root seed and run all seven rounds."""
+    session = open_signing_session(
+        keys, message, seed, adversary=adversary, collect=collect,
+        ic_coins=ic_coins, challenge_coin=challenge_coin,
+    )
+    return signing_result(session.run(TOTAL_ROUNDS), interpret=interpret)

@@ -55,6 +55,20 @@ def test_fork_does_not_disturb_parent():
     assert head + tail == expected
 
 
+def test_copy_continues_the_stream_and_leaves_its_source():
+    # 50 + 100 bytes crosses the 64-byte block boundary twice.
+    whole = Rng(SEED).take(150)
+    source = Rng(SEED)
+    source.take(50)
+    twin = source.copy()
+    assert twin.take(100) == whole[50:150]
+    assert twin.fork(b"child").take(32) == source.fork(b"child").take(32)
+    assert source.take(100) == whole[50:150]
+    # A copy taken before the keyed states exist builds its own.
+    fresh = Rng(SEED).copy()
+    assert fresh.take(150) == whole
+
+
 def test_fork_labels_are_framed_injectively():
     # (b"ab", b"c") and (b"a", b"bc") must not collide.
     r = Rng(SEED)

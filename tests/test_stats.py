@@ -15,6 +15,10 @@ from silmarils.errors import (
     RoleMismatch,
     UnknownStrategy,
 )
+from silmarils.field import Prime
+from silmarils.net_sim import AdversaryHook, Role, transcript_lines
+from silmarils.rng import Rng
+from silmarils.three_party import run_signing_session
 
 from .oracles import wilson_bounds_by_bisection
 
@@ -110,6 +114,61 @@ def test_exhaustive_attack_rates_are_exactly_one_over_p():
         assert un.verdict == "pass" and tr.verdict == "pass"
     with pytest.raises(PrimeTooLarge):
         H.exhaustive_unforgeability(11)
+
+
+def test_branched_exhaustive_leaves_equal_fresh_sessions(monkeypatch):
+    # Every leaf of both exhaustive sweeps at p = 3, run with collect=True,
+    # must equal a fresh session with the leaf's hook and honest coins.
+    leaves = []
+    opened = H.open_signing_session
+    finish = H.signing_result
+    monkeypatch.setattr(
+        H, "open_signing_session", lambda *a, **kw: opened(*a, **{**kw, "collect": True})
+    )
+    monkeypatch.setattr(H, "signing_result", lambda s, **kw: leaves.append(s) or finish(s, **kw))
+    H.exhaustive_unforgeability(3)
+    H.exhaustive_transferability(3)
+    assert len(leaves) == 3**6 + 3 * 3 * 2
+
+    def summary(res) -> tuple:
+        lines = transcript_lines(res.net.transcript)
+        return lines, res.outcome.z2, res.outcome.z3, res.arm, res.outcome.verdicts
+
+    for leaf in leaves:
+        p1, p2 = leaf.parties[Role.P1], leaf.parties[Role.P2]
+        fresh = run_signing_session(
+            p1.keys, p1.message, H.DEFAULT_SEED, adversary=leaf.adversary,
+            collect=True, ic_coins=p1._ic_coins, challenge_coin=p2._coin,
+        )
+        assert summary(finish(leaf)) == summary(fresh)
+
+
+@pytest.mark.parametrize("name", sorted(H.STRATEGIES))
+def test_strategies_rewrite_nothing_before_acts_in(name):
+    # The exhaustive sweeps run every round before acts_in once, under an
+    # identity hook; that is exact only if the rewrite passes those
+    # envelopes through and leaves its stream where it was.
+    strategy = H.STRATEGIES[name]
+    prime = Prime(251)
+    keys = H._keys_for(prime, Rng(b"k" * 32))
+    seen = set()
+    for i in range(200):
+        seed = i.to_bytes(32, "big")
+        rng = Rng(seed).fork(b"adversary")
+        rewrite = strategy.hook(prime, rng).rewrite
+
+        def checked(env, view):
+            before = rng.copy().take(16)
+            out = rewrite(env, view)
+            if env.round < strategy.acts_in:
+                assert out == [env] and out[0] is env
+                assert rng.copy().take(16) == before
+            seen.add(env.round)
+            return out
+
+        hook = AdversaryHook(strategy.corrupted, checked)
+        run_signing_session(keys, H.DEFAULT_MESSAGE, seed, adversary=hook)
+    assert strategy.acts_in in seen
 
 
 def test_exhaustive_transferability_needs_nonzero_delta():

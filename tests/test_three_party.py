@@ -18,7 +18,7 @@ from silmarils.net_sim import (
     transcript_lines,
 )
 from silmarils.rng import Rng
-from silmarils.stats import get_strategy, run_trials
+from silmarils.stats import STRATEGIES, get_strategy, run_trials
 from silmarils.three_party import (
     ROUND_CHALLENGE,
     ROUND_P3_CHECK,
@@ -38,6 +38,7 @@ from silmarils.three_party import (
     TransferValue,
     VerifierSetup,
     interpret_value,
+    open_signing_session,
     run_signing_session,
 )
 from silmarils.two_party import Params, Signature, keygen
@@ -443,3 +444,55 @@ def test_reveal_point_after_arm_a_is_a_dead_letter():
     assert not any(env.sender is Role.P3 for env in net.broadcasts)
     assert parties[Role.P2].cur_x == x
     assert parties[Role.P2].z2 == parties[Role.P3].z3 == x
+
+
+def test_revealless_failing_challenge_verdict_is_silence():
+    # A corrupt P1 broadcasts ChallengeVerdict(False) with no reveal in round
+    # 3.  P2 and P3 treat it as silence: P2 keeps x, P3 stays out of arm A,
+    # and the session returns with z3 in {x, bottom}.
+    def rewrite(env: Envelope, view) -> list:
+        if isinstance(env.payload, ChallengeVerdict):
+            return [Envelope(env.round, env.sender, None, ChallengeVerdict(False))]
+        return [env]
+
+    adversary = AdversaryHook(corrupted=Role.P1, rewrite=rewrite)
+    for i in range(20):
+        res = run_signing_session(KEYS, MSG, i.to_bytes(32, "big"), adversary=adversary)
+        assert res.outcome.z2 == res.x
+        assert res.outcome.z3 in (res.x, None)
+
+
+def _session_state(session) -> tuple:
+    """Everything a branch could disturb: each party's attributes and tape
+    position, the views, the transcript and the broadcasts."""
+    net = session.result()
+    parties = session.parties
+    return (
+        {role: dict(vars(party)) for role, party in parties.items()},
+        {role: party._rng.copy().take(16) for role, party in parties.items()
+         if hasattr(party, "_rng")},
+        {role: (list(view.received), list(view.sent)) for role, view in net.views.items()},
+        list(net.transcript),
+        list(net.broadcasts),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_a_branch_leaves_its_stem_and_siblings_untouched(name):
+    strategy = STRATEGIES[name]
+    stem = open_signing_session(
+        KEYS, MSG, SEED, adversary=AdversaryHook(strategy.corrupted), collect=True
+    ).run(strategy.acts_in - 1)
+    before = _session_state(stem)
+    first = stem.branch(strategy.hook(P251, Rng(b"\x01" * 32))).run(TOTAL_ROUNDS)
+    first_state = _session_state(first)
+    assert _session_state(stem) == before
+    second = stem.branch(strategy.hook(P251, Rng(b"\x02" * 32))).run(TOTAL_ROUNDS)
+    assert _session_state(stem) == before
+    assert _session_state(first) == first_state
+    assert first.result().transcript != second.result().transcript
+    other = Role.P3 if strategy.corrupted is not Role.P3 else Role.P1
+    with pytest.raises(ValueError):
+        stem.branch(AdversaryHook(other))
+    with pytest.raises(ValueError):
+        stem.branch(None)
