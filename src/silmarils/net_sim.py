@@ -12,20 +12,22 @@ returns only what travelled over the network; a party's result is its own
 state, which the caller reads off the party object it built.  The parties'
 tapes and the adversary's choices carry all the randomness.
 
-A Session runs in steps: run(k) runs on through round k.  branch(adversary)
-returns an independent twin under a new hook for the same corrupted role:
-each party a new instance of its type with its attributes copied one level
-deep and each tape Rng copied (by the state contract, a full copy), and new
-views, transcript and broadcasts.  Exhaustive sweeps branch to run the
-rounds their grid points share once.  run_session runs a Session to the end.
+A Session runs in steps: run(k) runs on through round k, and rounds_run is
+the last round run.  branch(adversary) returns an independent twin under a
+new hook for the same corrupted role: each party a new instance of its type
+with its attributes copied one level deep and each tape Rng copied (by the
+state contract, a full copy), and new views, transcript and broadcasts.
+Exhaustive sweeps branch to run the rounds their grid points share once.
+run_session runs a Session to the end.
 
 Within a round the corrupted party acts last: it receives the honest
 envelopes addressed to it before it emits, as the broadcast model's adversary
-may.  The adversary rewrites only the corrupted party's outgoing envelopes,
-and every replacement must carry the corrupted sender: channels are
-authenticated, so spoofing is structurally impossible, as is per-recipient
-equivocation on broadcast (a broadcast envelope is delivered to all parties
-by the scheduler itself).
+may.  The adversary rewrites only the corrupted party's outgoing envelopes.
+The scheduler guarantees two things: senders are authenticated (a
+replacement that names another sender raises), and every broadcast envelope
+is delivered to all parties.  The honest parties do not yet check a
+payload's route (its round, sender and channel), so a corrupt party can send
+a broadcast-kind payload privately, to one party only.
 
 With collect=True the scheduler keeps every party's View and the transcript;
 with collect=False it keeps only the corrupted party's View, for the
@@ -133,6 +135,11 @@ class Session:
     @property
     def parties(self) -> dict:
         return {role: party for role, party, _ in self._slots}
+
+    @property
+    def rounds_run(self) -> int:
+        """The last round run; 0 before the first."""
+        return self._round
 
     def run(self, until: int) -> "Session":
         """Run the rounds after the last one run, through round `until`.

@@ -23,15 +23,18 @@ never on the trials before it, so trials can be split into contiguous shards
 and their counts summed exactly.  The sign+verify correctness loop is not a
 session: it draws every trial from one b"sign" stream and runs by itself.
 
-The exhaustive attack sweeps run each shared prefix once: one stem session
-per honest (coins, e) runs the rounds before the strategy's acts_in, and
-each of the adversary's grid choices branches from it (see
-_exhaustive_attack), so the p^6 unforgeability grid runs p^5 stems.
+The exhaustive session sweeps (attacks and secrecy) share one tree, _stems:
+one opened session per (seed, message), so P1 signs once; a branch per
+installer coin tuple (k1, k2, x', k2'), which runs round 1; a branch per
+challenge e, which runs up to the strategy's acts_in, or through round 6 for
+secrecy, whose view reads no later; and a leaf per adversary choice.  At
+p = 5 unforgeability is 1 signature, 625 deals, 3,125 challenges, 15,625 leaves.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import product
@@ -45,11 +48,13 @@ from .net_sim import AdversaryHook, Envelope, Role
 from .rng import Rng
 from .sss import Weights
 from .three_party import (
+    ROUND_RESOLUTION,
     ROUND_SETUP,
     ROUND_TRANSFER,
     TOTAL_ROUNDS,
     HolderSetup,
     TransferValue,
+    force_coins,
     open_signing_session,
     run_signing_session,
     signing_result,
@@ -457,16 +462,26 @@ def exhaustive_core_forgery(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     )
 
 
-def _exhaustive_attack(
-    strategy: str, p, seed: bytes, size: str, points, note: str
-) -> Estimate:
-    """Count the attack's successes exactly, one session per grid point.
+def _stems(base, coin_grid, e_grid, until: int) -> Iterator:
+    """Yield one session per (coins, e), coins outer, run through round until:
+    a twin of the opened (so signed) base per coin tuple (None: P1 draws its
+    own) runs round 1 if until reaches it, and a twin of that per e runs on."""
+    for coins in coin_grid:
+        dealt = force_coins(base, ic_coins=coins).run(min(ROUND_SETUP, until))
+        for e in e_grid:
+            yield force_coins(dealt, challenge_coin=e).run(until)
 
-    points(elems) yields groups (e, ic_coins, [forced, ...]): e and ic_coins
-    fix the honest coins (None: drawn), each forced the strategy's draws.  A
-    group's stem runs under an identity hook through round acts_in - 1, once,
-    and each forced branches from it and runs to the end.  That is exact:
-    before acts_in the rewrite passes every envelope through and draws nothing.
+
+def _exhaustive_attack(
+    strategy: str, p, seed: bytes, size: str, grids, note: str
+) -> Estimate:
+    """Count the attack's successes exactly, one leaf per grid point.
+
+    grids(elems) returns (coin_grid, choices): the installer coin tuples and
+    the strategy's forced draws.  The stems of _stems run under an identity
+    hook through round acts_in - 1, and each choice branches from each stem
+    and runs to the end.  That is exact: before acts_in the rewrite passes
+    every envelope through and draws nothing.
     """
     strategy = STRATEGIES[strategy]
     experiment, success, _ = _ATTACK_EXPERIMENTS[strategy.corrupted]
@@ -476,13 +491,13 @@ def _exhaustive_attack(
     root = Rng(seed)
     keys = _keys_for(prime, root)
     adv_rng = root.fork(b"adversary")
+    coin_grid, choices = grids(elems)
+    base = open_signing_session(
+        keys, DEFAULT_MESSAGE, DEFAULT_SEED, adversary=AdversaryHook(strategy.corrupted)
+    )
     trials = successes = 0
-    for e, coins, group in points(elems):
-        stem = open_signing_session(
-            keys, DEFAULT_MESSAGE, DEFAULT_SEED,
-            adversary=AdversaryHook(strategy.corrupted), ic_coins=coins, challenge_coin=e,
-        ).run(strategy.acts_in - 1)
-        for forced in group:
+    for stem in _stems(base, coin_grid, elems, strategy.acts_in - 1):
+        for forced in choices:
             leaf = stem.branch(strategy.hook(prime, adv_rng, **forced))
             trials += 1
             successes += success(signing_result(leaf.run(TOTAL_ROUNDS)))
@@ -499,13 +514,12 @@ def _exhaustive_attack(
 def exhaustive_unforgeability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     """Sweep (k1, k2, x', k2', e, guess): success iff guess = k1, rate 1/p."""
 
-    def points(elems):
-        # (k1, k2, x', k2') are the installer's coins, e the challenge.
-        for coins, e in product(product(elems, repeat=4), elems):
-            yield e, coins, [{"ghat": guess, "offset": elems[1]} for guess in elems]
+    def grids(elems):
+        # (k1, k2, x', k2') are the installer's coins, the guess the adversary's.
+        return product(elems, repeat=4), [{"ghat": g, "offset": elems[1]} for g in elems]
 
     return _exhaustive_attack(
-        "substitute-guess-k1", p, seed, "p^6", points,
+        "substitute-guess-k1", p, seed, "p^6", grids,
         "grid (k1, k2, x', k2', e, guess); success iff guess = k1",
     )
 
@@ -513,13 +527,13 @@ def exhaustive_unforgeability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
 def exhaustive_transferability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     """Sweep (e, delta != 0, delta'): success iff delta' + e*delta = 0."""
 
-    def points(elems):
-        for e in elems:
-            deltas = product(elems[1:], elems)
-            yield e, None, [{"delta": d, "delta_prime": dp} for d, dp in deltas]
+    def grids(elems):
+        # P1 draws its own coins; the adversary picks (delta, delta').
+        deltas = product(elems[1:], elems)
+        return [None], [{"delta": d, "delta_prime": dp} for d, dp in deltas]
 
     return _exhaustive_attack(
-        "inconsistent-line", p, seed, "p^2(p-1)", points,
+        "inconsistent-line", p, seed, "p^2(p-1)", grids,
         "grid (e, delta, delta'); success iff delta' + e*delta = 0",
     )
 
@@ -541,11 +555,12 @@ def _total_variation(a: dict, a_total: int, b: dict, b_total: int) -> Fraction:
 
 
 def _distinct_x_messages(keys, seed: bytes) -> tuple:
-    base = run_signing_session(keys, b"secrecy/a", seed)
+    """Opened (so signed) honest sessions for two messages of distinct x."""
+    base = open_signing_session(keys, b"secrecy/a", seed, collect=True)
     for i in range(64):
-        msg = b"secrecy/b%d" % i
-        if run_signing_session(keys, msg, seed).x != base.x:
-            return b"secrecy/a", msg
+        other = open_signing_session(keys, b"secrecy/b%d" % i, seed, collect=True)
+        if other.parties[Role.P1].x != base.parties[Role.P1].x:
+            return base, other
     raise RuntimeError("could not find two messages with distinct values")
 
 
@@ -554,24 +569,22 @@ def estimate_secrecy_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
     two distinct authenticated values, by full enumeration of the installer's
     coins (k1, k2, x', k2') and the challenge e over F_p^5.
 
-    The honest protocol gives TV = 0: the view determines sigma_e from
-    (k1, k2, k2', e, x_e) and x_e = x' + e*x is uniform for uniform x'.
+    Each value's session signs once and _stems branches it into its p^5
+    coin/challenge stems, each stopped after round 6: the view reads nothing
+    later.  The honest protocol gives TV = 0: the view determines sigma_e
+    from (k1, k2, k2', e, x_e) and x_e = x' + e*x is uniform for uniform x'.
     """
     prime, elems = _grid(
         p, EXHAUSTIVE_SECRECY_MAX, "secrecy enumeration sweeps p^5 sessions per value"
     )
-    root = Rng(seed)
-    keys = _keys_for(prime, root)
-    counts = []
-    for msg in _distinct_x_messages(keys, seed):
-        tally: dict = {}
-        for coins, e in product(product(elems, repeat=4), elems):
-            res = run_signing_session(
-                keys, msg, seed, ic_coins=coins, challenge_coin=e, collect=True
-            )
-            key = _signing_phase_view(res.net, Role.P3)
-            tally[key] = tally.get(key, 0) + 1
-        counts.append(tally)
+    keys = _keys_for(prime, Rng(seed))
+    counts = [
+        Counter(
+            _signing_phase_view(stem.result(), Role.P3)
+            for stem in _stems(base, product(elems, repeat=4), elems, ROUND_RESOLUTION)
+        )
+        for base in _distinct_x_messages(keys, seed)
+    ]
     total = prime.value**5
     return _total_variation(counts[0], total, counts[1], total)
 
@@ -687,10 +700,6 @@ def run_suite(
     return results
 
 
-def _frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def result_json_line(res) -> str:
     """One result as a canonical JSON line (sorted keys, rationals as n/d)."""
     if isinstance(res, Estimate):
@@ -701,7 +710,9 @@ def result_json_line(res) -> str:
         raise TypeError(f"cannot serialize {type(res).__name__}")
     for f in fields(res):
         value = getattr(res, f.name)
-        record[f.name] = _frac_str(value) if isinstance(value, Fraction) else value
+        if isinstance(value, Fraction):
+            value = f"{value.numerator}/{value.denominator}"
+        record[f.name] = value
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 

@@ -1,12 +1,12 @@
 """Three-party protocol: a signer P1 authenticates a value to a holder P2 so
 that P2 can later transfer it to a verifier P3.
 
-Signing phase: P1 signs the message, hashes (M, sig) to the authenticated
-value x, and installs an affine line: P2 gets the points (x, sigma) and
-(x', sigma'), P3 gets the line keys (k1, k2, k2') with sigma = k1*x + k2 and
-sigma' = k1*x' + k2'.  P2 broadcasts a random linear combination as a
-challenge; P1 and P3 each check it against what they hold, P1 judges P3's
-declaration, and one of four resolution arms runs:
+Signing phase: before round 1, P1 signs the message and hashes (M, sig) to
+the authenticated value x; in round 1 it installs an affine line: P2 gets
+the points (x, sigma) and (x', sigma'), P3 gets the line keys (k1, k2, k2')
+with sigma = k1*x + k2 and sigma' = k1*x' + k2'.  P2 broadcasts a random
+linear combination as a challenge; P1 and P3 each check it against what they
+hold, P1 judges P3's declaration, and one of four resolution arms runs:
 
     A: P1 declares "P2 corrupt", reveals (x, sigma); P2 adopts it, P3 re-keys.
     B: everyone accepts; nothing to fix.
@@ -28,7 +28,8 @@ check, 5 P1's judgement of P3's check, 6 resolution reveals, 7 transfer.
 Honest parties fall back to zero-valued defaults when a (corrupt)
 counterparty starves them of state, keeping every session total.  A session's
 result is read off the parties' final state: P1's setup and arm, P2's z2,
-P3's z3 and the transfer it received.
+P3's z3 and the transfer it received.  force_coins twins a session with the
+installer's coins or the challenge forced, until the round drawing them runs.
 
 Wire format (to_wire, the ``payload`` hex of a transcript line): the class's
 tag byte, written as a one-byte message, then each field in declared order:
@@ -207,10 +208,14 @@ class P1Signer:
     emit_rounds = frozenset({ROUND_SETUP, ROUND_P1_CHECK, ROUND_AUDIT, ROUND_RESOLUTION})
 
     def __init__(self, keys: KeyMaterial, message: bytes, tape: Rng, ic_coins=None):
+        # The signature comes first off the tape, before round 1's coins.
         self.keys = keys
         self.message = message
         self._rng = tape
         self._ic_coins = ic_coins
+        self.sig_alg, signing_tape = sign(keys, message, tape)
+        self.nonce = signing_tape.n
+        self.x = authenticated_value(message, self.sig_alg.encode(), keys.sk_K.prime)
         self.setup: Optional[HolderSetup] = None
         self.line: Optional[VerifierSetup] = None
         self.challenge: Optional[Challenge] = None
@@ -218,12 +223,11 @@ class P1Signer:
         self.arm: Optional[str] = None
 
     def start(self) -> list:
-        """Round 1: sign, derive x, and deal both setup packages; ic_coins,
-        when given, forces (k1, k2, x_prime, k2_prime) over the tape's draws."""
+        """Round 1: deal both setup packages; ic_coins, when given, forces
+        (k1, k2, x_prime, k2_prime) over the tape's draws."""
         rng = self._rng
         prime = self.keys.sk_K.prime
-        sig_alg, tape = sign(self.keys, self.message, rng)
-        x = authenticated_value(self.message, sig_alg.encode(), prime)
+        x = self.x
         if self._ic_coins is None:
             k1 = prime.sample(rng)
             k2 = prime.sample(rng)
@@ -233,7 +237,7 @@ class P1Signer:
             k1, k2, x_prime, k2_prime = self._ic_coins
         self.setup = HolderSetup(
             x, x_prime, k1 * x + k2, k1 * x_prime + k2_prime,
-            self.message, sig_alg, tape.n,
+            self.message, self.sig_alg, self.nonce,
         )
         self.line = VerifierSetup(k1, k2, k2_prime)
         return [
@@ -476,6 +480,23 @@ def open_signing_session(
         Role.P3: P3Verifier(prime),
     }
     return Session(parties, adversary, collect=collect)
+
+
+def force_coins(session: Session, *, ic_coins=None, challenge_coin=None) -> Session:
+    """A twin of the session with P1's installer coins and/or P2's challenge
+    coin forced (None: left as they are).  Raises ValueError if the round
+    that draws a forced coin has already run."""
+    if ic_coins is not None and session.rounds_run >= ROUND_SETUP:
+        raise ValueError("the installer's coins are dealt in round 1, which has run")
+    if challenge_coin is not None and session.rounds_run >= ROUND_CHALLENGE:
+        raise ValueError("the challenge coin is drawn in round 2, which has run")
+    twin = session.branch(session.adversary)
+    parties = twin.parties
+    if ic_coins is not None:
+        parties[Role.P1]._ic_coins = ic_coins
+    if challenge_coin is not None:
+        parties[Role.P2]._coin = challenge_coin
+    return twin
 
 
 def signing_result(session: Session, *, interpret: bool = False) -> IcSessionResult:

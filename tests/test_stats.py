@@ -2,7 +2,9 @@
 enumeration values, estimator plumbing, and report formatting."""
 
 import json
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from silmarils.errors import (
 from silmarils.field import Prime
 from silmarils.net_sim import AdversaryHook, Role, transcript_lines
 from silmarils.rng import Rng
+from silmarils import three_party
 from silmarils.three_party import run_signing_session
 
 from .oracles import wilson_bounds_by_bisection
@@ -141,6 +144,50 @@ def test_branched_exhaustive_leaves_equal_fresh_sessions(monkeypatch):
             collect=True, ic_coins=p1._ic_coins, challenge_coin=p2._coin,
         )
         assert summary(finish(leaf)) == summary(fresh)
+
+
+def test_secrecy_tree_tallies_equal_fresh_sessions(monkeypatch):
+    # The tree stops each stem after round 6; its tally of P3's view for
+    # each message must equal one over a fresh session per (coins, e).
+    tallies = []
+    tv = H._total_variation
+    monkeypatch.setattr(
+        H, "_total_variation", lambda a, at, b, bt: tallies.extend((a, b)) or tv(a, at, b, bt)
+    )
+    assert H.estimate_secrecy_tv(3) == 0
+    prime, elems = H._grid(3, 3, "p = 3")
+    keys = H._keys_for(prime, Rng(H.DEFAULT_SEED))
+    bases = H._distinct_x_messages(keys, H.DEFAULT_SEED)
+    assert len(tallies) == len(bases) == 2
+    for base, tally in zip(bases, tallies):
+        flat = Counter()
+        for coins, e in product(product(elems, repeat=4), elems):
+            res = run_signing_session(
+                keys, base.parties[Role.P1].message, H.DEFAULT_SEED,
+                ic_coins=coins, challenge_coin=e, collect=True,
+            )
+            flat[H._signing_phase_view(res.net, Role.P3)] += 1
+        assert dict(tally) == dict(flat)
+        assert sum(tally.values()) == 3**5 and len(tally) > 1
+
+
+def test_each_exhaustive_sweep_signs_once_per_message(monkeypatch):
+    signed = Counter()
+    sign = three_party.sign
+
+    def counted(keys, message, rng):
+        signed[message] += 1
+        return sign(keys, message, rng)
+
+    monkeypatch.setattr(three_party, "sign", counted)
+    for sweep, messages in [
+        (H.exhaustive_unforgeability, 1),
+        (H.exhaustive_transferability, 1),
+        (H.estimate_secrecy_tv, 2),
+    ]:
+        signed.clear()
+        sweep(3)
+        assert sorted(signed.values()) == [1] * messages
 
 
 @pytest.mark.parametrize("name", sorted(H.STRATEGIES))

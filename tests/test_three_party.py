@@ -37,9 +37,11 @@ from silmarils.three_party import (
     RevealPoint,
     TransferValue,
     VerifierSetup,
+    force_coins,
     interpret_value,
     open_signing_session,
     run_signing_session,
+    signing_result,
 )
 from silmarils.two_party import Params, Signature, keygen
 
@@ -496,3 +498,37 @@ def test_a_branch_leaves_its_stem_and_siblings_untouched(name):
         stem.branch(AdversaryHook(other))
     with pytest.raises(ValueError):
         stem.branch(None)
+
+
+COINS = (P251.elt(3), P251.elt(7), P251.elt(11), P251.elt(13))
+E = P251.elt(9)
+
+
+def test_force_coins_refuses_a_coin_already_drawn():
+    base = open_signing_session(KEYS, MSG, SEED, collect=True)
+    dealt = force_coins(base, ic_coins=COINS).run(ROUND_SETUP)
+    with pytest.raises(ValueError):
+        force_coins(dealt, ic_coins=COINS)
+    challenged = force_coins(dealt, challenge_coin=E).run(ROUND_CHALLENGE)
+    with pytest.raises(ValueError):
+        force_coins(challenged, challenge_coin=E)
+    assert force_coins(challenged).rounds_run == ROUND_CHALLENGE
+
+
+def test_forced_twin_equals_a_fresh_session_and_leaves_its_base_untouched():
+    fresh = run_signing_session(KEYS, MSG, SEED, collect=True, ic_coins=COINS, challenge_coin=E)
+    base = open_signing_session(KEYS, MSG, SEED, collect=True)
+    before = _session_state(base)
+    for twin in (
+        force_coins(base, ic_coins=COINS, challenge_coin=E),
+        force_coins(force_coins(base, ic_coins=COINS).run(ROUND_SETUP), challenge_coin=E),
+    ):
+        res = signing_result(twin.run(TOTAL_ROUNDS))
+        assert _session_state(base) == before
+        assert transcript_lines(res.net.transcript) == transcript_lines(fresh.net.transcript)
+        assert (res.x, res.arm, res.outcome.z2, res.outcome.z3) == (
+            fresh.x, fresh.arm, fresh.outcome.z2, fresh.outcome.z3
+        )
+    assert base.rounds_run == 0
+    challenge = next(env.payload for env in fresh.net.transcript if env.round == ROUND_CHALLENGE)
+    assert challenge.e == E
