@@ -300,11 +300,7 @@ def cmd_sim3p(args) -> int:
         strategy = harness.get_strategy(args.adversary)
     seed = args.seed if args.seed is not None else harness.DEFAULT_SEED
     message = Path(args.msg).read_bytes() if args.msg else harness.DEFAULT_MESSAGE
-    collect = args.out is not None
-    results = harness.run_trials(
-        prime, args.trials, seed=seed, strategy=strategy, message=message,
-        collect=collect,
-    )
+    results = harness.run_trials(prime, args.trials, seed=seed, strategy=strategy, message=message)
 
     z2_eq = z3_eq = bottom = forged = divergent = 0
     verdict_counts: Counter = Counter()
@@ -319,10 +315,10 @@ def cmd_sim3p(args) -> int:
         divergent += harness._divergent(res)
         verdict_counts.update(label for _, _, label in out.verdicts)
         arm_counts[res.arm] += 1
-        if collect:
+        if args.out is not None:
             log_lines.append(json.dumps({"trial": i}, sort_keys=True))
-            log_lines.extend(transcript_lines(res.net.transcript))
-    if collect:
+            log_lines.extend(transcript_lines(res.transcript))
+    if args.out is not None:
         Path(args.out).write_text("\n".join(log_lines) + "\n")
 
     print(

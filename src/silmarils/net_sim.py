@@ -16,9 +16,10 @@ A Session runs in steps: run(k) runs on through round k, and rounds_run is
 the last round run.  branch(adversary) returns an independent twin under a
 new hook for the same corrupted role: each party a new instance of its type
 with its attributes copied one level deep and each tape Rng copied (by the
-state contract, a full copy), and new views, transcript and broadcasts.
-Exhaustive sweeps branch to run the rounds their grid points share once.
-run_session runs a Session to the end.
+state contract, a full copy), and a copy of the transcript and of the
+corrupted party's View.  Exhaustive sweeps branch to run the rounds their
+grid points share once.  run_session runs a Session to the end and returns
+its transcript.
 
 Within a round the corrupted party acts last: it receives the honest
 envelopes addressed to it before it emits, as the broadcast model's adversary
@@ -29,10 +30,13 @@ is delivered to all parties.  The honest parties do not yet check a
 payload's route (its round, sender and channel), so a corrupt party can send
 a broadcast-kind payload privately, to one party only.
 
-With collect=True the scheduler keeps every party's View and the transcript;
-with collect=False it keeps only the corrupted party's View, for the
-adversary's rewrite, and returns neither.  The broadcasts are returned either
-way.
+The transcript is the session's one record: each round's honest envelopes,
+in the parties' mapping order, then the corrupted party's rewritten ones.
+Every party receives what is addressed to it, privately or by broadcast, in
+transcript order; the corrupted party too, as its early deliveries are the
+round's honest envelopes.  So view_of(transcript, role) is exactly what role
+was delivered, in order.  Only the corrupted party keeps a live View, because
+the adversary's rewrite reads it mid-round.
 """
 
 from __future__ import annotations
@@ -76,10 +80,10 @@ class Envelope:
 
 @dataclass
 class View:
-    """What one party saw: every envelope delivered to it (broadcasts
-    included) and every envelope it emitted, in order.  The adversary's
-    rewrite receives the corrupted party's view, the only one a session keeps
-    when collect=False."""
+    """What the corrupted party saw so far: every envelope delivered to it
+    (broadcasts included) and every envelope it emitted, before the rewrite,
+    in order.  The adversary's rewrite receives it; a session keeps no other
+    View (see view_of)."""
 
     role: Role
     received: list = field(default_factory=list)
@@ -103,33 +107,21 @@ def _identity_rewrite(envelope: Envelope, view: View):
     return [envelope]
 
 
-@dataclass
-class NetResult:
-    """What travelled over the network: every broadcast envelope in delivery
-    order, plus the full transcript and each party's View when collect=True
-    (None otherwise).  Protocol-level meaning is applied by callers."""
-
-    broadcasts: list
-    transcript: Optional[list]
-    views: Optional[dict]
-
-
 class Session:
     """One session, run in steps from round 0 (see the module docstring)."""
 
-    def __init__(self, parties: Mapping[Role, object], adversary=None, *, collect=True):
+    def __init__(self, parties: Mapping[Role, object], adversary=None):
         corrupted = adversary.corrupted if adversary else None
         if corrupted is not None and corrupted not in parties:
             raise ValueError(f"corrupted role {corrupted} not present")
         self.adversary = adversary
         # (role, party, view-or-None) by position, in mapping order; only the
-        # corrupted party keeps a view unless collect asks for all of them.
+        # corrupted party keeps a view.
         self._slots = [
-            (role, party, View(role) if collect or role is corrupted else None)
+            (role, party, View(role) if role is corrupted else None)
             for role, party in parties.items()
         ]
-        self._transcript: Optional[list] = [] if collect else None
-        self._broadcasts: list = []
+        self._transcript: list = []
         self._round = 0
 
     @property
@@ -150,7 +142,7 @@ class Session:
         slots = self._slots
         honest = [slot for slot in slots if slot[0] is not corrupted]
         adv = next((slot for slot in slots if slot[0] is corrupted), None)
-        transcript, broadcasts = self._transcript, self._broadcasts
+        transcript = self._transcript
 
         for rnd in range(self._round + 1, until + 1):
             # Honest parties emit on pre-round knowledge; the corrupted one last.
@@ -188,12 +180,9 @@ class Session:
                         raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
                     pending.extend(rewritten)
 
-            if transcript is not None:
-                transcript.extend(pending)
+            transcript.extend(pending)
             for i, env in enumerate(pending):
                 recipient = env.recipient
-                if recipient is None:
-                    broadcasts.append(env)
                 skip = corrupted if i < early else None
                 for role, party, view in slots:
                     if role is not skip and (recipient is None or recipient is role):
@@ -203,10 +192,9 @@ class Session:
             self._round = rnd
         return self
 
-    def result(self) -> NetResult:
-        collect = self._transcript is not None
-        views = {role: view for role, _, view in self._slots} if collect else None
-        return NetResult(self._broadcasts, self._transcript, views)
+    def result(self) -> list:
+        """The transcript: every envelope the network carried so far, in order."""
+        return self._transcript
 
     def branch(self, adversary: Optional[AdversaryHook]) -> "Session":
         """An independent twin under a new hook for the same corrupted role."""
@@ -214,13 +202,11 @@ class Session:
         if (adversary.corrupted if adversary else None) is not corrupted:
             raise ValueError(f"a branch must corrupt the same role as its stem ({corrupted})")
         twin = object.__new__(Session)
-        twin.__dict__.update(vars(self), adversary=adversary, _broadcasts=list(self._broadcasts))
+        twin.__dict__.update(vars(self), adversary=adversary, _transcript=list(self._transcript))
         twin._slots = [
             (role, _copy_party(party), view and View(role, [*view.received], [*view.sent]))
             for role, party, view in self._slots
         ]
-        if self._transcript is not None:
-            twin._transcript = list(self._transcript)
         return twin
 
 
@@ -233,29 +219,15 @@ def _copy_party(party):
     return twin
 
 
-def run_session(
-    parties: Mapping[Role, object], adversary=None, *, total_rounds: int, collect=True
-) -> NetResult:
-    """Run one synchronous session to completion; see Session."""
-    return Session(parties, adversary, collect=collect).run(total_rounds).result()
+def run_session(parties: Mapping[Role, object], adversary=None, *, total_rounds: int) -> list:
+    """Run one synchronous session to completion and return its transcript;
+    see Session."""
+    return Session(parties, adversary).run(total_rounds).result()
 
 
-def broadcast_consistency_check(views: Mapping[Role, View]) -> bool:
-    """True iff every broadcast appears identically in all parties' views."""
-    all_broadcasts = set()
-    for view in views.values():
-        for env in view.received:
-            if env.is_broadcast:
-                all_broadcasts.add((env.round, env.sender, env.payload))
-    for view in views.values():
-        seen = {
-            (env.round, env.sender, env.payload)
-            for env in view.received
-            if env.is_broadcast
-        }
-        if seen != all_broadcasts:
-            return False
-    return True
+def view_of(transcript: Sequence[Envelope], role: Role) -> list:
+    """The envelopes delivered to role, in delivery order (module docstring)."""
+    return [env for env in transcript if env.recipient is None or env.recipient is role]
 
 
 def transcript_lines(transcript: Sequence[Envelope]) -> list[str]:

@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Optional
 from .errors import EmptyExperiment, PrimeTooLarge, RoleMismatch, UnknownStrategy
 from .field import Prime
 from .hashing import derive_message_key, derive_receipt
-from .net_sim import AdversaryHook, Envelope, Role
+from .net_sim import AdversaryHook, Envelope, Role, view_of
 from .rng import Rng
 from .sss import Weights
 from .three_party import (
@@ -294,14 +294,14 @@ def run_trials(
     seed: bytes,
     strategy: Optional[AttackStrategy] = None,
     message: bytes = DEFAULT_MESSAGE,
-    **session,
+    interpret: bool = False,
 ) -> Iterator:
     """Yield one run_signing_session result per trial, in trial order.
 
     Keys come from the b"params"/b"keys" forks of Rng(seed); trial i runs on
     the b"trial/<i>" fork and, under an attack strategy, the adversary draws
-    from that trial's b"adversary" fork.  The other keyword arguments
-    (collect, interpret) pass through **session to run_signing_session.
+    from that trial's b"adversary" fork.  interpret passes through to
+    run_signing_session.
     """
     prime = _as_prime(prime)
     root = Rng(seed)
@@ -311,7 +311,7 @@ def run_trials(
         hook = None
         if strategy is not None:
             hook = strategy.hook(prime, tri.fork(b"adversary"))
-        yield run_signing_session(keys, message, tri.seed, adversary=hook, **session)
+        yield run_signing_session(keys, message, tri.seed, adversary=hook, interpret=interpret)
 
 
 def _grid(p, limit: int, sweep: str) -> tuple:
@@ -538,12 +538,13 @@ def exhaustive_transferability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     )
 
 
-def _signing_phase_view(net, role: Role) -> tuple:
+def _signing_phase_view(transcript, role: Role) -> tuple:
     """Canonical bytes of everything the role received before the transfer."""
-    view = net.views[role]
+    # Bytes, not payloads: payload keys hold every stem's payloads alive in
+    # the p^5 tallies (suite-toy5 peak RSS went up 11%).
     return tuple(
         (env.round, env.sender.value, env.payload.to_wire())
-        for env in view.received
+        for env in view_of(transcript, role)
         if env.round < ROUND_TRANSFER
     )
 
@@ -556,9 +557,9 @@ def _total_variation(a: dict, a_total: int, b: dict, b_total: int) -> Fraction:
 
 def _distinct_x_messages(keys, seed: bytes) -> tuple:
     """Opened (so signed) honest sessions for two messages of distinct x."""
-    base = open_signing_session(keys, b"secrecy/a", seed, collect=True)
+    base = open_signing_session(keys, b"secrecy/a", seed)
     for i in range(64):
-        other = open_signing_session(keys, b"secrecy/b%d" % i, seed, collect=True)
+        other = open_signing_session(keys, b"secrecy/b%d" % i, seed)
         if other.parties[Role.P1].x != base.parties[Role.P1].x:
             return base, other
     raise RuntimeError("could not find two messages with distinct values")

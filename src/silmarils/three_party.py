@@ -45,7 +45,7 @@ from typing import Optional
 
 from ._record import frozen_record
 from .hashing import authenticated_value, receipt_from_nonce
-from .net_sim import AdversaryHook, Envelope, NetResult, Role, Session
+from .net_sim import AdversaryHook, Envelope, Role, Session
 from .rng import Rng
 from .sss import Weights
 from .two_party import KeyMaterial, Signature, _core_verify, sign
@@ -185,20 +185,20 @@ class TransferValue(_Payload):
 
 @dataclass
 class SessionOutcome:
-    """z2 (holder), z3 (verifier, None = bottom) and the broadcasts, whose
-    verdicts, as (round, sender, declaration) triples, are built on read."""
+    """z2 (holder), z3 (verifier, None = bottom) and the transcript; its
+    broadcast verdicts, as (round, sender, declaration) triples, are built on read."""
 
     z2: object
     z3: object
-    broadcasts: list
+    transcript: list
 
     @cached_property
     def verdicts(self) -> list:
         # Verdict payloads carry (reject label, accept label), indexed by ok.
         return [
             (env.round, env.sender.value, env.payload.labels[env.payload.ok])
-            for env in self.broadcasts
-            if hasattr(env.payload, "labels")
+            for env in self.transcript
+            if env.recipient is None and hasattr(env.payload, "labels")
         ]
 
 
@@ -464,12 +464,12 @@ class IcSessionResult:
     nonce: object
     arm: Optional[str]
     accepted: Optional[bool]
-    net: NetResult
+    transcript: list
 
 
 def open_signing_session(
     keys: KeyMaterial, message: bytes, seed: bytes, *,
-    adversary: Optional[AdversaryHook] = None, collect=False, ic_coins=None, challenge_coin=None,
+    adversary: Optional[AdversaryHook] = None, ic_coins=None, challenge_coin=None,
 ) -> Session:
     """The three parties built from a root seed, in a Session at round 0."""
     prime = keys.sk_K.prime
@@ -479,7 +479,7 @@ def open_signing_session(
         Role.P2: P2Holder(prime, root.fork(b"tape/P2"), challenge_coin=challenge_coin),
         Role.P3: P3Verifier(prime),
     }
-    return Session(parties, adversary, collect=collect)
+    return Session(parties, adversary)
 
 
 def force_coins(session: Session, *, ic_coins=None, challenge_coin=None) -> Session:
@@ -503,7 +503,7 @@ def signing_result(session: Session, *, interpret: bool = False) -> IcSessionRes
     """Read a session that has run all seven rounds off its parties."""
     parties = session.parties
     p1, p2, p3 = parties[Role.P1], parties[Role.P2], parties[Role.P3]
-    net = session.result()
+    transcript = session.result()
     accepted = None
     if interpret:
         # z3 is set only by a delivered transfer, so one is present here.
@@ -518,24 +518,24 @@ def signing_result(session: Session, *, interpret: bool = False) -> IcSessionRes
         )
     s = p1.setup
     return IcSessionResult(
-        outcome=SessionOutcome(p2.z2, p3.z3, net.broadcasts),
+        outcome=SessionOutcome(p2.z2, p3.z3, transcript),
         x=s.x,
         sig_alg=s.sig_alg,
         nonce=s.nonce,
         arm=p1.arm,
         accepted=accepted,
-        net=net,
+        transcript=transcript,
     )
 
 
 def run_signing_session(
     keys: KeyMaterial, message: bytes, seed: bytes, *,
-    adversary: Optional[AdversaryHook] = None, collect=False, interpret=False,
+    adversary: Optional[AdversaryHook] = None, interpret=False,
     ic_coins=None, challenge_coin=None,
 ) -> IcSessionResult:
     """Construct the three parties from a root seed and run all seven rounds."""
     session = open_signing_session(
-        keys, message, seed, adversary=adversary, collect=collect,
+        keys, message, seed, adversary=adversary,
         ic_coins=ic_coins, challenge_coin=challenge_coin,
     )
     return signing_result(session.run(TOTAL_ROUNDS), interpret=interpret)

@@ -8,11 +8,10 @@ from silmarils.errors import ScheduleViolation
 from silmarils.net_sim import (
     AdversaryHook,
     Envelope,
-    NetResult,
     Role,
-    broadcast_consistency_check,
     run_session,
     transcript_lines,
+    view_of,
 )
 
 
@@ -68,12 +67,12 @@ def test_private_delivery_and_broadcast_fanout():
             Envelope(1, Role.P1, None, Note("to everyone")),
         ]},
     })
-    net = run_session(parties, total_rounds=1)
+    transcript = run_session(parties, total_rounds=1)
     assert parties[Role.P2].payloads == [Note("private to P2"), Note("to everyone")]
     assert parties[Role.P3].payloads == [Note("to everyone")]
     # broadcast reaches the sender too
     assert parties[Role.P1].payloads == [Note("to everyone")]
-    assert [e.payload for e in net.broadcasts] == [Note("to everyone")]
+    assert [e.payload for e in transcript if e.is_broadcast] == [Note("to everyone")]
 
 
 def test_round_ordering_is_strict():
@@ -177,17 +176,12 @@ def test_views_and_broadcast_consistency():
         Role.P1: {1: [Envelope(1, Role.P1, None, Note("hello all"))]},
         Role.P3: {2: [Envelope(2, Role.P3, Role.P1, Note("reply"))]},
     }
-    net = run_session(_trio(plans), total_rounds=2)
-    assert broadcast_consistency_check(net.views)
-    assert net.views[Role.P2].received[0].payload == Note("hello all")
-    assert [e.payload.text for e in net.views[Role.P3].sent] == ["reply"]
-
-
-def test_collect_false_drops_bookkeeping():
-    plans = {Role.P1: {1: [Envelope(1, Role.P1, None, Note("x"))]}}
-    net = run_session(_trio(plans), total_rounds=1, collect=False)
-    assert net.transcript is None and net.views is None
-    assert isinstance(net, NetResult)
+    transcript = run_session(_trio(plans), total_rounds=2)
+    hello, reply = transcript
+    assert {role: view_of(transcript, role) for role in Role} == {
+        Role.P1: [hello, reply], Role.P2: [hello], Role.P3: [hello],
+    }
+    assert reply.payload == Note("reply") and reply.sender is Role.P3
 
 
 def test_transcript_lines_are_valid_json_and_ordered():
@@ -198,8 +192,7 @@ def test_transcript_lines_are_valid_json_and_ordered():
         ]},
         Role.P2: {2: [Envelope(2, Role.P2, Role.P3, Note("c"))]},
     }
-    net = run_session(_trio(plans), total_rounds=2)
-    lines = transcript_lines(net.transcript)
+    lines = transcript_lines(run_session(_trio(plans), total_rounds=2))
     records = [json.loads(line) for line in lines]
     assert [r["round"] for r in records] == [1, 1, 2]
     assert records[0] == {
@@ -226,8 +219,8 @@ def _snapshot(view):
 
 
 def _busy_trio():
-    # P2 is corrupted below: it gets private and broadcast traffic in every
-    # round and emits two envelopes per round, so rewrite runs twice a round.
+    # Every party sends private and broadcast traffic.  P2 gets some in every
+    # round and emits two envelopes per round, so its rewrite runs twice a round.
     return _trio({
         Role.P1: {
             1: [
@@ -253,30 +246,59 @@ def _busy_trio():
 
 
 def test_corrupted_view_is_the_same_with_and_without_collect():
-    recordings = {}
-    for collect in (True, False):
-        seen = recordings[collect] = []
+    # The live view rewrite reads grows by appending: every snapshot is a
+    # prefix of the final view, which holds what was delivered and emitted.
+    seen, views = [], []
 
-        def record(env, view):
-            seen.append(_snapshot(view))
-            return [env]
+    def record(env, view):
+        seen.append(_snapshot(view))
+        views.append(view)
+        return [env]
 
-        parties = _busy_trio()
-        net = run_session(
-            parties,
-            AdversaryHook(corrupted=Role.P2, rewrite=record),
-            total_rounds=3,
-            collect=collect,
-        )
-        assert len(seen) == 6
-        if collect:
-            received, sent = _snapshot(net.views[Role.P2])
-            assert received == [(e.round, e.payload.text) for e in parties[Role.P2].got]
-            for seen_received, seen_sent in seen:
-                assert seen_received == received[: len(seen_received)]
-                assert seen_sent == sent[: len(seen_sent)]
-            assert seen[-1][1] == sent
-    assert recordings[True] == recordings[False]
+    parties = _busy_trio()
+    transcript = run_session(
+        parties, AdversaryHook(corrupted=Role.P2, rewrite=record), total_rounds=3
+    )
+    assert len(seen) == 6 and all(view is views[0] for view in views)
+    received, sent = _snapshot(views[0])
+    assert received == [(e.round, e.payload.text) for e in parties[Role.P2].got]
+    assert views[0].received == view_of(transcript, Role.P2)
+    for seen_received, seen_sent in seen:
+        assert seen_received == received[: len(seen_received)]
+        assert seen_sent == sent[: len(seen_sent)]
+    assert seen[-1][1] == sent
+
+
+def _scramble(env, view):
+    # Drops every other envelope the corrupted party emits; the rest go out
+    # with a broadcast, a note to itself and a note to each other party.
+    if len(view.sent) % 2:
+        return []
+    me, text = env.sender, env.payload.text
+    return [
+        Envelope(env.round, me, None, Note(text + " to all")),
+        Envelope(env.round, me, me, Note(text + " to self")),
+        *(Envelope(env.round, me, r, Note(f"{text} to {r.value}")) for r in Role if r is not me),
+        env,
+    ]
+
+
+@pytest.mark.parametrize("corrupted", [None, Role.P1, Role.P2, Role.P3])
+def test_view_of_the_transcript_is_what_each_party_was_delivered(corrupted):
+    views = []
+
+    def rewrite(env, view):
+        views.append(view)
+        return _scramble(env, view)
+
+    parties = _busy_trio()
+    adversary = AdversaryHook(corrupted, rewrite) if corrupted else None
+    transcript = run_session(parties, adversary, total_rounds=3)
+    for role, party in parties.items():
+        assert view_of(transcript, role) == party.got
+    if corrupted:
+        assert views and views[-1].received == parties[corrupted].got
+        assert any(env.sender is corrupted for env in transcript)
 
 
 def test_corrupted_party_in_a_foreign_round_is_a_violation_unless_dropped():
@@ -296,8 +318,7 @@ def test_corrupted_party_in_a_foreign_round_is_a_violation_unless_dropped():
     assert trio[Role.P3].payloads == []
 
 
-@pytest.mark.parametrize("collect", [True, False])
-def test_rushing_delivers_each_envelope_to_the_corrupted_party_once(collect):
+def test_rushing_delivers_each_envelope_to_the_corrupted_party_once():
     plans = {
         Role.P1: {1: [
             Envelope(1, Role.P1, Role.P2, Note("first")),
@@ -313,12 +334,7 @@ def test_rushing_delivers_each_envelope_to_the_corrupted_party_once(collect):
         ]},
     }
     parties = _trio(plans)
-    run_session(
-        parties,
-        AdversaryHook(corrupted=Role.P2),
-        total_rounds=1,
-        collect=collect,
-    )
+    run_session(parties, AdversaryHook(corrupted=Role.P2), total_rounds=1)
     assert [p.text for p in parties[Role.P2].payloads] == [
         "first", "second", "third", "to myself", "to all",
     ]

@@ -120,28 +120,24 @@ def test_exhaustive_attack_rates_are_exactly_one_over_p():
 
 
 def test_branched_exhaustive_leaves_equal_fresh_sessions(monkeypatch):
-    # Every leaf of both exhaustive sweeps at p = 3, run with collect=True,
-    # must equal a fresh session with the leaf's hook and honest coins.
+    # Every leaf of both exhaustive sweeps at p = 3 must equal a fresh
+    # session with the leaf's hook and honest coins.
     leaves = []
-    opened = H.open_signing_session
     finish = H.signing_result
-    monkeypatch.setattr(
-        H, "open_signing_session", lambda *a, **kw: opened(*a, **{**kw, "collect": True})
-    )
     monkeypatch.setattr(H, "signing_result", lambda s, **kw: leaves.append(s) or finish(s, **kw))
     H.exhaustive_unforgeability(3)
     H.exhaustive_transferability(3)
     assert len(leaves) == 3**6 + 3 * 3 * 2
 
     def summary(res) -> tuple:
-        lines = transcript_lines(res.net.transcript)
+        lines = transcript_lines(res.transcript)
         return lines, res.outcome.z2, res.outcome.z3, res.arm, res.outcome.verdicts
 
     for leaf in leaves:
         p1, p2 = leaf.parties[Role.P1], leaf.parties[Role.P2]
         fresh = run_signing_session(
             p1.keys, p1.message, H.DEFAULT_SEED, adversary=leaf.adversary,
-            collect=True, ic_coins=p1._ic_coins, challenge_coin=p2._coin,
+            ic_coins=p1._ic_coins, challenge_coin=p2._coin,
         )
         assert summary(finish(leaf)) == summary(fresh)
 
@@ -164,9 +160,9 @@ def test_secrecy_tree_tallies_equal_fresh_sessions(monkeypatch):
         for coins, e in product(product(elems, repeat=4), elems):
             res = run_signing_session(
                 keys, base.parties[Role.P1].message, H.DEFAULT_SEED,
-                ic_coins=coins, challenge_coin=e, collect=True,
+                ic_coins=coins, challenge_coin=e,
             )
-            flat[H._signing_phase_view(res.net, Role.P3)] += 1
+            flat[H._signing_phase_view(res.transcript, Role.P3)] += 1
         assert dict(tally) == dict(flat)
         assert sum(tally.values()) == 3**5 and len(tally) > 1
 

@@ -13,9 +13,9 @@ from silmarils.net_sim import (
     AdversaryHook,
     Envelope,
     Role,
-    broadcast_consistency_check,
     run_session,
     transcript_lines,
+    view_of,
 )
 from silmarils.rng import Rng
 from silmarils.stats import STRATEGIES, get_strategy, run_trials
@@ -60,25 +60,29 @@ MSG = b"three party message"
 
 
 def test_honest_session_resolves_arm_b_and_transfers():
-    res = run_signing_session(KEYS, MSG, SEED, interpret=True, collect=True)
+    res = run_signing_session(KEYS, MSG, SEED, interpret=True)
     assert res.arm == "B"
     assert res.outcome.z2 == res.x
     assert res.outcome.z3 == res.x
     assert res.accepted is True
     # every verdict broadcast is an accept in the honest run
     assert {v[2] for v in res.outcome.verdicts} == {"accept"}
-    assert broadcast_consistency_check(res.net.views)
+    broadcasts = [env for env in res.transcript if env.is_broadcast]
+    assert all(
+        [env for env in view_of(res.transcript, role) if env.is_broadcast] == broadcasts
+        for role in Role
+    )
 
 
 def test_session_is_deterministic():
-    a = run_signing_session(KEYS, MSG, SEED, collect=True)
-    b = run_signing_session(KEYS, MSG, SEED, collect=True)
-    assert [e.payload.to_wire() for e in a.net.transcript] == [
-        e.payload.to_wire() for e in b.net.transcript
+    a = run_signing_session(KEYS, MSG, SEED)
+    b = run_signing_session(KEYS, MSG, SEED)
+    assert [e.payload.to_wire() for e in a.transcript] == [
+        e.payload.to_wire() for e in b.transcript
     ]
-    c = run_signing_session(KEYS, MSG, b"\x5b" * 32, collect=True)
-    assert [e.payload.to_wire() for e in a.net.transcript] != [
-        e.payload.to_wire() for e in c.net.transcript
+    c = run_signing_session(KEYS, MSG, b"\x5b" * 32)
+    assert [e.payload.to_wire() for e in a.transcript] != [
+        e.payload.to_wire() for e in c.transcript
     ]
 
 
@@ -89,10 +93,10 @@ def test_x_binds_message_and_signature():
 
 def test_forced_ic_coins_are_used():
     coins = (P251.elt(3), P251.elt(7), P251.elt(11), P251.elt(13))
-    res = run_signing_session(KEYS, MSG, SEED, ic_coins=coins, collect=True)
+    res = run_signing_session(KEYS, MSG, SEED, ic_coins=coins)
     dealt = {
         type(env.payload): env.payload
-        for env in res.net.transcript
+        for env in res.transcript
         if env.round == ROUND_SETUP
     }
     setup, keys = dealt[HolderSetup], dealt[VerifierSetup]
@@ -243,23 +247,6 @@ def test_starved_holder_and_keyless_verifier_stay_total():
         assert (4, "P3", "reject") in res.outcome.verdicts
 
 
-@pytest.mark.parametrize("strategy", [None, "substitute-guess-k1", "inconsistent-line"])
-def test_collect_does_not_change_sessions(strategy):
-    attack = get_strategy(strategy) if strategy else None
-
-    def outcomes(collect):
-        return [
-            (res.outcome.z2, res.outcome.z3, res.arm, res.outcome.verdicts, res.accepted)
-            for res in run_trials(
-                P251, 20, seed=SEED, strategy=attack, collect=collect, interpret=True
-            )
-        ]
-
-    lean, full = outcomes(False), outcomes(True)
-    assert len(lean) == 20
-    assert lean == full
-
-
 def test_role_identity_hash_changes_no_lookup_or_session(monkeypatch):
     assert hash(Role.P1) == object.__hash__(Role.P1)
     table = {Role.P1: "signer", Role.P2: "holder", Role.P3: "verifier"}
@@ -274,14 +261,13 @@ def test_role_identity_hash_changes_no_lookup_or_session(monkeypatch):
         runs = []
         for name in (None, "substitute-guess-k1", "inconsistent-line"):
             attack = get_strategy(name) if name else None
-            for res in run_trials(P251, 8, seed=SEED, strategy=attack, collect=True):
+            for res in run_trials(P251, 8, seed=SEED, strategy=attack):
                 # Role-keyed dicts become item lists: they are compared after
                 # the hash changes, when the old dicts can no longer be probed.
-                net = res.net
                 runs.append((
                     (res.outcome, res.x, res.arm),
-                    transcript_lines(net.transcript),
-                    [(role, view.received) for role, view in net.views.items()],
+                    transcript_lines(res.transcript),
+                    [(role, view_of(res.transcript, role)) for role in Role],
                 ))
         return runs
 
@@ -337,8 +323,8 @@ def _run_parties(keys, adversary, *, ic_coins=None):
         Role.P2: P2Holder(P251, root.fork(b"tape/P2")),
         Role.P3: P3Verifier(P251),
     }
-    net = run_session(parties, adversary, total_rounds=TOTAL_ROUNDS, collect=True)
-    return parties, net
+    transcript = run_session(parties, adversary, total_rounds=TOTAL_ROUNDS)
+    return parties, transcript
 
 
 def test_arm_d_false_reject_reveals_the_line():
@@ -358,9 +344,9 @@ def test_arm_d_false_reject_reveals_the_line():
     assert [v[2] for v in res.outcome.verdicts] == ["accept", "reject", "P3 corrupt"]
 
     coins = (P251.elt(42), P251.elt(7), P251.elt(11), P251.elt(13))
-    parties, net = _run_parties(KEYS, adversary, ic_coins=coins)
+    parties, transcript = _run_parties(KEYS, adversary, ic_coins=coins)
     x = parties[Role.P1].setup.x
-    reveals = [env.payload for env in net.transcript if env.round == ROUND_RESOLUTION]
+    reveals = [env.payload for env in transcript if env.round == ROUND_RESOLUTION]
     assert reveals == [RevealLine(coins[0], coins[1])]
     holder, verifier = parties[Role.P2], parties[Role.P3]
     assert holder.cur_sigma == coins[0] * x + coins[1]
@@ -424,8 +410,8 @@ def _reveal_point_instead(*, starve_p3=False, force_arm_a=False):
 
 @pytest.mark.parametrize("starve_p3", [False, True], ids=["keyed-p3", "starved-p3"])
 def test_reveal_point_is_adopted_before_arm_a(starve_p3):
-    parties, net = _run_parties(KEYS, _reveal_point_instead(starve_p3=starve_p3))
-    assert [env.payload for env in net.transcript if env.round == ROUND_RESOLUTION] == [
+    parties, transcript = _run_parties(KEYS, _reveal_point_instead(starve_p3=starve_p3))
+    assert [env.payload for env in transcript if env.round == ROUND_RESOLUTION] == [
         RevealPoint(*FAKE)
     ]
     assert parties[Role.P1].arm == "D"
@@ -439,11 +425,12 @@ def test_reveal_point_is_adopted_before_arm_a(starve_p3):
 
 
 def test_reveal_point_after_arm_a_is_a_dead_letter():
-    parties, net = _run_parties(KEYS, _reveal_point_instead(force_arm_a=True))
+    parties, transcript = _run_parties(KEYS, _reveal_point_instead(force_arm_a=True))
     x = parties[Role.P1].setup.x
-    sent = [(env.round, type(env.payload)) for env in net.broadcasts]
+    broadcasts = [env for env in transcript if env.is_broadcast]
+    sent = [(env.round, type(env.payload)) for env in broadcasts]
     assert (3, ChallengeVerdict) in sent and (6, RevealPoint) in sent
-    assert not any(env.sender is Role.P3 for env in net.broadcasts)
+    assert not any(env.sender is Role.P3 for env in broadcasts)
     assert parties[Role.P2].cur_x == x
     assert parties[Role.P2].z2 == parties[Role.P3].z3 == x
 
@@ -466,16 +453,14 @@ def test_revealless_failing_challenge_verdict_is_silence():
 
 def _session_state(session) -> tuple:
     """Everything a branch could disturb: each party's attributes and tape
-    position, the views, the transcript and the broadcasts."""
-    net = session.result()
+    position, the corrupted party's view and the transcript."""
     parties = session.parties
     return (
         {role: dict(vars(party)) for role, party in parties.items()},
         {role: party._rng.copy().take(16) for role, party in parties.items()
          if hasattr(party, "_rng")},
-        {role: (list(view.received), list(view.sent)) for role, view in net.views.items()},
-        list(net.transcript),
-        list(net.broadcasts),
+        [(list(view.received), list(view.sent)) for _, _, view in session._slots if view],
+        list(session.result()),
     )
 
 
@@ -483,7 +468,7 @@ def _session_state(session) -> tuple:
 def test_a_branch_leaves_its_stem_and_siblings_untouched(name):
     strategy = STRATEGIES[name]
     stem = open_signing_session(
-        KEYS, MSG, SEED, adversary=AdversaryHook(strategy.corrupted), collect=True
+        KEYS, MSG, SEED, adversary=AdversaryHook(strategy.corrupted)
     ).run(strategy.acts_in - 1)
     before = _session_state(stem)
     first = stem.branch(strategy.hook(P251, Rng(b"\x01" * 32))).run(TOTAL_ROUNDS)
@@ -492,7 +477,7 @@ def test_a_branch_leaves_its_stem_and_siblings_untouched(name):
     second = stem.branch(strategy.hook(P251, Rng(b"\x02" * 32))).run(TOTAL_ROUNDS)
     assert _session_state(stem) == before
     assert _session_state(first) == first_state
-    assert first.result().transcript != second.result().transcript
+    assert first.result() != second.result()
     other = Role.P3 if strategy.corrupted is not Role.P3 else Role.P1
     with pytest.raises(ValueError):
         stem.branch(AdversaryHook(other))
@@ -505,7 +490,7 @@ E = P251.elt(9)
 
 
 def test_force_coins_refuses_a_coin_already_drawn():
-    base = open_signing_session(KEYS, MSG, SEED, collect=True)
+    base = open_signing_session(KEYS, MSG, SEED)
     dealt = force_coins(base, ic_coins=COINS).run(ROUND_SETUP)
     with pytest.raises(ValueError):
         force_coins(dealt, ic_coins=COINS)
@@ -516,8 +501,8 @@ def test_force_coins_refuses_a_coin_already_drawn():
 
 
 def test_forced_twin_equals_a_fresh_session_and_leaves_its_base_untouched():
-    fresh = run_signing_session(KEYS, MSG, SEED, collect=True, ic_coins=COINS, challenge_coin=E)
-    base = open_signing_session(KEYS, MSG, SEED, collect=True)
+    fresh = run_signing_session(KEYS, MSG, SEED, ic_coins=COINS, challenge_coin=E)
+    base = open_signing_session(KEYS, MSG, SEED)
     before = _session_state(base)
     for twin in (
         force_coins(base, ic_coins=COINS, challenge_coin=E),
@@ -525,10 +510,10 @@ def test_forced_twin_equals_a_fresh_session_and_leaves_its_base_untouched():
     ):
         res = signing_result(twin.run(TOTAL_ROUNDS))
         assert _session_state(base) == before
-        assert transcript_lines(res.net.transcript) == transcript_lines(fresh.net.transcript)
+        assert transcript_lines(res.transcript) == transcript_lines(fresh.transcript)
         assert (res.x, res.arm, res.outcome.z2, res.outcome.z3) == (
             fresh.x, fresh.arm, fresh.outcome.z2, fresh.outcome.z3
         )
     assert base.rounds_run == 0
-    challenge = next(env.payload for env in fresh.net.transcript if env.round == ROUND_CHALLENGE)
+    challenge = next(env.payload for env in fresh.transcript if env.round == ROUND_CHALLENGE)
     assert challenge.e == E
