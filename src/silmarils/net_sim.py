@@ -5,21 +5,21 @@ party.
 The party contract is three members: emit(round) -> [Envelope],
 deliver(envelope), and emit_rounds, the set of rounds the party may emit in.
 A party's state is its attributes: they are rebound, never mutated in place,
-except a tape Rng, which advances (the keys' per-message memos cache a pure
-function, so sharing them changes nothing).  The scheduler runs rounds in
-lockstep, delivering each round's traffic before the next round begins.  It
-returns only what travelled over the network; a party's result is its own
-state, which the caller reads off the party object it built.  The parties'
-tapes and the adversary's choices carry all the randomness.
+except its tape, which advances.  A party keeps its tape, if any, in _rng; a
+branch copies the attribute dict and that tape (the keys' per-message memos
+cache a pure function, so sharing them changes nothing).  The scheduler runs
+rounds in lockstep, delivering each round's traffic before the next round
+begins.  It returns only what travelled over the network; a party's result
+is its own state, which the caller reads off the party object it built.  The
+parties' tapes and the adversary's choices carry all the randomness.
 
 A Session runs in steps: run(k) runs on through round k, and rounds_run is
 the last round run.  branch(adversary) returns an independent twin under a
 new hook for the same corrupted role: each party a new instance of its type
-with its attributes copied one level deep and each tape Rng copied (by the
-state contract, a full copy), and a copy of the transcript and of the
-corrupted party's View.  Exhaustive sweeps branch to run the rounds their
-grid points share once.  run_session runs a Session to the end and returns
-its transcript.
+with its attribute dict and tape copied (by the state contract, a full copy),
+and a copy of the transcript and of the corrupted party's View.  Exhaustive
+sweeps branch to run the rounds their grid points share once.  run_session
+runs a Session to the end and returns its transcript.
 
 Within a round the corrupted party acts last: it receives the honest
 envelopes addressed to it before it emits, as the broadcast model's adversary
@@ -48,7 +48,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import frozen_record
 from .errors import ScheduleViolation
-from .rng import Rng
 
 
 class Role(enum.Enum):
@@ -202,7 +201,9 @@ class Session:
         if (adversary.corrupted if adversary else None) is not corrupted:
             raise ValueError(f"a branch must corrupt the same role as its stem ({corrupted})")
         twin = object.__new__(Session)
-        twin.__dict__.update(vars(self), adversary=adversary, _transcript=list(self._transcript))
+        twin.adversary = adversary
+        twin._transcript = self._transcript[:]
+        twin._round = self._round
         twin._slots = [
             (role, _copy_party(party), view and View(role, [*view.received], [*view.sent]))
             for role, party, view in self._slots
@@ -211,11 +212,12 @@ class Session:
 
 
 def _copy_party(party):
+    # Complete: other attributes are only rebound; the tape, _rng, advances.
     twin = object.__new__(type(party))
-    twin.__dict__ = {
-        name: value.copy() if isinstance(value, Rng) else value
-        for name, value in vars(party).items()
-    }
+    state = twin.__dict__ = party.__dict__.copy()
+    rng = state.get("_rng")
+    if rng is not None:
+        state["_rng"] = rng.copy()
     return twin
 
 

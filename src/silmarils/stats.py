@@ -194,8 +194,10 @@ class AttackStrategy:
     the corrupted party applies to its traffic; hook() wraps it in the
     AdversaryHook for `corrupted`.  forced parameters (ghat, offset, delta,
     delta_prime) replace the random draws so the exhaustive enumerations can
-    sweep them.  acts_in is the first round whose envelopes the rewrite can
-    change: before it, the rewrite returns [envelope] and draws nothing.
+    sweep them.  With every draw forced, a rewrite draws nothing and keeps no
+    per-session state, so one hook may serve many sessions.  acts_in is the
+    first round whose envelopes the rewrite can change: before it, the
+    rewrite returns [envelope] and draws nothing.
     """
 
     name: str
@@ -495,10 +497,11 @@ def _exhaustive_attack(
     base = open_signing_session(
         keys, DEFAULT_MESSAGE, DEFAULT_SEED, adversary=AdversaryHook(strategy.corrupted)
     )
+    hooks = [strategy.hook(prime, adv_rng, **forced) for forced in choices]
     trials = successes = 0
     for stem in _stems(base, coin_grid, elems, strategy.acts_in - 1):
-        for forced in choices:
-            leaf = stem.branch(strategy.hook(prime, adv_rng, **forced))
+        for hook in hooks:
+            leaf = stem.branch(hook)
             trials += 1
             successes += success(signing_result(leaf.run(TOTAL_ROUNDS)))
     return make_estimate(

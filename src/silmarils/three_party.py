@@ -44,6 +44,7 @@ from functools import cached_property
 from typing import Optional
 
 from ._record import frozen_record
+from .field import FieldElement
 from .hashing import authenticated_value, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, Role, Session
 from .rng import Rng
@@ -63,6 +64,9 @@ TOTAL_ROUNDS = 7
 def _wire_parts(*parts) -> bytes:
     out = bytearray()
     for part in parts:
+        if type(part) is FieldElement:
+            out += b"\x03" + part.residue.to_bytes(part.prime.byte_length, "big")
+            continue
         if isinstance(part, Signature):
             part = part.encode()
         if part is None:
@@ -71,7 +75,7 @@ def _wire_parts(*parts) -> bytes:
             out += b"\x01" + bytes([part])
         elif isinstance(part, (bytes, bytearray)):
             out += b"\x02" + len(part).to_bytes(8, "big") + bytes(part)
-        else:  # field element
+        else:  # element-like values encode themselves
             out += b"\x03" + part.to_bytes()
     return bytes(out)
 

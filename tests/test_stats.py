@@ -186,6 +186,30 @@ def test_each_exhaustive_sweep_signs_once_per_message(monkeypatch):
         assert sorted(signed.values()) == [1] * messages
 
 
+def test_forced_hooks_draw_nothing(monkeypatch):
+    # _exhaustive_attack builds one hook per choice and branches it into
+    # every stem, which is exact only if a rewrite with every draw forced
+    # never touches its stream.
+    choices = []
+    hook = H.AttackStrategy.hook
+    monkeypatch.setattr(
+        H.AttackStrategy, "hook",
+        lambda s, prime, rng, **forced: choices.append((s, forced)) or hook(s, prime, rng, **forced),
+    )
+    H.exhaustive_unforgeability(3)
+    H.exhaustive_transferability(3)
+    assert len(choices) == 3 + 2 * 3
+    prime = Prime(3)
+    keys = H._keys_for(prime, Rng(H.DEFAULT_SEED))
+    for strategy, forced in choices:
+        rng = Rng(b"f" * 32)
+        before = rng.copy().take(16)
+        adversary = hook(strategy, prime, rng, **forced)
+        for i in range(20):
+            run_signing_session(keys, H.DEFAULT_MESSAGE, i.to_bytes(32, "big"), adversary=adversary)
+        assert rng.copy().take(16) == before, (strategy.name, forced)
+
+
 @pytest.mark.parametrize("name", sorted(H.STRATEGIES))
 def test_strategies_rewrite_nothing_before_acts_in(name):
     # The exhaustive sweeps run every round before acts_in once, under an

@@ -485,6 +485,19 @@ def test_a_branch_leaves_its_stem_and_siblings_untouched(name):
         stem.branch(None)
 
 
+@pytest.mark.parametrize("name", [None, *sorted(STRATEGIES)])
+def test_every_tape_lives_in_rng(name):
+    # A branch copies the attribute dict and only the tape in _rng; a tape
+    # under any other name would be shared, and advanced, by stem and twins.
+    hook = STRATEGIES[name].hook(P251, Rng(b"\x03" * 32)) if name else None
+    session = open_signing_session(KEYS, MSG, SEED, adversary=hook)
+    for rnd in range(TOTAL_ROUNDS + 1):
+        session.run(rnd)
+        for role, party in session.parties.items():
+            stray = [k for k, v in vars(party).items() if isinstance(v, Rng) and k != "_rng"]
+            assert not stray, (rnd, role, stray)
+
+
 COINS = (P251.elt(3), P251.elt(7), P251.elt(11), P251.elt(13))
 E = P251.elt(9)
 
