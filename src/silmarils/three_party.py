@@ -65,7 +65,7 @@ def _wire_parts(*parts) -> bytes:
     out = bytearray()
     for part in parts:
         if type(part) is FieldElement:
-            out += b"\x03" + part.residue.to_bytes(part.prime.byte_length, "big")
+            out += b"\x03" + part.to_bytes()
             continue
         if isinstance(part, Signature):
             part = part.encode()
@@ -75,8 +75,8 @@ def _wire_parts(*parts) -> bytes:
             out += b"\x01" + bytes([part])
         elif isinstance(part, (bytes, bytearray)):
             out += b"\x02" + len(part).to_bytes(8, "big") + bytes(part)
-        else:  # element-like values encode themselves
-            out += b"\x03" + part.to_bytes()
+        else:
+            raise TypeError(f"no wire encoding for {type(part).__name__}")
     return bytes(out)
 
 

@@ -312,6 +312,8 @@ def test_payload_wire_bytes():
     ]
     for payload, wire in cases:
         assert payload.to_wire().hex() == wire, payload
+    with pytest.raises(TypeError):
+        RevealPoint(7, e(51)).to_wire()
 
 
 def _run_parties(keys, adversary, *, ic_coins=None):
