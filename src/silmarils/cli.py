@@ -311,8 +311,8 @@ def cmd_sim3p(args) -> int:
         z2_eq += out.z2 == res.x
         z3_eq += out.z3 == res.x
         bottom += out.z3 is None
-        forged += harness._forged(res)
-        divergent += harness._divergent(res)
+        forged += harness._forged(res.x, out.z2, out.z3)
+        divergent += harness._divergent(res.x, out.z2, out.z3)
         verdict_counts.update(label for _, _, label in out.verdicts)
         arm_counts[res.arm] += 1
         if args.out is not None:

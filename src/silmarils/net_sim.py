@@ -141,19 +141,19 @@ class Session:
         slots = self._slots
         honest = [slot for slot in slots if slot[0] is not corrupted]
         adv = next((slot for slot in slots if slot[0] is corrupted), None)
+        # A broadcast goes to every slot, a private envelope to its recipient's.
+        addressed = {slot[0]: (slot,) for slot in slots}
         transcript = self._transcript
 
         for rnd in range(self._round + 1, until + 1):
             # Honest parties emit on pre-round knowledge; the corrupted one last.
             pending: list[Envelope] = []
-            for role, party, view in honest:
+            for role, party, _ in honest:
                 out = party.emit(rnd)
                 if out:
                     if rnd not in party.emit_rounds:
                         raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
                     pending.extend(out)
-                    if view is not None:
-                        view.sent.extend(out)
             # The corrupted party receives the first `early` envelopes
             # addressed to it before it emits; the fan-out skips them for it.
             early = 0
@@ -183,8 +183,9 @@ class Session:
             for i, env in enumerate(pending):
                 recipient = env.recipient
                 skip = corrupted if i < early else None
-                for role, party, view in slots:
-                    if role is not skip and (recipient is None or recipient is role):
+                targets = slots if recipient is None else addressed.get(recipient, ())
+                for role, party, view in targets:
+                    if role is not skip:
                         party.deliver(env)
                         if view is not None:
                             view.received.append(env)

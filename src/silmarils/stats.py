@@ -57,7 +57,6 @@ from .three_party import (
     force_coins,
     open_signing_session,
     run_signing_session,
-    signing_result,
 )
 from .two_party import (
     Params,
@@ -363,12 +362,12 @@ def estimate_correctness(
     )
 
 
-def _forged(res) -> bool:
-    return res.outcome.z3 is not None and res.outcome.z3 != res.x
+def _forged(x, z2, z3) -> bool:
+    return z3 is not None and z3 != x
 
 
-def _divergent(res) -> bool:
-    return res.outcome.z2 is not None and res.outcome.z2 != res.outcome.z3
+def _divergent(x, z2, z3) -> bool:
+    return z2 is not None and z2 != z3
 
 
 # Corrupted role -> (experiment name, success predicate, note).
@@ -388,7 +387,7 @@ def _estimate_attack(role: Role, p, strategy: str, trials: int, seed: bytes) -> 
             f"{strategy.name} corrupts {strategy.corrupted.value}"
         )
     results = run_trials(prime, trials, seed=seed, strategy=strategy)
-    successes = sum(1 for res in results if success(res))
+    successes = sum(1 for res in results if success(res.x, res.outcome.z2, res.outcome.z3))
     return make_estimate(
         f"{experiment}/{strategy.name}",
         prime.value,
@@ -474,6 +473,12 @@ def _stems(base, coin_grid, e_grid, until: int) -> Iterator:
             yield force_coins(dealt, challenge_coin=e).run(until)
 
 
+def _leaf_values(leaf) -> tuple:
+    """(x, z2, z3) read off the parties of a leaf run to the end."""
+    parties = leaf.parties
+    return parties[Role.P1].x, parties[Role.P2].z2, parties[Role.P3].z3
+
+
 def _exhaustive_attack(
     strategy: str, p, seed: bytes, size: str, grids, note: str
 ) -> Estimate:
@@ -501,9 +506,8 @@ def _exhaustive_attack(
     trials = successes = 0
     for stem in _stems(base, coin_grid, elems, strategy.acts_in - 1):
         for hook in hooks:
-            leaf = stem.branch(hook)
             trials += 1
-            successes += success(signing_result(leaf.run(TOTAL_ROUNDS)))
+            successes += success(*_leaf_values(stem.branch(hook).run(TOTAL_ROUNDS)))
     return make_estimate(
         f"{experiment}-exhaustive",
         prime.value,
@@ -544,9 +548,10 @@ def exhaustive_transferability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
 def _signing_phase_view(transcript, role: Role) -> tuple:
     """Canonical bytes of everything the role received before the transfer."""
     # Bytes, not payloads: payload keys hold every stem's payloads alive in
-    # the p^5 tallies (suite-toy5 peak RSS went up 11%).
+    # the p^5 tallies, while stems sharing a payload share its cached bytes.
+    # The keys stay in this process, so the sender is the Role itself.
     return tuple(
-        (env.round, env.sender.value, env.payload.to_wire())
+        (env.round, env.sender, env.payload.to_wire())
         for env in view_of(transcript, role)
         if env.round < ROUND_TRANSFER
     )

@@ -35,6 +35,7 @@ Wire format (to_wire, the ``payload`` hex of a transcript line): the class's
 tag byte, written as a one-byte message, then each field in declared order:
 00 None, 01 + one byte for a bool, 02 + 8-byte big-endian length + bytes for
 the message and a signature (Signature.encode()), 03 + fixed-width element.
+Each payload keeps its to_wire bytes; honest verdicts are shared instances.
 """
 
 from __future__ import annotations
@@ -81,12 +82,16 @@ def _wire_parts(*parts) -> bytes:
 
 
 class _Payload:
-    """A session message; each subclass sets its one-byte ``tag``."""
+    """A session message; each subclass sets its one-byte ``tag``.  to_wire
+    keeps its bytes in _wire, outside ==, hash, repr, fields() and replace()."""
+
+    _wire = None
 
     def to_wire(self) -> bytes:
-        # frozen_record stores the fields in the instance __dict__ in
-        # declared order.
-        return _wire_parts(self.tag, *vars(self).values())
+        if self._wire is None:
+            fields = map(self.__dict__.__getitem__, self.__dataclass_fields__)
+            self.__dict__["_wire"] = _wire_parts(self.tag, *fields)
+        return self._wire
 
 
 @frozen_record
@@ -187,6 +192,15 @@ class TransferValue(_Payload):
     nonce: object
 
 
+# The verdicts honest P1 and P3 emit, by ok.  A comparison over a corrupt
+# party's payload can yield an ok that is not a bool; that verdict is built.
+_SHARED = {c: (c(False), c(True)) for c in (ChallengeVerdict, LineVerdict, AuditVerdict)}
+
+
+def _verdict(cls, ok):
+    return _SHARED[cls][ok] if type(ok) is bool else cls(ok)
+
+
 @dataclass
 class SessionOutcome:
     """z2 (holder), z3 (verifier, None = bottom) and the transcript; its
@@ -198,12 +212,17 @@ class SessionOutcome:
 
     @cached_property
     def verdicts(self) -> list:
-        # Verdict payloads carry (reject label, accept label), indexed by ok.
+        # Verdict payloads carry (reject label, accept label), indexed by a
+        # bool ok; any other ok, only ever a corrupt party's, is "malformed".
         return [
-            (env.round, env.sender.value, env.payload.labels[env.payload.ok])
+            (env.round, env.sender.value, _label(env.payload))
             for env in self.transcript
             if env.recipient is None and hasattr(env.payload, "labels")
         ]
+
+
+def _label(verdict) -> str:
+    return verdict.labels[verdict.ok] if type(verdict.ok) is bool else "malformed"
 
 
 class P1Signer:
@@ -214,7 +233,7 @@ class P1Signer:
     def __init__(self, keys: KeyMaterial, message: bytes, tape: Rng, ic_coins=None):
         # The signature comes first off the tape, before round 1's coins.
         self.keys = keys
-        self.message = message
+        self.message = message = bytes(message)  # payload fields are immutable
         self._rng = tape
         self._ic_coins = ic_coins
         self.sig_alg, signing_tape = sign(keys, message, tape)
@@ -262,7 +281,7 @@ class P1Signer:
                 and ch.x_e == s.x_prime + ch.e * s.x
                 and ch.sigma_e == s.sigma_prime + ch.e * s.sigma
             ):
-                return [Envelope(rnd, Role.P1, None, ChallengeVerdict(True))]
+                return [Envelope(rnd, Role.P1, None, _verdict(ChallengeVerdict, True))]
             self.arm = "A"
             return [Envelope(rnd, Role.P1, None, ChallengeVerdict(False, s.x, s.sigma))]
         if rnd == ROUND_AUDIT:
@@ -277,7 +296,7 @@ class P1Signer:
             )
             if not ok:
                 self.arm = "D"
-            return [Envelope(rnd, Role.P1, None, AuditVerdict(ok))]
+            return [Envelope(rnd, Role.P1, None, _verdict(AuditVerdict, ok))]
         if rnd == ROUND_RESOLUTION:
             if self.arm == "A":
                 return []
@@ -410,7 +429,7 @@ class P3Verifier:
                 and ch is not None
                 and ch.sigma_e == self.k1 * ch.x_e + self.k2_prime + ch.e * self.k2
             )
-            return [Envelope(rnd, Role.P3, None, LineVerdict(ok))]
+            return [Envelope(rnd, Role.P3, None, _verdict(LineVerdict, ok))]
         return []
 
     def deliver(self, env: Envelope) -> None:

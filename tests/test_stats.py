@@ -21,7 +21,7 @@ from silmarils.field import Prime
 from silmarils.net_sim import AdversaryHook, Role, transcript_lines
 from silmarils.rng import Rng
 from silmarils import three_party
-from silmarils.three_party import run_signing_session
+from silmarils.three_party import run_signing_session, signing_result
 
 from .oracles import wilson_bounds_by_bisection
 
@@ -121,10 +121,11 @@ def test_exhaustive_attack_rates_are_exactly_one_over_p():
 
 def test_branched_exhaustive_leaves_equal_fresh_sessions(monkeypatch):
     # Every leaf of both exhaustive sweeps at p = 3 must equal a fresh
-    # session with the leaf's hook and honest coins.
+    # session with the leaf's hook and honest coins; the leaves are caught
+    # where the sweep reads their (x, z2, z3).
     leaves = []
-    finish = H.signing_result
-    monkeypatch.setattr(H, "signing_result", lambda s, **kw: leaves.append(s) or finish(s, **kw))
+    read = H._leaf_values
+    monkeypatch.setattr(H, "_leaf_values", lambda leaf: leaves.append(leaf) or read(leaf))
     H.exhaustive_unforgeability(3)
     H.exhaustive_transferability(3)
     assert len(leaves) == 3**6 + 3 * 3 * 2
@@ -139,7 +140,8 @@ def test_branched_exhaustive_leaves_equal_fresh_sessions(monkeypatch):
             p1.keys, p1.message, H.DEFAULT_SEED, adversary=leaf.adversary,
             ic_coins=p1._ic_coins, challenge_coin=p2._coin,
         )
-        assert summary(finish(leaf)) == summary(fresh)
+        assert summary(signing_result(leaf)) == summary(fresh)
+        assert read(leaf) == (fresh.x, fresh.outcome.z2, fresh.outcome.z3)
 
 
 def test_secrecy_tree_tallies_equal_fresh_sessions(monkeypatch):

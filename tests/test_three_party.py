@@ -37,6 +37,7 @@ from silmarils.three_party import (
     RevealPoint,
     TransferValue,
     VerifierSetup,
+    _wire_parts,
     force_coins,
     interpret_value,
     open_signing_session,
@@ -277,16 +278,14 @@ def test_role_identity_hash_changes_no_lookup_or_session(monkeypatch):
     assert sessions() == with_identity_hash
 
 
-def test_payload_wire_bytes():
-    # Each payload is its tag as a one-byte message (02, 8-byte length 1,
-    # tag), then its fields in declared order: 00 None, 01+byte bool,
-    # 02+8-byte length+bytes for message and signature, 03+element.
+def _pinned_payloads() -> list:
+    """(payload, wire hex) for every payload kind; see the test below."""
     e = P251.elt
     sig = Signature(e(1), e(2), e(3), e(4), e(250))
     sig_part = "020000000000000005" "01020304fa"
     msg_part = "020000000000000003" "6d7367"
     tag = "020000000000000001"
-    cases = [
+    return [
         (
             HolderSetup(e(10), e(11), e(12), e(13), b"msg", sig, e(14)),
             tag + "10" "030a" "030b" "030c" "030d" + msg_part + sig_part + "030e",
@@ -310,10 +309,110 @@ def test_payload_wire_bytes():
             tag + "18" "0300" "0300" "020000000000000000" "00" "00",
         ),
     ]
-    for payload, wire in cases:
+
+
+def test_payload_wire_bytes():
+    # Each payload is its tag as a one-byte message (02, 8-byte length 1,
+    # tag), then its fields in declared order: 00 None, 01+byte bool,
+    # 02+8-byte length+bytes for message and signature, 03+element.
+    for payload, wire in _pinned_payloads():
         assert payload.to_wire().hex() == wire, payload
     with pytest.raises(TypeError):
-        RevealPoint(7, e(51)).to_wire()
+        RevealPoint(7, P251.elt(51)).to_wire()
+
+
+def _encode_fields(payload) -> bytes:
+    fields = dataclasses.fields(payload)
+    return _wire_parts(payload.tag, *(getattr(payload, f.name) for f in fields))
+
+
+def test_payload_wire_cache_is_invisible():
+    # to_wire keeps its bytes on the instance: the first and every later call
+    # equal a fresh encoding of the declared fields, and the record behaves
+    # as if nothing were kept.  A replace() starts without the cache.
+    for payload, wire in _pinned_payloads():
+        twin = dataclasses.replace(payload)
+        before = (repr(payload), hash(payload), dataclasses.fields(payload))
+        assert payload.to_wire() == payload.to_wire() == _encode_fields(payload)
+        assert payload.to_wire().hex() == wire
+        assert (repr(payload), hash(payload), dataclasses.fields(payload)) == before
+        assert payload == twin and twin == payload and hash(twin) == hash(payload)
+        assert repr(twin) == repr(payload)
+        assert dataclasses.replace(payload).to_wire() == payload.to_wire()
+        first = dataclasses.fields(payload)[0].name
+        value = getattr(payload, first)
+        other = not value if isinstance(value, bool) else value + P251.one
+        changed = dataclasses.replace(payload, **{first: other})
+        assert changed != payload
+        assert changed.to_wire() == _encode_fields(changed) != payload.to_wire()
+
+
+def test_payload_fields_are_immutable():
+    # A payload's cached bytes stay true only if its fields cannot change:
+    # the records are frozen, and a bytearray message is frozen to bytes.
+    setup = open_signing_session(KEYS, MSG, SEED).run(ROUND_SETUP).parties[Role.P1].setup
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setup.message = b"other"
+    message = bytearray(MSG)
+    signer = P1Signer(KEYS, message, Rng(SEED))
+    message[0] ^= 1
+    assert type(signer.message) is bytes and signer.message == MSG
+    fresh = run_signing_session(KEYS, MSG, SEED)
+    res = run_signing_session(KEYS, bytearray(MSG), SEED)
+    assert type(res.transcript[0].payload.message) is bytes
+    assert transcript_lines(res.transcript) == transcript_lines(fresh.transcript)
+
+
+def test_honest_verdicts_are_shared_instances():
+    a = run_signing_session(KEYS, MSG, SEED)
+    b = run_signing_session(KEYS, MSG, b"\x5b" * 32)
+    broadcasts = [
+        (x.payload, y.payload)
+        for x, y in zip(a.transcript, b.transcript)
+        if x.payload.tag in (b"\x13", b"\x14", b"\x15")
+    ]
+    assert len(broadcasts) == 3
+    assert all(x is y for x, y in broadcasts)
+
+
+class _Odd:
+    """A value a corrupt party can put in a verdict: == yields a list."""
+
+    def __eq__(self, other):
+        return [other]
+
+
+@pytest.mark.parametrize(
+    "corrupted, swap, verdicts",
+    [
+        (
+            Role.P3, LineVerdict(None),
+            [(3, "P1", "accept"), (4, "P3", "malformed"), (5, "P1", "P3 corrupt")],
+        ),
+        (
+            Role.P1, ChallengeVerdict(2),
+            [(3, "P1", "malformed"), (4, "P3", "accept"), (5, "P1", "accept")],
+        ),
+        (
+            # P1's audit compares against an _Odd ok and gets a list back.
+            Role.P3, LineVerdict(_Odd()),
+            [(3, "P1", "accept"), (4, "P3", "malformed"), (5, "P1", "malformed")],
+        ),
+    ],
+    ids=["line-none", "challenge-2", "line-odd"],
+)
+def test_malformed_verdicts_never_raise(corrupted, swap, verdicts):
+    # A corrupt party swaps its verdict for one whose ok is not a bool; the
+    # session stays total and its verdict list reads the swap as malformed.
+    def rewrite(env: Envelope, view) -> list:
+        if isinstance(env.payload, type(swap)):
+            return [Envelope(env.round, env.sender, env.recipient, swap)]
+        return [env]
+
+    adversary = AdversaryHook(corrupted=corrupted, rewrite=rewrite)
+    res = run_signing_session(KEYS, MSG, SEED, adversary=adversary)
+    assert res.outcome.verdicts == verdicts
+    assert res.outcome.z2 == res.x
 
 
 def _run_parties(keys, adversary, *, ic_coins=None):
