@@ -139,10 +139,10 @@ class Session:
         corrupted = adversary.corrupted if adversary else None
         rewrite = adversary.rewrite if adversary and adversary.rewrite else _identity_rewrite
         slots = self._slots
-        honest = [slot for slot in slots if slot[0] is not corrupted]
-        adv = next((slot for slot in slots if slot[0] is corrupted), None)
         # A broadcast goes to every slot, a private envelope to its recipient's.
         addressed = {slot[0]: (slot,) for slot in slots}
+        honest = [slot for slot in slots if slot[0] is not corrupted]
+        adv = addressed[corrupted][0] if corrupted is not None else None
         transcript = self._transcript
 
         for rnd in range(self._round + 1, until + 1):
