@@ -4,6 +4,8 @@ The golden file pins outputs across versions of the code, where criterion 12
 only checks that two runs of the same code agree.  It holds the
 ``result_json_line`` rows of ``run_suite(p, "all", n)`` at a fixed seed and
 the SHA-256 of each ``sim3p --out`` transcript and of its stdout summary.
+The signature bytes at p = 251 and at the secure prime, which no harness row
+reaches, are pinned inline below (``SIGNATURE_PINS``).
 
 Regenerate only when an output is meant to change, and say why:
 
@@ -20,13 +22,40 @@ from pathlib import Path
 import pytest
 
 from silmarils.cli import main
+from silmarils.field import SECURE_PRIME_VALUE, Prime
+from silmarils.rng import Rng
 from silmarils.stats import result_json_line, run_suite
+from silmarils.two_party import Params, dv_forge, keygen, sign
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SUITE_SEED = b"g" * 32
 SUITE_CASES = ((5, 300), (13, 300), (251, 2000))
 SIM3P_SEED = "2a" * 32
 SIM3P_ADVERSARIES = ("none", "substitute-guess-k1", "inconsistent-line")
+PIN_SEED = b"pin" * 10 + b"!!"
+PIN_MESSAGES = (b"first", b"second")
+# Per prime: sign(...)[0].hex() for each of PIN_MESSAGES in turn from the
+# b"sign" fork, then dv_forge(...) of the first message from the b"forge" fork.
+SIGNATURE_PINS = {
+    251: ("cf5130def6", "f013b178f5", "062e443590"),
+    SECURE_PRIME_VALUE: (
+        "3ecca7b893c37d0ba92713a9b5a30987955bf0d4fbd9c9e315abf96c76c67571"
+        "08d270562b039f26097661f0ef91c0b3644e03111d16db902fc766674cbef23e"
+        "182c5e6d4d9845a02a2ac02bbad17a5a06b4bb9412df1e379bc61fa89e64c4e5"
+        "6cec3157dfbb956726af7849808eb893940c01658b8673e1a94b29bd2bfde161"
+        "6bb5ede13bf2fc430a9c5e9fba6310772734bc70322f0f4bd09f36cbe2a3ba26",
+        "02dfe0c9f0eda57cee015eb7e5e8158c00e9d2b09b326c0da0c242bfc331467a"
+        "1b5b394811ae60b309b86b3c8bef886435ad0c648c6a3c1358f4462a7574e305"
+        "3bb7a055efc5ed599186b53d022404b10f667fe0b3681ff4ba37ba7afef34fc2"
+        "5b9310edd0d06fdfec7ee14c4dc03b8c9c681c1feefa2b906d29d7539a2e1177"
+        "78d2664a2cea1953c17f0788ed2a6cc9b5c934b74f486fe53aa7dc1460c85416",
+        "2660ea0457fe6e3e541d0b3c79ed24c650a8d1890828c74577e92418ef8372b6"
+        "22c97b6e7a8c991f40434cdc1accf4a6b88071f51a72cdd6fa0e8d32597590a0"
+        "6ebfa76da4a4f3fa067ec98edfd8513ac573fe8b1f960689a9a88c923947b9b9"
+        "5168ef178465977cb9d13155ce98a622a7483b04b7d83fd07efbef31ad437ee0"
+        "78cd570340e6c1948de8fcfdeaaa5c24e25c2a738831372e0840d420f8511964",
+    ),
+}
 
 
 def suite_lines(p: int, trials: int) -> list:
@@ -61,6 +90,16 @@ def test_run_suite_rows_match_golden(golden, p, trials):
 def test_sim3p_outputs_match_golden(golden, adversary, tmp_path, capsys):
     digests = sim3p_digests(adversary, tmp_path, lambda: capsys.readouterr().out)
     assert digests == golden["sim3p"][adversary]
+
+
+@pytest.mark.parametrize("p", sorted(SIGNATURE_PINS), ids=lambda p: f"p{p.bit_length()}b")
+def test_signature_bytes_match_pins(p):
+    prime, root = Prime(p), Rng(PIN_SEED)
+    keys = keygen(Params.generate(prime, root.fork(b"params")), root.fork(b"keys"))
+    rng = root.fork(b"sign")
+    signed = [sign(keys, message, rng)[0].hex() for message in PIN_MESSAGES]
+    forged = dv_forge(keys.k_sig, keys.pk, PIN_MESSAGES[0], root.fork(b"forge")).hex()
+    assert (*signed, forged) == SIGNATURE_PINS[p]
 
 
 def _generate() -> dict:
