@@ -149,6 +149,29 @@ class FieldElement:
             counting.bump_inv()
         return _element(pow(self.residue, -1, p.value), p)
 
+    def inv_with(self, other) -> tuple:
+        """(self^-1, other^-1) from one pow (Montgomery's trick): with
+        t = (self*other)^-1, self^-1 = t*other and other^-1 = t*self.
+
+        Counted as two inversions; its three residue products belong to the
+        inversions and are not counted as field muls.
+        """
+        if type(other) is not FieldElement:
+            raise TypeError(f"inv_with needs a FieldElement, got {type(other).__name__}")
+        p = self.prime
+        if p is not other.prime and p.value != other.prime.value:
+            raise ModulusMismatch(f"{p.value} vs {other.prime.value}")
+        q = p.value
+        a, b = self.residue, other.residue
+        product = a * b % q
+        if not product:  # p is prime, so the product is 0 iff a factor is
+            raise ZeroInverse(f"0 has no inverse mod {q}")
+        if counting.enabled:
+            counting.bump_inv()
+            counting.bump_inv()
+        t = pow(product, -1, q)
+        return _element(t * b % q, p), _element(t * a % q, p)
+
     def __eq__(self, other):
         if type(other) is not FieldElement:
             return NotImplemented

@@ -6,7 +6,8 @@ innermost open counter only.
 
 An inversion is counted as one inversion event, whatever its modular-inverse
 computation does internally: the cost claims being checked count inversions
-as units.
+as units.  A batched pair (FieldElement.inv_with) is two inversion events;
+the residue products that share its one modular inverse are not muls.
 """
 
 from __future__ import annotations

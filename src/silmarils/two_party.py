@@ -141,12 +141,12 @@ def _assemble(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K):
     """The signature equations, shared by sign and dv_forge."""
     eps_pair = share_with_slope(eps, slope_eps, weights)
     key_pair = share_with_slope(Kprime, slope_K, weights)
-    eps_inv = eps.inv()
+    eps_inv, b_inv = eps.inv_with(b)  # both inverses from one pow
     u0 = eps_inv * eps_pair.s0
     u1 = eps_inv * eps_pair.s1
     return Signature(
         s1=b * (Kprime - r),
-        s2=d * b.inv(),
+        s2=d * b_inv,
         s3=key_pair.s1 * d,
         s4=d * u1,
         s5=d * (key_pair.s0 - r * u0),

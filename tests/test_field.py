@@ -73,6 +73,38 @@ def test_inverse_matches_ext_gcd(prime, a):
     assert int(x.inv()) == powmod_by_squaring(a, p - 2, p)
 
 
+@pytest.mark.parametrize("p", [3, 5, 13, 251, SECURE_PRIME_VALUE], ids=lambda v: f"p{v.bit_length()}b")
+@given(a=st.integers(min_value=1), b=st.integers(min_value=1))
+def test_inv_with_is_both_inverses(p, a, b):
+    prime = Prime(p)
+    a, b = a % p or 1, b % p or p - 1
+    x, y = prime.elt(a), prime.elt(b)
+    pair = x.inv_with(y)
+    assert pair == (x.inv(), y.inv())
+    assert [int(v) for v in pair] == [inverse_by_ext_gcd(a, p), inverse_by_ext_gcd(b, p)]
+    assert all(type(v) is FieldElement and v.prime is prime for v in pair)
+
+
+def test_inv_with_checks_and_counts(prime13, prime251):
+    x, y = prime13.elt(5), prime13.elt(7)
+    assert [int(v) for v in x.inv_with(y)] == [8, 2]  # 5*8 = 7*2 = 1 mod 13
+    for a, b in ((x, prime13.zero), (prime13.zero, y), (prime13.zero, prime13.zero)):
+        with pytest.raises(ZeroInverse):
+            a.inv_with(b)
+    with pytest.raises(ModulusMismatch):
+        x.inv_with(prime251.elt(7))
+    with pytest.raises(ModulusMismatch):
+        prime251.elt(7).inv_with(x)
+    assert x.inv_with(Prime(13).elt(7)) == x.inv_with(y)
+    for other in (7, None, 7.0):
+        with pytest.raises(TypeError):
+            x.inv_with(other)
+    # one pow and three residue products, counted as two inversion events
+    with count_field_ops() as counter:
+        x.inv_with(y)
+    assert (counter.muls, counter.invs) == (0, 2)
+
+
 def test_zero_has_no_inverse(prime):
     with pytest.raises(ZeroInverse):
         prime.zero.inv()
