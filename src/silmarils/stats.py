@@ -300,9 +300,9 @@ def run_trials(
     """Yield one run_signing_session result per trial, in trial order.
 
     Keys come from the b"params"/b"keys" forks of Rng(seed); trial i runs on
-    the b"trial/<i>" fork and, under an attack strategy, the adversary draws
-    from that trial's b"adversary" fork.  interpret passes through to
-    run_signing_session.
+    the b"trial/<i>" fork, passed as the session's root stream, and, under an
+    attack strategy, the adversary draws from that trial's b"adversary" fork.
+    interpret passes through to run_signing_session.
     """
     prime = _as_prime(prime)
     root = Rng(seed)
@@ -312,7 +312,7 @@ def run_trials(
         hook = None
         if strategy is not None:
             hook = strategy.hook(prime, tri.fork(b"adversary"))
-        yield run_signing_session(keys, message, tri.seed, adversary=hook, interpret=interpret)
+        yield run_signing_session(keys, message, tri, adversary=hook, interpret=interpret)
 
 
 def _grid(p, limit: int, sweep: str) -> tuple:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 from ._record import frozen_record
 from .field import FieldElement
@@ -491,12 +491,15 @@ class IcSessionResult:
 
 
 def open_signing_session(
-    keys: KeyMaterial, message: bytes, seed: bytes, *,
+    keys: KeyMaterial, message: bytes, seed: Union[bytes, Rng], *,
     adversary: Optional[AdversaryHook] = None, ic_coins=None, challenge_coin=None,
 ) -> Session:
-    """The three parties built from a root seed, in a Session at round 0."""
+    """The three parties built from a root seed, in a Session at round 0.
+
+    seed may also be the root stream itself: Rng(s) and s open the same
+    session, since the parties' tapes are forks, which leave it unmoved."""
     prime = keys.sk_K.prime
-    root = Rng(seed)
+    root = seed if type(seed) is Rng else Rng(seed)
     parties = {
         Role.P1: P1Signer(keys, message, root.fork(b"tape/P1"), ic_coins=ic_coins),
         Role.P2: P2Holder(prime, root.fork(b"tape/P2"), challenge_coin=challenge_coin),
@@ -552,11 +555,12 @@ def signing_result(session: Session, *, interpret: bool = False) -> IcSessionRes
 
 
 def run_signing_session(
-    keys: KeyMaterial, message: bytes, seed: bytes, *,
+    keys: KeyMaterial, message: bytes, seed: Union[bytes, Rng], *,
     adversary: Optional[AdversaryHook] = None, interpret=False,
     ic_coins=None, challenge_coin=None,
 ) -> IcSessionResult:
-    """Construct the three parties from a root seed and run all seven rounds."""
+    """Construct the three parties from a root seed (or its Rng) and run all
+    seven rounds."""
     session = open_signing_session(
         keys, message, seed, adversary=adversary,
         ic_coins=ic_coins, challenge_coin=challenge_coin,

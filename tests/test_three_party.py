@@ -87,6 +87,22 @@ def test_session_is_deterministic():
     ]
 
 
+@pytest.mark.parametrize("name", [None, *sorted(STRATEGIES)])
+def test_a_session_opens_alike_from_its_seed_and_from_its_rng(name):
+    # run_trials passes each trial's Rng after forking the adversary from it.
+    def hook(root):
+        return STRATEGIES[name].hook(P251, root.fork(b"adversary")) if name else None
+
+    for i in range(10):
+        seed = i.to_bytes(32, "big")
+        rng = Rng(seed)
+        a = run_signing_session(KEYS, MSG, rng, adversary=hook(rng))
+        b = run_signing_session(KEYS, MSG, seed, adversary=hook(Rng(seed)))
+        assert rng.take(16) == Rng(seed).take(16)  # forks leave the root unmoved
+        assert transcript_lines(a.transcript) == transcript_lines(b.transcript)
+        assert (a.outcome.z2, a.outcome.z3, a.arm, a.x) == (b.outcome.z2, b.outcome.z3, b.arm, b.x)
+
+
 def test_x_binds_message_and_signature():
     res = run_signing_session(KEYS, MSG, SEED)
     assert res.x == authenticated_value(MSG, res.sig_alg.encode(), P251)
