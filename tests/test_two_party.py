@@ -1,5 +1,7 @@
 """Signer/designated-verifier scheme: round trips, receipts, forgeries, costs."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from silmarils.hashing import (
     receipt_from_nonce,
 )
 from silmarils.rng import Rng
+from silmarils.stats import make_estimate
 from silmarils.two_party import (
     KeyMaterial,
     Params,
@@ -167,6 +170,31 @@ def test_dv_forge_accepts_whenever_sigma4_nonzero():
     a = dv_forge(keys.k_sig, keys.pk, msg, Rng(b"\x22" * 32))
     b = dv_forge(keys.k_sig, keys.pk, msg, Rng(b"\x23" * 32))
     assert a.encode() != b.encode()
+
+
+def test_single_byte_mutations_forge_at_most_one_in_p():
+    # Every one-byte change to each of 60 valid toy-251 signatures, checked
+    # as raw bytes; a non-canonical byte fails to decode and counts as rejected.
+    keys, rng = _setup(P251, b"\x44" * 32)
+    mutations = accepted = 0
+    for i in range(60):
+        msg = b"mutate %d" % i
+        sig, _ = sign_accepted(keys, msg, rng)
+        raw = sig.encode()
+        for pos, old in enumerate(raw):
+            for new in range(256):
+                if new == old:
+                    continue
+                mutations += 1
+                try:
+                    accepted += verify(
+                        keys.pk, keys.k_sig, msg, raw[:pos] + bytes([new]) + raw[pos + 1 :]
+                    )
+                except MalformedSignature:
+                    pass
+    assert mutations == 60 * 5 * 255
+    est = make_estimate("mutation-forgery", 251, mutations, accepted, Fraction(1, 251))
+    assert est.verdict == "pass", est
 
 
 def test_public_receipt_forgery_beats_only_the_weakened_check():
