@@ -9,8 +9,8 @@ created or none are used.  k_sig.hex is the designated verifier's key: anyone
 holding it can verify and can simulate signatures.  Third parties verify with
 --receipt instead.
 
-Exit codes: 0 accept/success, 1 reject, 2 usage, 3 IO, 4 malformed input,
-5 degenerate algebra, 6 unknown strategy.
+Exit codes: 0 accept/success, 1 reject or a failed verdict, 2 usage; a command
+that raises exits with the code of the first EXIT_CODES row naming its class.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ from pathlib import Path
 from . import stats as harness
 from .errors import (
     DegenerateExtraction,
-    DegenerateWeights,
-    EmptyExperiment,
-    LengthMismatch,
-    MalformedSignature,
-    PrimeTooLarge,
+    MalformedInput,
     RoleMismatch,
+    SilmarilsError,
     UnknownStrategy,
 )
 from .field import BACKEND, SECURE_PRIME_VALUE, Prime, count_field_ops
@@ -61,11 +58,13 @@ PROFILES = {
 
 EXIT_OK = 0
 EXIT_REJECT = 1
-EXIT_USAGE = 2
-EXIT_IO = 3
-EXIT_MALFORMED = 4
-EXIT_DEGENERATE = 5
-EXIT_UNKNOWN_STRATEGY = 6
+EXIT_CODES = (
+    (MalformedInput, 4),
+    (DegenerateExtraction, 5),
+    ((UnknownStrategy, RoleMismatch), 6),
+    (OSError, 3),
+    (SilmarilsError, 2),  # PrimeTooLarge, EmptyExperiment, ProtocolMisuse, ...
+)
 
 
 def _seed_arg(text: str) -> bytes:
@@ -111,23 +110,15 @@ def _read_hex(path: str, what: str) -> bytes:
     try:
         return bytes.fromhex("".join(Path(path).read_text().split()))
     except ValueError as exc:
-        raise MalformedSignature(f"{what} file {path} is not hex: {exc}") from exc
+        raise MalformedInput(f"{what} file {path} is not hex: {exc}") from exc
 
 
 def _decode(what: str, decode, *args):
     """decode(*args), with a decoding failure reported as a bad <what> (exit 4)."""
     try:
         return decode(*args)
-    except (ValueError, LengthMismatch, DegenerateWeights) as exc:
-        raise MalformedSignature(f"bad {what}: {exc}") from exc
-
-
-def _secret_key(prime, data: bytes):
-    # keygen draws K from F_p*; with K = 0, K' = PRF(K, M) is public.
-    sk = prime.from_bytes(data)
-    if not sk:
-        raise ValueError("K = 0 is outside F_p*")
-    return sk
+    except MalformedInput as exc:
+        raise MalformedInput(f"bad {what}: {exc}") from exc
 
 
 def _write_keydir(outdir: Path, profile: str, prime, keys: KeyMaterial) -> None:
@@ -160,18 +151,15 @@ def _check_descriptor(descriptor: dict, prime) -> None:
     if "profile" in descriptor and not (
         isinstance(profile, str) and PROFILES.get(profile) == prime.value
     ):
-        raise MalformedSignature(
-            f"bad params.json: profile {json.dumps(profile)} does not name p = {prime.value}"
-        )
+        raise MalformedInput(f"profile {json.dumps(profile)} does not name p = {prime.value}")
     expected = _descriptor(profile, prime)
     for key in ("element_bytes", "sizes"):
         # Compared as JSON text, so 7.0 or true never pass for 7 or 1.
         found = json.dumps(descriptor.get(key, expected[key]), sort_keys=True)
         wanted = json.dumps(expected[key], sort_keys=True)
         if found != wanted:
-            raise MalformedSignature(
-                f"bad params.json: {key} {found} does not match p = {prime.value} "
-                f"(keygen writes {wanted})"
+            raise MalformedInput(
+                f"{key} {found} does not match p = {prime.value} (keygen writes {wanted})"
             )
 
 
@@ -182,18 +170,20 @@ def _load_keydir(path: str, *, need_sk: bool, need_k_sig: bool):
         p = descriptor["p"]
         if isinstance(p, (bool, float)):  # int() would truncate 251.9 to 251
             raise TypeError(f"p must be a decimal string or integer, not {json.dumps(p)}")
-        prime = Prime(int(p))
+        p = int(p)
     except KeyError as exc:
-        raise MalformedSignature(f"bad params.json: no {exc}") from exc
+        raise MalformedInput(f"bad params.json: no {exc}") from exc
     except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise MalformedSignature(f"bad params.json: {exc}") from exc
-    _check_descriptor(descriptor, prime)
+        raise MalformedInput(f"bad params.json: {exc}") from exc
+    prime = _decode("params.json", Prime, p)
+    _decode("params.json", _check_descriptor, descriptor, prime)
     pk_bytes = _read_hex(keydir / "pk.hex", "public key")
     pk = _decode("public key", Weights.from_bytes, prime, pk_bytes)
     sk = k_sig = None
     if need_sk:
-        sk_bytes = _read_hex(keydir / "sk.hex", "secret key")
-        sk = _decode("secret key", _secret_key, prime, sk_bytes)
+        sk = _decode("secret key", prime.from_bytes, _read_hex(keydir / "sk.hex", "secret key"))
+        if not sk:  # keygen draws K from F_p*; with K = 0, K' = PRF(K, M) is public
+            raise MalformedInput("bad secret key: K = 0 is outside F_p*")
     if need_k_sig:
         k_sig = _decode("pair key", PairKey, _read_hex(keydir / "k_sig.hex", "pair key"))
     return prime, KeyMaterial(sk_K=sk, pk=pk, k_sig=k_sig)
@@ -234,7 +224,11 @@ def cmd_verify(args) -> int:
     message = Path(args.msg).read_bytes()
     sig_bytes = _read_hex(args.sig, "signature")
     if args.receipt is not None:
-        receipt = _decode("receipt", lambda: prime.from_bytes(bytes.fromhex(args.receipt)))
+        try:
+            receipt_bytes = bytes.fromhex(args.receipt)
+        except ValueError as exc:
+            raise MalformedInput(f"bad receipt: {exc}") from exc
+        receipt = _decode("receipt", prime.from_bytes, receipt_bytes)
         accepted = verify_with_receipt(keys.pk, receipt, message, sig_bytes)
     else:
         accepted = verify(keys.pk, keys.k_sig, message, sig_bytes)
@@ -260,7 +254,7 @@ def cmd_extract(args) -> int:
     sig_bytes = _read_hex(args.sig, "signature")
     kind, value = args.hint
     if not 0 <= value < prime.value:
-        raise MalformedSignature(f"hint {kind}:{value} is not in [0, {prime.value})")
+        raise MalformedInput(f"hint {kind}:{value} is not in [0, {prime.value})")
     hint = (kind, prime.elt(value))
     family = extract_params(keys.k_sig, message, sig_bytes, hint, keys.pk)
     member = family.pinned
@@ -505,21 +499,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MalformedSignature as exc:
+    except (SilmarilsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except DegenerateExtraction as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (UnknownStrategy, RoleMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_STRATEGY
-    except (PrimeTooLarge, EmptyExperiment) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,28 @@
 """Exception hierarchy shared across the package.
 
-Every error raised by library code derives from SilmarilsError so callers
-(and the CLI exit-code mapping) can distinguish library failures from bugs.
+Every error that input or a caller can reach in library code is a
+SilmarilsError; cli.EXIT_CODES maps each to an exit code.  MalformedInput
+(so LengthMismatch, DegenerateWeights, MalformedSignature) and ProtocolMisuse
+are also ValueErrors, and WrongType a TypeError, as their sites raised before.
+No input reaches the RuntimeErrors of sign_accepted and of stats' two message
+searches, so they stay outside the hierarchy.
 """
 
 
 class SilmarilsError(Exception):
     """Base class for all library errors."""
+
+
+class MalformedInput(SilmarilsError, ValueError):
+    """Input from outside the program (bytes, modulus, key, hint) is malformed."""
+
+
+class ProtocolMisuse(SilmarilsError, ValueError):
+    """A call no outside input reaches got arguments or state it cannot take."""
+
+
+class WrongType(ProtocolMisuse, TypeError):
+    """A ProtocolMisuse by an argument of the wrong type."""
 
 
 class ModulusMismatch(SilmarilsError):
@@ -17,15 +33,15 @@ class ZeroInverse(SilmarilsError):
     """Multiplicative inverse of zero requested."""
 
 
-class LengthMismatch(SilmarilsError):
+class LengthMismatch(MalformedInput):
     """Byte input has the wrong length for the requested decoding."""
 
 
-class DegenerateWeights(SilmarilsError):
+class DegenerateWeights(MalformedInput):
     """Interpolation weights are equal or zero; reconstruction undefined."""
 
 
-class MalformedSignature(SilmarilsError):
+class MalformedSignature(MalformedInput):
     """Signature bytes have the wrong length or a non-canonical element."""
 
 

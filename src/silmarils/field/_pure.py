@@ -7,7 +7,7 @@ share one code path on Python integers.
 
 from __future__ import annotations
 
-from ..errors import LengthMismatch, ModulusMismatch, ZeroInverse
+from ..errors import LengthMismatch, MalformedInput, ModulusMismatch, WrongType, ZeroInverse
 from . import counting
 from .primality import is_prime
 
@@ -22,11 +22,11 @@ class Prime:
 
     def __init__(self, value: int):
         if not isinstance(value, int):
-            raise TypeError("prime modulus must be an int")
+            raise WrongType("prime modulus must be an int")
         if value < 3 or value % 2 == 0:
-            raise ValueError(f"modulus must be an odd prime >= 3, got {value}")
+            raise MalformedInput(f"modulus must be an odd prime >= 3, got {value}")
         if not is_prime(value):
-            raise ValueError(f"modulus {value} is not prime")
+            raise MalformedInput(f"modulus {value} is not prime")
         self.value = value
         self.bit_length = value.bit_length()
         self.byte_length = (self.bit_length + 7) // 8
@@ -72,7 +72,7 @@ class Prime:
             )
         value = int.from_bytes(data, "big")
         if value >= self.value:
-            raise ValueError(f"non-canonical residue {value} for modulus {self.value}")
+            raise MalformedInput(f"non-canonical residue {value} for modulus {self.value}")
         return _element(value, self)
 
     def __eq__(self, other):

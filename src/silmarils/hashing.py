@@ -20,6 +20,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 
+from .errors import LengthMismatch
 from .rng import Rng
 
 DOMAIN_NONCE = b"SLM/v1/nonce"
@@ -59,7 +60,7 @@ class PairKey:
 
     def __post_init__(self):
         if len(self.data) != PAIR_KEY_BYTES:
-            raise ValueError(f"pair key must be {PAIR_KEY_BYTES} bytes")
+            raise LengthMismatch(f"pair key must be {PAIR_KEY_BYTES} bytes")
 
     @classmethod
     def generate(cls, rng: Rng) -> "PairKey":

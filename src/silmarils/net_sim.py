@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import frozen_record
-from .errors import ScheduleViolation
+from .errors import ProtocolMisuse, ScheduleViolation
 
 
 class Role(enum.Enum):
@@ -112,7 +112,7 @@ class Session:
     def __init__(self, parties: Mapping[Role, object], adversary=None):
         corrupted = adversary.corrupted if adversary else None
         if corrupted is not None and corrupted not in parties:
-            raise ValueError(f"corrupted role {corrupted} not present")
+            raise ProtocolMisuse(f"corrupted role {corrupted} not present")
         self.adversary = adversary
         # (role, party, view-or-None) by position, in mapping order; only the
         # corrupted party keeps a view.
@@ -169,7 +169,7 @@ class Session:
                     view.sent.append(env)
                     for replacement in rewrite(env, view):
                         if replacement.sender is not role:
-                            raise ValueError(
+                            raise ProtocolMisuse(
                                 "adversary cannot forge sender "
                                 f"{replacement.sender}: channels are authenticated"
                             )
@@ -200,7 +200,7 @@ class Session:
         """An independent twin under a new hook for the same corrupted role."""
         corrupted = self.adversary.corrupted if self.adversary else None
         if (adversary.corrupted if adversary else None) is not corrupted:
-            raise ValueError(f"a branch must corrupt the same role as its stem ({corrupted})")
+            raise ProtocolMisuse(f"a branch must corrupt the same role as its stem ({corrupted})")
         twin = object.__new__(Session)
         twin.adversary = adversary
         twin._transcript = self._transcript[:]

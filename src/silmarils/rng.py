@@ -25,6 +25,8 @@ from __future__ import annotations
 import secrets
 from hashlib import sha512
 
+from .errors import ProtocolMisuse, WrongType
+
 SEED_BYTES = 32
 _KEY_WIDTH = 128  # SHA-512 input block size: HMAC pads keys to it
 # bytes.translate tables mapping each byte b to b ^ ipad and b ^ opad.
@@ -51,7 +53,7 @@ class Rng:
 
     def __init__(self, seed: bytes):
         if not isinstance(seed, (bytes, bytearray)):
-            raise TypeError("seed must be bytes")
+            raise WrongType("seed must be bytes")
         self._key = bytes(seed)
         self._counter = 0
         self._buf = b""
@@ -79,7 +81,7 @@ class Rng:
 
     def take(self, n: int) -> bytes:
         if n < 0:
-            raise ValueError("cannot take a negative number of bytes")
+            raise ProtocolMisuse("cannot take a negative number of bytes")
         pos = self._pos
         if pos + n <= len(self._buf):
             self._pos = pos + n

@@ -41,7 +41,7 @@ from itertools import product
 from math import isqrt
 from typing import Callable, Iterator, Optional
 
-from .errors import EmptyExperiment, PrimeTooLarge, RoleMismatch, UnknownStrategy
+from .errors import EmptyExperiment, PrimeTooLarge, ProtocolMisuse, RoleMismatch, UnknownStrategy
 from .field import Prime
 from .hashing import derive_message_key, derive_receipt
 from .net_sim import AdversaryHook, Envelope, Role, view_of
@@ -87,7 +87,7 @@ SUITES = ("correctness", "unforgeability", "transferability", "secrecy", "core",
 def _sqrt_upper(q: Fraction, scale: int = 10**24) -> Fraction:
     """Rational upper bound on sqrt(q), tight to about 1/scale."""
     if q < 0:
-        raise ValueError("square root of a negative rational")
+        raise ProtocolMisuse("square root of a negative rational")
     a, b = q.numerator, q.denominator
     target = a * b * scale * scale
     root = isqrt(target)
@@ -102,7 +102,7 @@ def wilson_interval(successes: int, trials: int, z: Fraction = Z95):
     if trials <= 0:
         raise EmptyExperiment("Wilson interval needs at least one trial")
     if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in [0, trials]")
+        raise ProtocolMisuse("successes must lie in [0, trials]")
     z2 = z * z
     center = Fraction(successes) + z2 / 2
     disc = Fraction(successes * (trials - successes), trials) + z2 / 4
@@ -658,7 +658,7 @@ def run_suite(
     """
     prime = _as_prime(p)
     if suite not in SUITES:
-        raise ValueError(f"suite must be one of {SUITES}, got {suite!r}")
+        raise ProtocolMisuse(f"suite must be one of {SUITES}, got {suite!r}")
     pv = prime.value
     root = Rng(seed)
 

@@ -45,6 +45,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from ._record import frozen_record
+from .errors import ProtocolMisuse, WrongType
 from .field import FieldElement
 from .hashing import authenticated_value, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, Role, Session
@@ -77,7 +78,7 @@ def _wire_parts(*parts) -> bytes:
         elif isinstance(part, (bytes, bytearray)):
             out += b"\x02" + len(part).to_bytes(8, "big") + bytes(part)
         else:
-            raise TypeError(f"no wire encoding for {type(part).__name__}")
+            raise WrongType(f"no wire encoding for {type(part).__name__}")
     return bytes(out)
 
 
@@ -510,12 +511,12 @@ def open_signing_session(
 
 def force_coins(session: Session, *, ic_coins=None, challenge_coin=None) -> Session:
     """A twin of the session with P1's installer coins and/or P2's challenge
-    coin forced (None: left as they are).  Raises ValueError if the round
-    that draws a forced coin has already run."""
+    coin forced (None: left as they are).  Raises ProtocolMisuse if the
+    round that draws a forced coin has already run."""
     if ic_coins is not None and session.rounds_run >= ROUND_SETUP:
-        raise ValueError("the installer's coins are dealt in round 1, which has run")
+        raise ProtocolMisuse("the installer's coins are dealt in round 1, which has run")
     if challenge_coin is not None and session.rounds_run >= ROUND_CHALLENGE:
-        raise ValueError("the challenge coin is drawn in round 2, which has run")
+        raise ProtocolMisuse("the challenge coin is drawn in round 2, which has run")
     twin = session.branch(session.adversary)
     parties = twin.parties
     if ic_coins is not None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from ._record import frozen_record
-from .errors import DegenerateExtraction, LengthMismatch, MalformedSignature
+from .errors import DegenerateExtraction, MalformedInput, MalformedSignature
 from .hashing import (
     DOMAIN_RECEIPT,
     PairKey,
@@ -101,14 +101,12 @@ class Signature:
     def decode(cls, prime, data: bytes) -> "Signature":
         width = prime.byte_length
         if len(data) != 5 * width:
-            raise MalformedSignature(
-                f"signature must be {5 * width} bytes, got {len(data)}"
-            )
+            raise MalformedSignature(f"signature must be {5 * width} bytes, got {len(data)}")
         try:
             parts = [
                 prime.from_bytes(data[i * width : (i + 1) * width]) for i in range(5)
             ]
-        except (LengthMismatch, ValueError) as exc:
+        except MalformedInput as exc:
             raise MalformedSignature(str(exc)) from exc
         return cls(*parts)
 
@@ -309,7 +307,7 @@ def extract_params(
     """
     kind, value = hint
     if kind not in HINT_KINDS:
-        raise ValueError(f"hint kind must be one of {HINT_KINDS}, got {kind!r}")
+        raise MalformedInput(f"hint kind must be one of {HINT_KINDS}, got {kind!r}")
     prime = pk.prime
     sig = _as_signature(prime, sig)
     _, r = derive_receipt(k_sig, message, prime)

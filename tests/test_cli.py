@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from silmarils.cli import PROFILES, main
+from silmarils.errors import SilmarilsError
 
 SEED = "2a" * 32
 SEED2 = "b7" * 32
@@ -343,3 +344,18 @@ def test_profiles_cover_the_advertised_primes():
 def test_seed_argument_validation(capsys):
     assert main(["keygen", "--profile", "toy-251", "--seed", "zz"]) == 2
     capsys.readouterr()
+
+
+
+def _error_classes(cls=SilmarilsError):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _error_classes(child)]
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_library_error_exits_with_a_failure_code(error, monkeypatch, capsys):
+    def raise_it(args):
+        raise error("boom")
+
+    monkeypatch.setattr("silmarils.cli.cmd_bench", raise_it)
+    assert main(["bench", "--profile", "toy-5"]) in range(2, 7)
+    assert capsys.readouterr().err == "error: boom\n"

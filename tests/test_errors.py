@@ -1,0 +1,92 @@
+"""Library raise sites reachable from a caller's input: each raises a typed
+SilmarilsError that is still the builtin it raised before."""
+
+from fractions import Fraction
+
+import pytest
+
+from silmarils.errors import LengthMismatch, MalformedInput, ProtocolMisuse, WrongType
+from silmarils.field import Prime
+from silmarils.hashing import PairKey
+from silmarils.net_sim import AdversaryHook, Envelope, Role, Session
+from silmarils.rng import Rng
+from silmarils.stats import _keys_for, _sqrt_upper, run_suite, wilson_interval
+from silmarils.three_party import RevealPoint, force_coins, open_signing_session
+from silmarils.two_party import extract_params, sign
+
+P251 = Prime(251)
+SEED = b"\x33" * 32
+MSG = b"error message"
+KEYS = _keys_for(P251, Rng(SEED))
+
+
+def _session(adversary=None):
+    return open_signing_session(KEYS, MSG, SEED, adversary=adversary)
+
+
+def _forge_sender(env, view):
+    return [Envelope(env.round, Role.P1, env.recipient, env.payload)]
+
+
+SITES = {
+    "Prime() of a non-prime": (lambda: Prime(9), MalformedInput, ValueError),
+    "Prime() below 3": (lambda: Prime(2), MalformedInput, ValueError),
+    "Prime() of a non-int": (lambda: Prime("251"), WrongType, TypeError),
+    "non-canonical from_bytes": (lambda: P251.from_bytes(b"\xfb"), MalformedInput, ValueError),
+    "PairKey length": (lambda: PairKey(b"\x00" * 31), LengthMismatch, ValueError),
+    "extract_params hint kind": (
+        lambda: extract_params(
+            KEYS.k_sig, MSG, sign(KEYS, MSG, Rng(SEED))[0], ("q", P251.one), KEYS.pk
+        ),
+        MalformedInput,
+        ValueError,
+    ),
+    "Rng seed type": (lambda: Rng("not bytes"), WrongType, TypeError),
+    "Rng negative take": (lambda: Rng(SEED).take(-1), ProtocolMisuse, ValueError),
+    "Session without the corrupted role": (
+        lambda: Session({Role.P1: object()}, AdversaryHook(Role.P2)),
+        ProtocolMisuse,
+        ValueError,
+    ),
+    "Session forged sender": (
+        lambda: _session(AdversaryHook(Role.P2, rewrite=_forge_sender)).run(2),
+        ProtocolMisuse,
+        ValueError,
+    ),
+    "branch of another role": (
+        lambda: _session().branch(AdversaryHook(Role.P3)),
+        ProtocolMisuse,
+        ValueError,
+    ),
+    "force_coins after round 1": (
+        lambda: force_coins(_session().run(1), ic_coins=(P251.one,) * 4),
+        ProtocolMisuse,
+        ValueError,
+    ),
+    "force_coins after round 2": (
+        lambda: force_coins(_session().run(2), challenge_coin=P251.one),
+        ProtocolMisuse,
+        ValueError,
+    ),
+    "_wire_parts without an encoding": (
+        lambda: RevealPoint(7, P251.one).to_wire(),
+        WrongType,
+        TypeError,
+    ),
+    "run_suite suite name": (lambda: run_suite(5, "no-such", 1), ProtocolMisuse, ValueError),
+    "wilson_interval range": (lambda: wilson_interval(4, 3), ProtocolMisuse, ValueError),
+    "_sqrt_upper of a negative": (
+        lambda: _sqrt_upper(Fraction(-1, 2)),
+        ProtocolMisuse,
+        ValueError,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_raise_site_is_typed_and_keeps_its_builtin(site):
+    call, typed, builtin = SITES[site]
+    with pytest.raises(typed):
+        call()
+    with pytest.raises(builtin):
+        call()
