@@ -4,8 +4,8 @@ Every error that input or a caller can reach in library code is a
 SilmarilsError; cli.EXIT_CODES maps each to an exit code.  MalformedInput
 (so LengthMismatch, DegenerateWeights, MalformedSignature) and ProtocolMisuse
 are also ValueErrors, and WrongType a TypeError, as their sites raised before.
-No input reaches the RuntimeErrors of sign_accepted and of stats' two message
-searches, so they stay outside the hierarchy.
+No input reaches the RuntimeErrors of sign_accepted running out of tries and
+of stats' two message searches, so they stay outside the hierarchy.
 """
 
 

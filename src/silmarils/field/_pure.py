@@ -75,6 +75,43 @@ class Prime:
             raise MalformedInput(f"non-canonical residue {value} for modulus {self.value}")
         return _element(value, self)
 
+    def inv_all(self, elements) -> list:
+        """Every inverse of a sequence of elements from one pow (Montgomery's
+        trick): with t = (x_0*...*x_{n-1})^-1, walking back
+        x_i^-1 = t*(x_0*...*x_{i-1}) and then t <- t*x_i.
+
+        Counted as len(elements) inversions; the residue products that share
+        the one modular inverse belong to the inversions and are not counted
+        as field muls.  An empty input makes no pow.
+        """
+        q = self.value
+        prefix = []  # prefix[i] = x_0*...*x_{i-1}
+        acc = 1
+        for x in elements:
+            if type(x) is not FieldElement:
+                raise WrongType(f"inv_all needs FieldElements, got {type(x).__name__}")
+            if x.prime is not self and x.prime.value != q:
+                raise ModulusMismatch(f"{q} vs {x.prime.value}")
+            prefix.append(acc)
+            acc = acc * x.residue % q
+        if not prefix:
+            return []
+        if not acc:  # p is prime, so the product is 0 iff a factor is
+            raise ZeroInverse(f"0 has no inverse mod {q}")
+        if counting.enabled:
+            counting.bump_inv(len(prefix))
+        t = pow(acc, -1, q)
+        out = [None] * len(prefix)
+        i = len(prefix)
+        for x in reversed(elements):
+            i -= 1
+            elt = _new(FieldElement)
+            elt.residue = t * prefix[i] % q
+            elt.prime = self
+            out[i] = elt
+            t = t * x.residue % q
+        return out
+
     def __eq__(self, other):
         if type(other) is not Prime:
             return NotImplemented
@@ -150,27 +187,8 @@ class FieldElement:
         return _element(pow(self.residue, -1, p.value), p)
 
     def inv_with(self, other) -> tuple:
-        """(self^-1, other^-1) from one pow (Montgomery's trick): with
-        t = (self*other)^-1, self^-1 = t*other and other^-1 = t*self.
-
-        Counted as two inversions; its three residue products belong to the
-        inversions and are not counted as field muls.
-        """
-        if type(other) is not FieldElement:
-            raise TypeError(f"inv_with needs a FieldElement, got {type(other).__name__}")
-        p = self.prime
-        if p is not other.prime and p.value != other.prime.value:
-            raise ModulusMismatch(f"{p.value} vs {other.prime.value}")
-        q = p.value
-        a, b = self.residue, other.residue
-        product = a * b % q
-        if not product:  # p is prime, so the product is 0 iff a factor is
-            raise ZeroInverse(f"0 has no inverse mod {q}")
-        if counting.enabled:
-            counting.bump_inv()
-            counting.bump_inv()
-        t = pow(product, -1, q)
-        return _element(t * b % q, p), _element(t * a % q, p)
+        """(self^-1, other^-1) from one pow: Prime.inv_all of the pair."""
+        return tuple(self.prime.inv_all((self, other)))
 
     def __eq__(self, other):
         if type(other) is not FieldElement:
@@ -198,7 +216,8 @@ class FieldElement:
 
 def _element(residue: int, prime: Prime) -> FieldElement:
     # Internal fast path: residue already canonical.  The per-trial paths
-    # (+, -, *, Prime.sample) inline these three lines to skip the call.
+    # (+, -, *, Prime.sample, Prime.inv_all) inline these three lines to skip
+    # the call.
     elt = _new(FieldElement)
     elt.residue = residue
     elt.prime = prime

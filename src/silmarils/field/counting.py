@@ -6,8 +6,9 @@ innermost open counter only.
 
 An inversion is counted as one inversion event, whatever its modular-inverse
 computation does internally: the cost claims being checked count inversions
-as units.  A batched pair (FieldElement.inv_with) is two inversion events;
-the residue products that share its one modular inverse are not muls.
+as units.  A batch (Prime.inv_all, and FieldElement.inv_with for a pair) is
+one inversion event per element; the residue products that share its one
+modular inverse are not muls.
 """
 
 from __future__ import annotations
@@ -43,5 +44,5 @@ def bump_mul() -> None:
     _stack[-1].muls += 1
 
 
-def bump_inv() -> None:
-    _stack[-1].invs += 1
+def bump_inv(n: int = 1) -> None:
+    _stack[-1].invs += n

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from ._record import frozen_record
-from .errors import DegenerateExtraction, MalformedInput, MalformedSignature
+from .errors import DegenerateExtraction, MalformedInput, MalformedSignature, ProtocolMisuse
 from .hashing import (
     DOMAIN_RECEIPT,
     PairKey,
@@ -60,7 +60,7 @@ class KeyMaterial:
 
     k_sig is shared with exactly one designated verifier; whoever holds it can
     verify and can simulate (see dv_forge), which is the point of the scheme.
-    sign keeps its last per-message key here, like PairKey's receipt memo:
+    sign_many keeps its last per-message key here, like PairKey's receipt memo:
     (a bytes copy of the message, K'), outside ==, hash and repr; sk_K fixes
     the prime, so the message alone keys it.
     """
@@ -135,11 +135,10 @@ def keygen(params: Params, rng) -> KeyMaterial:
     return KeyMaterial(sk_K=sk_K, pk=params.weights, k_sig=k_sig)
 
 
-def _assemble(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K):
-    """The signature equations, shared by sign and dv_forge."""
+def _equations(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K, eps_inv, b_inv):
+    """The signature equations, given the inverses of eps and b."""
     eps_pair = share_with_slope(eps, slope_eps, weights)
     key_pair = share_with_slope(Kprime, slope_K, weights)
-    eps_inv, b_inv = eps.inv_with(b)  # both inverses from one pow
     u0 = eps_inv * eps_pair.s0
     u1 = eps_inv * eps_pair.s1
     return Signature(
@@ -151,45 +150,63 @@ def _assemble(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K):
     )
 
 
+def _assemble(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K):
+    """One signature from its ephemerals; dv_forge's and stats' entry."""
+    eps_inv, b_inv = eps.inv_with(b)  # both inverses from one pow
+    return _equations(weights, Kprime, r, b, d, eps, slope_eps, slope_K, eps_inv, b_inv)
+
+
 def sign(keys: KeyMaterial, message: bytes, rng):
     """Sign a message; returns (Signature, SigningTape).
 
     sigma4 = 0 is a legal (rejected-by-verify) output; see sign_accepted for
     the retry wrapper.
     """
+    return sign_many(keys, message, rng, 1)[0]
+
+
+def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
+    """count signatures of one message: [(Signature, SigningTape)], exactly
+    what count calls of sign on the same rng return.
+
+    Each tape draws (alpha, beta, b, d, slope_eps, slope_K) in that order.
+    The nonce, receipt and K' are derived once, and the 2*count inverses of
+    (eps, b) come from one pow (Prime.inv_all).
+    """
     prime = keys.sk_K.prime
     n, r = derive_receipt(keys.k_sig, message, prime)
-    alpha = prime.sample_unit(rng)
-    beta = prime.sample_unit(rng)
-    b = prime.sample_unit(rng)
-    d = prime.sample_unit(rng)
-    eps = alpha * beta
-    slope_eps = prime.sample(rng)
     memo = keys._kprime_memo
     if memo is not None and memo[0] == message:
         Kprime = memo[1]
     else:
         Kprime = derive_message_key(keys.sk_K, message)
         object.__setattr__(keys, "_kprime_memo", (bytes(message), Kprime))
-    slope_K = prime.sample(rng)
-    sig = _assemble(keys.pk, Kprime, r, b, d, eps, slope_eps, slope_K)
-    tape = SigningTape(
-        alpha=alpha,
-        beta=beta,
-        b=b,
-        d=d,
-        eps=eps,
-        slope_eps=slope_eps,
-        Kprime=Kprime,
-        slope_K=slope_K,
-        n=n,
-        r=r,
-    )
-    return sig, tape
+    tapes = []
+    units = []  # eps_0, b_0, eps_1, b_1, ...
+    for _ in range(count):
+        alpha = prime.sample_unit(rng)
+        beta = prime.sample_unit(rng)
+        b = prime.sample_unit(rng)
+        d = prime.sample_unit(rng)
+        slope_eps = prime.sample(rng)
+        slope_K = prime.sample(rng)
+        eps = alpha * beta
+        tapes.append(SigningTape(alpha, beta, b, d, eps, slope_eps, Kprime, slope_K, n, r))
+        units += (eps, b)
+    inverses = iter(prime.inv_all(units))
+    signed = []
+    for t, eps_inv, b_inv in zip(tapes, inverses, inverses):
+        sig = _equations(
+            keys.pk, Kprime, r, t.b, t.d, t.eps, t.slope_eps, t.slope_K, eps_inv, b_inv
+        )
+        signed.append((sig, t))
+    return signed
 
 
 def sign_accepted(keys: KeyMaterial, message: bytes, rng, max_tries: int = 64):
     """Retry wrapper (off the default path): re-draws until sigma4 != 0."""
+    if max_tries < 1:
+        raise ProtocolMisuse(f"max_tries must be at least 1, got {max_tries}")
     for _ in range(max_tries):
         sig, tape = sign(keys, message, rng)
         if sig.s4:

@@ -10,9 +10,9 @@ from silmarils.field import Prime
 from silmarils.hashing import PairKey
 from silmarils.net_sim import AdversaryHook, Envelope, Role, Session
 from silmarils.rng import Rng
-from silmarils.stats import _keys_for, _sqrt_upper, run_suite, wilson_interval
+from silmarils.stats import _keys_for, _sqrt_upper, result_json_line, run_suite, wilson_interval
 from silmarils.three_party import RevealPoint, force_coins, open_signing_session
-from silmarils.two_party import extract_params, sign
+from silmarils.two_party import extract_params, sign, sign_accepted
 
 P251 = Prime(251)
 SEED = b"\x33" * 32
@@ -33,12 +33,19 @@ SITES = {
     "Prime() below 3": (lambda: Prime(2), MalformedInput, ValueError),
     "Prime() of a non-int": (lambda: Prime("251"), WrongType, TypeError),
     "non-canonical from_bytes": (lambda: P251.from_bytes(b"\xfb"), MalformedInput, ValueError),
+    "inv_with of a non-element": (lambda: P251.one.inv_with(7), WrongType, TypeError),
+    "inv_all of a non-element": (lambda: P251.inv_all([P251.one, 7]), WrongType, TypeError),
     "PairKey length": (lambda: PairKey(b"\x00" * 31), LengthMismatch, ValueError),
     "extract_params hint kind": (
         lambda: extract_params(
             KEYS.k_sig, MSG, sign(KEYS, MSG, Rng(SEED))[0], ("q", P251.one), KEYS.pk
         ),
         MalformedInput,
+        ValueError,
+    ),
+    "sign_accepted with no tries": (
+        lambda: sign_accepted(KEYS, MSG, Rng(SEED), max_tries=0),
+        ProtocolMisuse,
         ValueError,
     ),
     "Rng seed type": (lambda: Rng("not bytes"), WrongType, TypeError),
@@ -74,6 +81,7 @@ SITES = {
         TypeError,
     ),
     "run_suite suite name": (lambda: run_suite(5, "no-such", 1), ProtocolMisuse, ValueError),
+    "result_json_line of a non-result": (lambda: result_json_line(0.5), WrongType, TypeError),
     "wilson_interval range": (lambda: wilson_interval(4, 3), ProtocolMisuse, ValueError),
     "_sqrt_upper of a negative": (
         lambda: _sqrt_upper(Fraction(-1, 2)),

@@ -105,6 +105,25 @@ def test_inv_with_checks_and_counts(prime13, prime251):
     assert (counter.muls, counter.invs) == (0, 2)
 
 
+@pytest.mark.parametrize("p", [3, 13, 251, SECURE_PRIME_VALUE], ids=lambda v: f"p{v.bit_length()}b")
+@given(values=st.lists(st.integers(min_value=1), max_size=70), at=st.integers(min_value=0))
+def test_inv_all_is_every_inverse(p, values, at):
+    prime = Prime(p)
+    xs = [prime.elt(v % p or 1) for v in values]
+    with count_field_ops() as counter:
+        out = prime.inv_all(xs)
+    assert len(out) == len(xs)
+    assert all(x * y == prime.one for x, y in zip(xs, out))
+    assert all(type(y) is FieldElement and y.prime is prime for y in out)
+    # one pow and its residue products, counted as one inversion per element
+    assert (counter.muls, counter.invs) == (0, len(xs))
+    spot = at % (len(xs) + 1)
+    with pytest.raises(ZeroInverse):
+        prime.inv_all(xs[:spot] + [prime.zero] + xs[spot:])
+    with pytest.raises(ModulusMismatch):
+        prime.inv_all(xs[:spot] + [Prime(5).one] + xs[spot:])
+
+
 def test_zero_has_no_inverse(prime):
     with pytest.raises(ZeroInverse):
         prime.zero.inv()

@@ -22,6 +22,7 @@ from silmarils.net_sim import AdversaryHook, Role, transcript_lines
 from silmarils.rng import Rng
 from silmarils import three_party
 from silmarils.three_party import run_signing_session, signing_result
+from silmarils.two_party import sign, verify
 
 from .oracles import wilson_bounds_by_bisection
 
@@ -80,6 +81,25 @@ def test_estimates_are_reproducible():
     c = H.estimate_correctness(251, 500, seed=b"\x02" * 32)
     assert a == b
     assert a.successes != c.successes or a == c  # different seed may differ
+
+
+@pytest.mark.parametrize("p", [5, 251])
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 129])
+def test_batched_correctness_equals_one_sign_per_trial(p, trials):
+    # the harness's own streams: keys from Rng(seed), every signature from b"sign"
+    prime = Prime(p)
+    root = Rng(H.DEFAULT_SEED)
+    keys = H._keys_for(prime, root)
+    rng = root.fork(b"sign")
+    failures = 0
+    for _ in range(trials):
+        sig, _ = sign(keys, H.DEFAULT_MESSAGE, rng)
+        failures += not verify(keys.pk, keys.k_sig, H.DEFAULT_MESSAGE, sig)
+    est = H.estimate_correctness(p, trials)
+    assert (est.trials, est.successes) == (trials, failures)
+    assert est == H.make_estimate(
+        "correctness", p, trials, failures, Fraction(1, p), note=est.note
+    )
 
 
 def test_estimator_input_validation():

@@ -20,12 +20,15 @@ from silmarils.two_party import (
     KeyMaterial,
     Params,
     Signature,
+    SigningTape,
+    _assemble,
     dv_forge,
     keygen,
     public_r_forge,
     public_receipt,
     sign,
     sign_accepted,
+    sign_many,
     verify,
     verify_public_r,
     verify_with_receipt,
@@ -137,6 +140,10 @@ def test_operation_budget():
     # the exact counts, pinned so regressions surface
     assert (sc.muls, sc.invs) == (13, 2)
     assert (vc.muls, vc.invs) == (4, 0)
+    # a batch shares one pow but keeps the per-signature budget
+    with count_field_ops() as bc:
+        sign_many(keys, msg, rng, 64)
+    assert (bc.muls, bc.invs) == (13 * 64, 2 * 64)
 
 
 def test_secure_profile_sizes():
@@ -233,6 +240,29 @@ def _check_tape(keys, msg, tape):
     n = derive_nonce(keys.k_sig, msg, keys.sk_K.prime)
     assert tape.Kprime == derive_message_key(keys.sk_K, msg)
     assert (tape.n, tape.r) == (n, receipt_from_nonce(msg, n))
+
+
+def _sign_by_hand(keys, msg, rng):
+    # sign's documented draw order, one signature and one inv_with at a time
+    prime = keys.sk_K.prime
+    n, r = derive_receipt(keys.k_sig, msg, prime)
+    alpha, beta, b, d = (prime.sample_unit(rng) for _ in range(4))
+    slope_eps, slope_K = prime.sample(rng), prime.sample(rng)
+    eps, Kprime = alpha * beta, derive_message_key(keys.sk_K, msg)
+    sig = _assemble(keys.pk, Kprime, r, b, d, eps, slope_eps, slope_K)
+    return sig, SigningTape(alpha, beta, b, d, eps, slope_eps, Kprime, slope_K, n, r)
+
+
+@pytest.mark.parametrize("prime", [Prime(5), P251, SECURE], ids=["p5", "p251", "secure"])
+@pytest.mark.parametrize("count", [0, 1, 2, 63, 64, 65])
+def test_sign_many_matches_sign(prime, count):
+    keys, _ = _setup(prime)
+    seed = b"\x09" * 32
+    batch_rng, sign_rng, hand_rng = Rng(seed), Rng(seed), Rng(seed)
+    batch = sign_many(keys, b"batched", batch_rng, count)
+    assert batch == [sign(keys, b"batched", sign_rng) for _ in range(count)]
+    assert batch == [_sign_by_hand(keys, b"batched", hand_rng) for _ in range(count)]
+    assert batch_rng.take(16) == sign_rng.take(16) == hand_rng.take(16)
 
 
 def test_sign_memo_follows_message_and_prime():
