@@ -85,31 +85,28 @@ class Prime:
         as field muls.  An empty input makes no pow.
         """
         q = self.value
-        prefix = []  # prefix[i] = x_0*...*x_{i-1}
+        out = []  # out[i] = x_0*...*x_{i-1} until the walk back sets x_i^-1
         acc = 1
         for x in elements:
             if type(x) is not FieldElement:
                 raise WrongType(f"inv_all needs FieldElements, got {type(x).__name__}")
             if x.prime is not self and x.prime.value != q:
                 raise ModulusMismatch(f"{q} vs {x.prime.value}")
-            prefix.append(acc)
+            out.append(acc)
             acc = acc * x.residue % q
-        if not prefix:
-            return []
+        if not out:
+            return out
         if not acc:  # p is prime, so the product is 0 iff a factor is
             raise ZeroInverse(f"0 has no inverse mod {q}")
         if counting.enabled:
-            counting.bump_inv(len(prefix))
+            counting.bump_inv(len(out))
         t = pow(acc, -1, q)
-        out = [None] * len(prefix)
-        i = len(prefix)
-        for x in reversed(elements):
-            i -= 1
+        for i in range(len(out) - 1, -1, -1):
             elt = _new(FieldElement)
-            elt.residue = t * prefix[i] % q
+            elt.residue = t * out[i] % q
             elt.prime = self
             out[i] = elt
-            t = t * x.residue % q
+            t = t * elements[i].residue % q
         return out
 
     def __eq__(self, other):

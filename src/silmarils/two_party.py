@@ -141,12 +141,8 @@ def _equations(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K, eps_i
     key_pair = share_with_slope(Kprime, slope_K, weights)
     u0 = eps_inv * eps_pair.s0
     u1 = eps_inv * eps_pair.s1
-    return Signature(
-        s1=b * (Kprime - r),
-        s2=d * b_inv,
-        s3=key_pair.s1 * d,
-        s4=d * u1,
-        s5=d * (key_pair.s0 - r * u0),
+    return Signature(  # sigma1..sigma5
+        b * (Kprime - r), d * b_inv, key_pair.s1 * d, d * u1, d * (key_pair.s0 - r * u0)
     )
 
 
@@ -192,12 +188,14 @@ def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
         slope_K = prime.sample(rng)
         eps = alpha * beta
         tapes.append(SigningTape(alpha, beta, b, d, eps, slope_eps, Kprime, slope_K, n, r))
-        units += (eps, b)
-    inverses = iter(prime.inv_all(units))
+        units.append(eps)
+        units.append(b)
+    inverses = prime.inv_all(units)
     signed = []
-    for t, eps_inv, b_inv in zip(tapes, inverses, inverses):
+    for i, t in enumerate(tapes):
         sig = _equations(
-            keys.pk, Kprime, r, t.b, t.d, t.eps, t.slope_eps, t.slope_K, eps_inv, b_inv
+            keys.pk, Kprime, r, t.b, t.d, t.eps, t.slope_eps, t.slope_K,
+            inverses[2 * i], inverses[2 * i + 1],
         )
         signed.append((sig, t))
     return signed
