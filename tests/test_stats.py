@@ -97,9 +97,6 @@ def test_batched_correctness_equals_one_sign_per_trial(p, trials):
         failures += not verify(keys.pk, keys.k_sig, H.DEFAULT_MESSAGE, sig)
     est = H.estimate_correctness(p, trials)
     assert (est.trials, est.successes) == (trials, failures)
-    assert est == H.make_estimate(
-        "correctness", p, trials, failures, Fraction(1, p), note=est.note
-    )
 
 
 def test_estimator_input_validation():
