@@ -2,7 +2,8 @@
 
 Disabled by default; when no counter is active the per-operation cost is a
 single global flag check.  Counters nest: an operation counts toward the
-innermost open counter only.
+innermost open counter only.  Code that computes on residues (two_party's
+sign and verify) counts its muls in bulk, bump_mul(n) once a call.
 
 An inversion is counted as one inversion event, whatever its modular-inverse
 computation does internally: the cost claims being checked count inversions
@@ -40,8 +41,8 @@ def count_field_ops():
         _stack.pop()
 
 
-def bump_mul() -> None:
-    _stack[-1].muls += 1
+def bump_mul(n: int = 1) -> None:
+    _stack[-1].muls += n
 
 
 def bump_inv(n: int = 1) -> None:

@@ -473,9 +473,9 @@ def interpret_value(pk: Weights, message: bytes, sig_alg: Signature, x, *, nonce
     """Accept x iff it hashes from (M, sig) and the signature verifies under
     the receipt derived from the nonce."""
     r = receipt_from_nonce(message, nonce)
-    if authenticated_value(message, sig_alg.encode(), pk.prime) != x:
-        return False
-    return _core_verify(pk, r, sig_alg)
+    return _core_verify(pk, r, sig_alg) and (
+        authenticated_value(message, sig_alg.encode(), pk.prime) == x
+    )
 
 
 @dataclass

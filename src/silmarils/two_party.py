@@ -20,7 +20,9 @@ derived from the pair key.  The verifier recombines
 and accepts iff sigma4 != 0 and the share reconstruction of (V0, V1) is zero.
 An honest tape gives (V0, V1) = (d*C*w0, d*C*w1) for C = -a_K + r*a_eps/eps,
 which reconstructs to f(0) = 0; a signer unlucky enough to draw sigma4 = 0
-(probability 1/p) is rejected, and signing does not resample.
+(probability 1/p) is rejected, and signing does not resample.  Sign and
+verify compute both sides on residues (ints mod p), build elements only for
+the five sigmas, and count their field muls in bulk, one bump a call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from ._record import frozen_record
-from .errors import DegenerateExtraction, MalformedInput, MalformedSignature, ProtocolMisuse
+from .errors import DegenerateExtraction, MalformedInput, MalformedSignature, ModulusMismatch
+from .errors import ProtocolMisuse, WrongType
+from .field import FieldElement, counting
+from .field._pure import _new
 from .hashing import (
     DOMAIN_RECEIPT,
     PairKey,
@@ -37,7 +42,7 @@ from .hashing import (
     derive_receipt,
     hash_to_field,
 )
-from .sss import SharePair, Weights, reconstruct, share_with_slope
+from .sss import Weights
 
 HINT_KINDS = ("d", "s", "a")
 
@@ -135,21 +140,40 @@ def keygen(params: Params, rng) -> KeyMaterial:
     return KeyMaterial(sk_K=sk_K, pk=params.weights, k_sig=k_sig)
 
 
-def _equations(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K, eps_inv, b_inv):
-    """The signature equations, given the inverses of eps and b."""
-    eps_pair = share_with_slope(eps, slope_eps, weights)
-    key_pair = share_with_slope(Kprime, slope_K, weights)
-    u0 = eps_inv * eps_pair.s0
-    u1 = eps_inv * eps_pair.s1
-    return Signature(  # sigma1..sigma5
-        b * (Kprime - r), d * b_inv, key_pair.s1 * d, d * u1, d * (key_pair.s0 - r * u0)
-    )
+def _equations(weights: Weights, Kprime, r, rows, inverses) -> list:
+    """The signature equations on residues: one Signature per row of
+    (b, d, eps, slope_eps, slope_K) residues, with eps^-1 and b^-1 at
+    inverses[2i] and [2i + 1].  The weights, K', r and K' - r are read once a
+    batch, and the 12 muls of each signature are counted in one bump."""
+    prime = Kprime.prime
+    q = prime.value
+    w0, w1, k, rr = weights.w0.residue, weights.w1.residue, Kprime.residue, r.residue
+    k_r = k - rr
+    signed = []
+    for i, (b, d, eps, slope_eps, slope_K) in enumerate(rows):
+        eps_inv = inverses[2 * i].residue
+        sigma = []
+        for v in (  # sigma1..sigma5
+            b * k_r % q,
+            d * inverses[2 * i + 1].residue % q,
+            (k + slope_K * w1) * d % q,
+            d * (eps_inv * (eps + slope_eps * w1) % q) % q,
+            d * (k + slope_K * w0 - rr * (eps_inv * (eps + slope_eps * w0) % q)) % q,
+        ):
+            elt = _new(FieldElement)
+            elt.residue = v
+            elt.prime = prime
+            sigma.append(elt)
+        signed.append(Signature(*sigma))
+    if counting.enabled:
+        counting.bump_mul(12 * len(rows))
+    return signed
 
 
 def _assemble(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K):
     """One signature from its ephemerals; dv_forge's and stats' entry."""
-    eps_inv, b_inv = eps.inv_with(b)  # both inverses from one pow
-    return _equations(weights, Kprime, r, b, d, eps, slope_eps, slope_K, eps_inv, b_inv)
+    row = (b.residue, d.residue, eps.residue, slope_eps.residue, slope_K.residue)
+    return _equations(weights, Kprime, r, (row,), eps.inv_with(b))[0]
 
 
 def sign(keys: KeyMaterial, message: bytes, rng):
@@ -170,6 +194,8 @@ def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
     (eps, b) come from one pow (Prime.inv_all).
     """
     prime = keys.sk_K.prime
+    if keys.pk.prime.value != prime.value:
+        raise ModulusMismatch(f"key over {prime.value}, weights over {keys.pk.prime.value}")
     n, r = derive_receipt(keys.k_sig, message, prime)
     memo = keys._kprime_memo
     if memo is not None and memo[0] == message:
@@ -178,6 +204,7 @@ def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
         Kprime = derive_message_key(keys.sk_K, message)
         object.__setattr__(keys, "_kprime_memo", (bytes(message), Kprime))
     tapes = []
+    rows = []
     units = []  # eps_0, b_0, eps_1, b_1, ...
     for _ in range(count):
         alpha = prime.sample_unit(rng)
@@ -188,17 +215,9 @@ def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
         slope_K = prime.sample(rng)
         eps = alpha * beta
         tapes.append(SigningTape(alpha, beta, b, d, eps, slope_eps, Kprime, slope_K, n, r))
-        units.append(eps)
-        units.append(b)
-    inverses = prime.inv_all(units)
-    signed = []
-    for i, t in enumerate(tapes):
-        sig = _equations(
-            keys.pk, Kprime, r, t.b, t.d, t.eps, t.slope_eps, t.slope_K,
-            inverses[2 * i], inverses[2 * i + 1],
-        )
-        signed.append((sig, t))
-    return signed
+        rows.append((b.residue, d.residue, eps.residue, slope_eps.residue, slope_K.residue))
+        units += (eps, b)
+    return list(zip(_equations(keys.pk, Kprime, r, rows, prime.inv_all(units)), tapes))
 
 
 def sign_accepted(keys: KeyMaterial, message: bytes, rng, max_tries: int = 64):
@@ -213,12 +232,22 @@ def sign_accepted(keys: KeyMaterial, message: bytes, rng, max_tries: int = 64):
 
 
 def _core_verify(weights: Weights, r, sig: Signature) -> bool:
-    if not sig.s4:
+    """The acceptance check on residues, after checking each part and r."""
+    if type(sig) is not Signature:
+        raise WrongType(f"expected a Signature, got {type(sig).__name__}")
+    q = weights.lam0.prime.value
+    for x in (*sig, r):
+        if type(x) is not FieldElement:
+            raise WrongType(f"signature parts and r must be elements, got {type(x).__name__}")
+        if x.prime.value != q:
+            raise ModulusMismatch(f"{q} vs {x.prime.value}")
+    if not sig.s4.residue:
         return False
-    m = sig.s1 * sig.s2
-    v0 = m - sig.s5
-    v1 = m - sig.s3 + r * sig.s4
-    return not reconstruct(SharePair(v0, v1), weights)
+    if counting.enabled:
+        counting.bump_mul(4)
+    m = sig.s1.residue * sig.s2.residue
+    v1 = m - sig.s3.residue + r.residue * sig.s4.residue
+    return not (weights.lam0.residue * (m - sig.s5.residue) + weights.lam1.residue * v1) % q
 
 
 def _as_signature(prime, sig: Union[Signature, bytes]) -> Signature:
