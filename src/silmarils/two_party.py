@@ -21,8 +21,8 @@ and accepts iff sigma4 != 0 and the share reconstruction of (V0, V1) is zero.
 An honest tape gives (V0, V1) = (d*C*w0, d*C*w1) for C = -a_K + r*a_eps/eps,
 which reconstructs to f(0) = 0; a signer unlucky enough to draw sigma4 = 0
 (probability 1/p) is rejected, and signing does not resample.  Sign and
-verify compute both sides on residues (ints mod p), build elements only for
-the five sigmas, and count their field muls in bulk, one bump a call.
+verify compute these equations on residues (ints mod p), build elements only
+for the five sigmas, and count their field muls in bulk, one bump a call.
 """
 
 from __future__ import annotations

@@ -1,23 +1,51 @@
 """Library raise sites reachable from a caller's input: each raises a typed
-SilmarilsError that is still the builtin it raised before."""
+SilmarilsError that is still the builtin (for ModulusMismatch, the library
+error) it raised before.  The verifier's type checks are the exception: a
+non-Signature there raised AttributeError and now raises WrongType, a
+TypeError."""
 
 from fractions import Fraction
 
 import pytest
 
-from silmarils.errors import LengthMismatch, MalformedInput, ProtocolMisuse, WrongType
+from silmarils.errors import (
+    LengthMismatch,
+    MalformedInput,
+    ModulusMismatch,
+    ProtocolMisuse,
+    WrongType,
+)
 from silmarils.field import Prime
-from silmarils.hashing import PairKey
+from silmarils.hashing import PairKey, derive_receipt
 from silmarils.net_sim import AdversaryHook, Envelope, Role, Session
 from silmarils.rng import Rng
 from silmarils.stats import _keys_for, _sqrt_upper, result_json_line, run_suite, wilson_interval
-from silmarils.three_party import RevealPoint, force_coins, open_signing_session
-from silmarils.two_party import extract_params, sign, sign_accepted
+from silmarils.sss import Weights
+from silmarils.three_party import (
+    RevealPoint,
+    force_coins,
+    interpret_value,
+    open_signing_session,
+)
+from silmarils.two_party import (
+    KeyMaterial,
+    Signature,
+    extract_params,
+    sign,
+    sign_accepted,
+    sign_many,
+    verify,
+    verify_public_r,
+    verify_with_receipt,
+)
 
 P251 = Prime(251)
 SEED = b"\x33" * 32
 MSG = b"error message"
 KEYS = _keys_for(P251, Rng(SEED))
+P13 = Prime(13)
+SIG = sign_accepted(KEYS, MSG, Rng(SEED))[0]
+RECEIPT = derive_receipt(KEYS.k_sig, MSG, P251)[1]
 
 
 def _session(adversary=None):
@@ -42,6 +70,44 @@ SITES = {
         ),
         MalformedInput,
         ValueError,
+    ),
+    "verify of a non-signature": (
+        lambda: verify(KEYS.pk, KEYS.k_sig, MSG, "zz"),
+        WrongType,
+        TypeError,
+    ),
+    "verify of None": (lambda: verify(KEYS.pk, KEYS.k_sig, MSG, None), WrongType, TypeError),
+    "verify_with_receipt of a non-element part": (
+        lambda: verify_with_receipt(KEYS.pk, RECEIPT, MSG, Signature(7, *list(SIG)[1:])),
+        WrongType,
+        TypeError,
+    ),
+    "verify_with_receipt of a non-element receipt": (
+        lambda: verify_with_receipt(KEYS.pk, 7, MSG, SIG),
+        WrongType,
+        TypeError,
+    ),
+    "verify_public_r of a part over another prime": (
+        lambda: verify_public_r(KEYS.pk, MSG, Signature(*list(SIG)[:4], P13.one)),
+        ModulusMismatch,
+        ModulusMismatch,
+    ),
+    "verify_with_receipt of a receipt over another prime": (
+        lambda: verify_with_receipt(KEYS.pk, P13.one, MSG, SIG),
+        ModulusMismatch,
+        ModulusMismatch,
+    ),
+    "interpret_value of a non-signature": (
+        lambda: interpret_value(KEYS.pk, MSG, None, P251.one, nonce=P251.one),
+        WrongType,
+        TypeError,
+    ),
+    "sign_many with weights over another prime": (
+        lambda: sign_many(
+            KeyMaterial(KEYS.sk_K, Weights(P13.elt(1), P13.elt(2)), KEYS.k_sig), MSG, Rng(SEED), 1
+        ),
+        ModulusMismatch,
+        ModulusMismatch,
     ),
     "sign_accepted with no tries": (
         lambda: sign_accepted(KEYS, MSG, Rng(SEED), max_tries=0),

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from silmarils.errors import LengthMismatch, ModulusMismatch, ZeroInverse
-from silmarils.field import SECURE_PRIME_VALUE, FieldElement, Prime, count_field_ops
+from silmarils.field import SECURE_PRIME_VALUE, FieldElement, Prime, count_field_ops, counting
 from silmarils.rng import Rng
 
 from .oracles import inverse_by_ext_gcd, powmod_by_squaring, reduce_big_endian
@@ -225,6 +225,18 @@ def test_op_counting_nests_and_ignores_uncounted():
         _ = x - y
         _ = -x
     assert (c.muls, c.invs) == (0, 0)
+
+
+def test_bulk_mul_counts_go_to_the_innermost_counter():
+    # the residue kernels count a whole call's muls with one bump_mul(n)
+    with count_field_ops() as outer:
+        counting.bump_mul(3)
+        with count_field_ops() as inner:
+            counting.bump_mul(12 * 64)
+            counting.bump_mul()
+        counting.bump_mul(4)
+    assert (inner.muls, inner.invs) == (12 * 64 + 1, 0)
+    assert (outer.muls, outer.invs) == (7, 0)
 
 
 def test_per_trial_ops_keep_their_checks_and_counts(prime13, prime251):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from silmarils.errors import MalformedSignature
-from silmarils.field import SECURE_PRIME_VALUE, Prime, count_field_ops
+from silmarils.errors import MalformedSignature, ModulusMismatch
+from silmarils.field import SECURE_PRIME_VALUE, FieldElement, Prime, count_field_ops
 from silmarils.hashing import (
     derive_message_key,
     derive_nonce,
@@ -15,6 +15,7 @@ from silmarils.hashing import (
     receipt_from_nonce,
 )
 from silmarils.rng import Rng
+from silmarils.sss import SharePair, Weights, reconstruct
 from silmarils.stats import make_estimate
 from silmarils.two_party import (
     KeyMaterial,
@@ -22,6 +23,7 @@ from silmarils.two_party import (
     Signature,
     SigningTape,
     _assemble,
+    _core_verify,
     dv_forge,
     keygen,
     public_r_forge,
@@ -36,6 +38,7 @@ from silmarils.two_party import (
 
 P251 = Prime(251)
 SECURE = Prime(SECURE_PRIME_VALUE)
+KERNEL_PRIMES = [Prime(3), Prime(5), P251, SECURE]
 
 
 def _setup(prime, seed=b"\x07" * 32):
@@ -240,6 +243,91 @@ def _check_tape(keys, msg, tape):
     n = derive_nonce(keys.k_sig, msg, keys.sk_K.prime)
     assert tape.Kprime == derive_message_key(keys.sk_K, msg)
     assert (tape.n, tape.r) == (n, receipt_from_nonce(msg, n))
+
+
+def _equations_by_hand(w, Kprime, r, b, d, eps, slope_eps, slope_K):
+    # the module docstring's sigma1..sigma5, on FieldElements
+    eps0, eps1 = eps + slope_eps * w.w0, eps + slope_eps * w.w1
+    key0, key1 = Kprime + slope_K * w.w0, Kprime + slope_K * w.w1
+    return Signature(
+        b * (Kprime - r), d / b, key1 * d, d / eps * eps1, d * (key0 - r / eps * eps0)
+    )
+
+
+def _verify_by_hand(w, r, sig):
+    # the acceptance check, through the share reconstruction
+    if not sig.s4:
+        return False
+    m = sig.s1 * sig.s2
+    return not reconstruct(SharePair(m - sig.s5, m - sig.s3 + r * sig.s4), w)
+
+
+def _elements(data, prime, count, unit=False):
+    # residues biased to 0 and 1, so zero parts, r = 0 and sigma4 = 0 come up
+    q = prime.value
+    low = 1 if unit else 0
+    residue = st.one_of(st.sampled_from(range(low, min(q, 2))), st.integers(low, q - 1))
+    return [prime.elt(data.draw(residue)) for _ in range(count)]
+
+
+def _weights(data, prime):
+    w0 = data.draw(st.integers(1, prime.value - 1))
+    w1 = data.draw(st.integers(1, prime.value - 1).filter(lambda v: v != w0))
+    return Weights(prime.elt(w0), prime.elt(w1))
+
+
+@given(prime=st.sampled_from(KERNEL_PRIMES), data=st.data())
+def test_assemble_matches_the_equations_by_hand(prime, data):
+    w = _weights(data, prime)
+    Kprime, r, slope_eps, slope_K = _elements(data, prime, 4)
+    b, d, eps = _elements(data, prime, 3, unit=True)
+    sig = _assemble(w, Kprime, r, b, d, eps, slope_eps, slope_K)
+    assert sig == _equations_by_hand(w, Kprime, r, b, d, eps, slope_eps, slope_K)
+    for part in sig:
+        assert type(part) is FieldElement and part.prime is prime
+        assert 0 <= part.residue < prime.value
+
+
+@given(prime=st.sampled_from(KERNEL_PRIMES), solve=st.booleans(), data=st.data())
+def test_core_verify_matches_the_reconstruction(prime, solve, data):
+    w = _weights(data, prime)
+    r, s1, s2, s3, s4, s5 = _elements(data, prime, 6)
+    if solve:  # the one sigma5 that makes the reconstruction zero
+        m = s1 * s2
+        s5 = m + w.lam1 * (m - s3 + r * s4) / w.lam0
+    sig = Signature(s1, s2, s3, s4, s5)
+    with count_field_ops() as c:
+        accepted = _core_verify(w, r, sig)
+    assert accepted == _verify_by_hand(w, r, sig)
+    if solve:
+        assert accepted == bool(s4)
+    assert (c.muls, c.invs) == ((4, 0) if s4 else (0, 0))
+
+
+def test_operation_counts_of_the_other_entries():
+    keys, rng = _setup(P251)
+    msg = b"counted"
+    with count_field_ops() as forge:
+        dv_forge(keys.k_sig, keys.pk, msg, rng)
+    sig, tape = sign_accepted(keys, msg, rng)
+    with count_field_ops() as receipt:
+        assert verify_with_receipt(keys.pk, tape.r, msg, sig)
+    with count_field_ops() as public:
+        verify_public_r(keys.pk, msg, sig)
+    zeroed = Signature(sig.s1, sig.s2, sig.s3, P251.zero, sig.s5)
+    with count_field_ops() as rejected:
+        assert not _core_verify(keys.pk, tape.r, zeroed)
+    counts = [(c.muls, c.invs) for c in (forge, receipt, public, rejected)]
+    assert counts == [(12, 2), (4, 0), (4, 0), (0, 0)]
+
+
+def test_sign_many_refuses_foreign_weights_before_drawing():
+    keys, _ = _setup(P251)
+    foreign = Params.generate(Prime(13), Rng(b"\x05" * 32)).weights
+    rng = Rng(b"\x06" * 32)
+    with pytest.raises(ModulusMismatch):
+        sign_many(KeyMaterial(sk_K=keys.sk_K, pk=foreign, k_sig=keys.k_sig), b"m", rng, 3)
+    assert rng.take(16) == Rng(b"\x06" * 32).take(16)
 
 
 def _sign_by_hand(keys, msg, rng):
