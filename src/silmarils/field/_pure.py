@@ -41,6 +41,7 @@ class Prime:
 
     def sample(self, rng) -> "FieldElement":
         """Uniform element, by rejection sampling on fixed-width byte draws."""
+        # Not a _residues wrapper: the one-draw loop is measurably cheaper per session.
         width = self.byte_length
         bound = self._accept_bound
         while True:
@@ -53,10 +54,26 @@ class Prime:
 
     def sample_unit(self, rng) -> "FieldElement":
         """Uniform nonzero element."""
-        while True:
-            x = self.sample(rng)
-            if x.residue:
-                return x
+        return _element(self._residues(rng, (True,))[0], self)
+
+    def _residues(self, rng, units) -> list:
+        """Uniform residues, one per flag, nonzero where the flag is True: the
+        bytes and the stream position of the matching sample (False) and
+        sample_unit (True) calls.  One rejection loop, reading one draw per
+        missing residue at a time, so it never reads past their last draw."""
+        width, bound, q = self.byte_length, self._accept_bound, self.value
+        out = []
+        while len(out) < len(units):
+            data = rng.take(width * (len(units) - len(out)))
+            if width > 1:
+                cuts = range(0, len(data), width)
+                data = [int.from_bytes(data[at : at + width], "big") for at in cuts]
+            for draw in data:  # one-byte draws are the bytes themselves
+                if draw < bound:
+                    draw %= q
+                    if draw or not units[len(out)]:
+                        out.append(draw)
+        return out
 
     def reduce_wide(self, data: bytes) -> "FieldElement":
         """Reduce a 64-byte big-endian integer; the hash-to-field back end."""
@@ -75,25 +92,21 @@ class Prime:
             raise MalformedInput(f"non-canonical residue {value} for modulus {self.value}")
         return _element(value, self)
 
-    def inv_all(self, elements) -> list:
-        """Every inverse of a sequence of elements from one pow (Montgomery's
+    def _inv_residues(self, xs) -> list:
+        """Every inverse of a sequence of residues from one pow (Montgomery's
         trick): with t = (x_0*...*x_{n-1})^-1, walking back
         x_i^-1 = t*(x_0*...*x_{i-1}) and then t <- t*x_i.
 
-        Counted as len(elements) inversions; the residue products that share
-        the one modular inverse belong to the inversions and are not counted
-        as field muls.  An empty input makes no pow.
+        Counted as len(xs) inversions; the residue products that share the one
+        modular inverse belong to the inversions and are not counted as field
+        muls.  An empty input makes no pow, and a zero raises before it.
         """
         q = self.value
         out = []  # out[i] = x_0*...*x_{i-1} until the walk back sets x_i^-1
         acc = 1
-        for x in elements:
-            if type(x) is not FieldElement:
-                raise WrongType(f"inv_all needs FieldElements, got {type(x).__name__}")
-            if x.prime is not self and x.prime.value != q:
-                raise ModulusMismatch(f"{q} vs {x.prime.value}")
+        for x in xs:
             out.append(acc)
-            acc = acc * x.residue % q
+            acc = acc * x % q
         if not out:
             return out
         if not acc:  # p is prime, so the product is 0 iff a factor is
@@ -102,11 +115,8 @@ class Prime:
             counting.bump_inv(len(out))
         t = pow(acc, -1, q)
         for i in range(len(out) - 1, -1, -1):
-            elt = _new(FieldElement)
-            elt.residue = t * out[i] % q
-            elt.prime = self
-            out[i] = elt
-            t = t * elements[i].residue % q
+            out[i] = t * out[i] % q
+            t = t * xs[i] % q
         return out
 
     def __eq__(self, other):
@@ -183,10 +193,6 @@ class FieldElement:
             counting.bump_inv()
         return _element(pow(self.residue, -1, p.value), p)
 
-    def inv_with(self, other) -> tuple:
-        """(self^-1, other^-1) from one pow: Prime.inv_all of the pair."""
-        return tuple(self.prime.inv_all((self, other)))
-
     def __eq__(self, other):
         if type(other) is not FieldElement:
             return NotImplemented
@@ -213,8 +219,7 @@ class FieldElement:
 
 def _element(residue: int, prime: Prime) -> FieldElement:
     # Internal fast path: residue already canonical.  The per-trial paths
-    # (+, -, *, Prime.sample, Prime.inv_all) inline these three lines to skip
-    # the call.
+    # (+, -, *, Prime.sample) inline these three lines to skip the call.
     elt = _new(FieldElement)
     elt.residue = residue
     elt.prime = prime

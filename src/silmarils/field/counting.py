@@ -7,9 +7,8 @@ sign and verify) counts its muls in bulk, bump_mul(n) once a call.
 
 An inversion is counted as one inversion event, whatever its modular-inverse
 computation does internally: the cost claims being checked count inversions
-as units.  A batch (Prime.inv_all, and FieldElement.inv_with for a pair) is
-one inversion event per element; the residue products that share its one
-modular inverse are not muls.
+as units.  A batch (Prime._inv_residues) is one inversion event per residue;
+the residue products that share its one modular inverse are not muls.
 """
 
 from __future__ import annotations

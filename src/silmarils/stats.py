@@ -340,8 +340,9 @@ def estimate_correctness(
 
     Fast path signs and verifies directly: the only honest failure mode is the
     verifier rejecting (the signer drew sigma4 = 0, rate exactly 1/p).  It
-    signs _SIGN_BATCH trials at a time with sign_many, which draws exactly
-    what one sign call per trial would and shares one pow per batch.  With
+    signs _SIGN_BATCH trials at a time with sign_many, which returns the
+    signatures one sign call per trial would, from the same draws, and shares
+    one pow per batch; it verifies each signature in turn.  With
     sessions=True each trial runs the full three-party session and counts a
     failure whenever z2, z3, or the final interpretation misses x.
     """
@@ -361,7 +362,7 @@ def estimate_correctness(
         pk, k_sig = keys.pk, keys.k_sig
         for done in range(0, trials, _SIGN_BATCH):
             count = min(_SIGN_BATCH, trials - done)
-            for sig, _ in sign_many(keys, DEFAULT_MESSAGE, rng, count):
+            for sig in sign_many(keys, DEFAULT_MESSAGE, rng, count):
                 if not verify(pk, k_sig, DEFAULT_MESSAGE, sig):
                     failures += 1
         name = "correctness"

@@ -21,8 +21,8 @@ and accepts iff sigma4 != 0 and the share reconstruction of (V0, V1) is zero.
 An honest tape gives (V0, V1) = (d*C*w0, d*C*w1) for C = -a_K + r*a_eps/eps,
 which reconstructs to f(0) = 0; a signer unlucky enough to draw sigma4 = 0
 (probability 1/p) is rejected, and signing does not resample.  Sign and
-verify compute these equations on residues (ints mod p), build elements only
-for the five sigmas, and count their field muls in bulk, one bump a call.
+verify compute on residues (ints mod p) from the draws to the five sigmas,
+and count their field muls in bulk, one bump a call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from ._record import frozen_record
 from .errors import DegenerateExtraction, MalformedInput, MalformedSignature, ModulusMismatch
 from .errors import ProtocolMisuse, WrongType
 from .field import FieldElement, counting
-from .field._pure import _new
+from .field._pure import _element, _new
 from .hashing import (
     DOMAIN_RECEIPT,
     PairKey,
@@ -65,7 +65,7 @@ class KeyMaterial:
 
     k_sig is shared with exactly one designated verifier; whoever holds it can
     verify and can simulate (see dv_forge), which is the point of the scheme.
-    sign_many keeps its last per-message key here, like PairKey's receipt memo:
+    Signing keeps its last per-message key here, like PairKey's receipt memo:
     (a bytes copy of the message, K'), outside ==, hash and repr; sk_K fixes
     the prime, so the message alone keys it.
     """
@@ -151,11 +151,11 @@ def _equations(weights: Weights, Kprime, r, rows, inverses) -> list:
     k_r = k - rr
     signed = []
     for i, (b, d, eps, slope_eps, slope_K) in enumerate(rows):
-        eps_inv = inverses[2 * i].residue
+        eps_inv = inverses[2 * i]
         sigma = []
         for v in (  # sigma1..sigma5
             b * k_r % q,
-            d * inverses[2 * i + 1].residue % q,
+            d * inverses[2 * i + 1] % q,
             (k + slope_K * w1) * d % q,
             d * (eps_inv * (eps + slope_eps * w1) % q) % q,
             d * (k + slope_K * w0 - rr * (eps_inv * (eps + slope_eps * w0) % q)) % q,
@@ -173,26 +173,18 @@ def _equations(weights: Weights, Kprime, r, rows, inverses) -> list:
 def _assemble(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K):
     """One signature from its ephemerals; dv_forge's and stats' entry."""
     row = (b.residue, d.residue, eps.residue, slope_eps.residue, slope_K.residue)
-    return _equations(weights, Kprime, r, (row,), eps.inv_with(b))[0]
+    inverses = Kprime.prime._inv_residues((eps.residue, b.residue))
+    return _equations(weights, Kprime, r, (row,), inverses)[0]
 
 
-def sign(keys: KeyMaterial, message: bytes, rng):
-    """Sign a message; returns (Signature, SigningTape).
-
-    sigma4 = 0 is a legal (rejected-by-verify) output; see sign_accepted for
-    the retry wrapper.
-    """
-    return sign_many(keys, message, rng, 1)[0]
+_TAPE_UNITS = (True, True, True, True, False, False)  # alpha, beta, b, d are nonzero
 
 
-def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
-    """count signatures of one message: [(Signature, SigningTape)], exactly
-    what count calls of sign on the same rng return.
-
-    Each tape draws (alpha, beta, b, d, slope_eps, slope_K) in that order.
-    The nonce, receipt and K' are derived once, and the 2*count inverses of
-    (eps, b) come from one pow (Prime.inv_all).
-    """
+def _sign_batch(keys: KeyMaterial, message: bytes, rng, count: int) -> tuple:
+    """sign's and sign_many's step: (n, r, K', draws, signatures).  draws is
+    one Prime._residues call of count tapes (alpha, beta, b, d, slope_eps,
+    slope_K); eps = alpha * beta is one counted mul a tape, and one pow inverts
+    every (eps, b) (Prime._inv_residues).  n, r and K' are derived once."""
     prime = keys.sk_K.prime
     if keys.pk.prime.value != prime.value:
         raise ModulusMismatch(f"key over {prime.value}, weights over {keys.pk.prime.value}")
@@ -203,21 +195,39 @@ def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
     else:
         Kprime = derive_message_key(keys.sk_K, message)
         object.__setattr__(keys, "_kprime_memo", (bytes(message), Kprime))
-    tapes = []
-    rows = []
-    units = []  # eps_0, b_0, eps_1, b_1, ...
-    for _ in range(count):
-        alpha = prime.sample_unit(rng)
-        beta = prime.sample_unit(rng)
-        b = prime.sample_unit(rng)
-        d = prime.sample_unit(rng)
-        slope_eps = prime.sample(rng)
-        slope_K = prime.sample(rng)
-        eps = alpha * beta
-        tapes.append(SigningTape(alpha, beta, b, d, eps, slope_eps, Kprime, slope_K, n, r))
-        rows.append((b.residue, d.residue, eps.residue, slope_eps.residue, slope_K.residue))
-        units += (eps, b)
-    return list(zip(_equations(keys.pk, Kprime, r, rows, prime.inv_all(units)), tapes))
+    q = prime.value
+    draws = prime._residues(rng, _TAPE_UNITS * count)
+    tapes = zip(*[iter(draws)] * 6)
+    rows = [(b, d, alpha * beta % q, se, sk) for alpha, beta, b, d, se, sk in tapes]
+    if counting.enabled:
+        counting.bump_mul(count)
+    inverses = prime._inv_residues([x for row in rows for x in (row[2], row[0])])
+    return n, r, Kprime, draws, _equations(keys.pk, Kprime, r, rows, inverses)
+
+
+def sign(keys: KeyMaterial, message: bytes, rng):
+    """Sign a message; returns (Signature, SigningTape).
+
+    sigma4 = 0 is a legal (rejected-by-verify) output; see sign_accepted for
+    the retry wrapper.
+    """
+    n, r, Kprime, draws, (sig,) = _sign_batch(keys, message, rng, 1)
+    prime = Kprime.prime
+    eps = draws[0] * draws[1] % prime.value
+    alpha, beta, b, d, slope_eps, slope_K, eps = [_element(v, prime) for v in (*draws, eps)]
+    return sig, SigningTape(alpha, beta, b, d, eps, slope_eps, Kprime, slope_K, n, r)
+
+
+def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
+    """count signatures of one message: [Signature], exactly the signatures
+    that count calls of sign on the same rng return, leaving rng where they
+    do.  A count that is not an int, or is negative, raises before drawing.
+    """
+    if not isinstance(count, int):
+        raise WrongType(f"count must be an int, got {type(count).__name__}")
+    if count < 0:
+        raise ProtocolMisuse(f"count must be at least 0, got {count}")
+    return _sign_batch(keys, message, rng, count)[-1]
 
 
 def sign_accepted(keys: KeyMaterial, message: bytes, rng, max_tries: int = 64):

@@ -61,8 +61,6 @@ SITES = {
     "Prime() below 3": (lambda: Prime(2), MalformedInput, ValueError),
     "Prime() of a non-int": (lambda: Prime("251"), WrongType, TypeError),
     "non-canonical from_bytes": (lambda: P251.from_bytes(b"\xfb"), MalformedInput, ValueError),
-    "inv_with of a non-element": (lambda: P251.one.inv_with(7), WrongType, TypeError),
-    "inv_all of a non-element": (lambda: P251.inv_all([P251.one, 7]), WrongType, TypeError),
     "PairKey length": (lambda: PairKey(b"\x00" * 31), LengthMismatch, ValueError),
     "extract_params hint kind": (
         lambda: extract_params(
@@ -108,6 +106,16 @@ SITES = {
         ),
         ModulusMismatch,
         ModulusMismatch,
+    ),
+    "sign_many of a non-int count": (
+        lambda: sign_many(KEYS, MSG, Rng(SEED), 2.5),
+        WrongType,
+        TypeError,
+    ),
+    "sign_many of a negative count": (
+        lambda: sign_many(KEYS, MSG, Rng(SEED), -1),
+        ProtocolMisuse,
+        ValueError,
     ),
     "sign_accepted with no tries": (
         lambda: sign_accepted(KEYS, MSG, Rng(SEED), max_tries=0),

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from silmarils.errors import LengthMismatch, ModulusMismatch, ZeroInverse
-from silmarils.field import SECURE_PRIME_VALUE, FieldElement, Prime, count_field_ops, counting
+from silmarils.field import SECURE_PRIME_VALUE, FieldElement, Prime, _pure, count_field_ops
+from silmarils.field import counting
 from silmarils.rng import Rng
 
 from .oracles import inverse_by_ext_gcd, powmod_by_squaring, reduce_big_endian
@@ -73,55 +74,65 @@ def test_inverse_matches_ext_gcd(prime, a):
     assert int(x.inv()) == powmod_by_squaring(a, p - 2, p)
 
 
-@pytest.mark.parametrize("p", [3, 5, 13, 251, SECURE_PRIME_VALUE], ids=lambda v: f"p{v.bit_length()}b")
-@given(a=st.integers(min_value=1), b=st.integers(min_value=1))
-def test_inv_with_is_both_inverses(p, a, b):
-    prime = Prime(p)
-    a, b = a % p or 1, b % p or p - 1
-    x, y = prime.elt(a), prime.elt(b)
-    pair = x.inv_with(y)
-    assert pair == (x.inv(), y.inv())
-    assert [int(v) for v in pair] == [inverse_by_ext_gcd(a, p), inverse_by_ext_gcd(b, p)]
-    assert all(type(v) is FieldElement and v.prime is prime for v in pair)
-
-
-def test_inv_with_checks_and_counts(prime13, prime251):
-    x, y = prime13.elt(5), prime13.elt(7)
-    assert [int(v) for v in x.inv_with(y)] == [8, 2]  # 5*8 = 7*2 = 1 mod 13
-    for a, b in ((x, prime13.zero), (prime13.zero, y), (prime13.zero, prime13.zero)):
-        with pytest.raises(ZeroInverse):
-            a.inv_with(b)
-    with pytest.raises(ModulusMismatch):
-        x.inv_with(prime251.elt(7))
-    with pytest.raises(ModulusMismatch):
-        prime251.elt(7).inv_with(x)
-    assert x.inv_with(Prime(13).elt(7)) == x.inv_with(y)
-    for other in (7, None, 7.0):
-        with pytest.raises(TypeError):
-            x.inv_with(other)
-    # one pow and three residue products, counted as two inversion events
-    with count_field_ops() as counter:
-        x.inv_with(y)
-    assert (counter.muls, counter.invs) == (0, 2)
-
-
 @pytest.mark.parametrize("p", [3, 13, 251, SECURE_PRIME_VALUE], ids=lambda v: f"p{v.bit_length()}b")
 @given(values=st.lists(st.integers(min_value=1), max_size=70), at=st.integers(min_value=0))
-def test_inv_all_is_every_inverse(p, values, at):
+def test_inv_residues_is_every_inverse(p, values, at):
     prime = Prime(p)
-    xs = [prime.elt(v % p or 1) for v in values]
+    xs = [v % p or 1 for v in values]
     with count_field_ops() as counter:
-        out = prime.inv_all(xs)
-    assert len(out) == len(xs)
-    assert all(x * y == prime.one for x, y in zip(xs, out))
-    assert all(type(y) is FieldElement and y.prime is prime for y in out)
-    # one pow and its residue products, counted as one inversion per element
+        out = prime._inv_residues(xs)
+    assert out == [inverse_by_ext_gcd(x, p) for x in xs]
+    # one pow and its residue products, counted as one inversion per residue
     assert (counter.muls, counter.invs) == (0, len(xs))
     spot = at % (len(xs) + 1)
     with pytest.raises(ZeroInverse):
-        prime.inv_all(xs[:spot] + [prime.zero] + xs[spot:])
-    with pytest.raises(ModulusMismatch):
-        prime.inv_all(xs[:spot] + [Prime(5).one] + xs[spot:])
+        prime._inv_residues(xs[:spot] + [0] + xs[spot:])
+
+
+def test_inv_residues_checks_and_counts(prime13, monkeypatch):
+    assert prime13._inv_residues([5, 7]) == [8, 2]  # 5*8 = 7*2 = 1 mod 13
+    pows = []
+
+    def counted_pow(*args):
+        pows.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(_pure, "pow", counted_pow, raising=False)
+    for xs in ([5, 0], [0, 7], [0, 0], [0]):
+        with count_field_ops() as counter:
+            with pytest.raises(ZeroInverse):
+                prime13._inv_residues(xs)
+        assert (counter.muls, counter.invs) == (0, 0)
+    assert pows == []  # a zero raises before the pow
+    with count_field_ops() as counter:
+        assert prime13._inv_residues([]) == []
+    assert (counter.muls, counter.invs, pows) == (0, 0, [])
+    with count_field_ops() as counter:
+        assert prime13._inv_residues([5, 7, 12]) == [8, 2, 12]
+    assert (counter.muls, counter.invs, len(pows)) == (0, 3, 1)
+
+
+def _draw_by_hand(prime, rng, unit):
+    # sample, re-drawn while a unit is wanted and it drew zero
+    x = prime.sample(rng)
+    while unit and not x:
+        x = prime.sample(rng)
+    return x.residue
+
+
+# p = 131 rejects about half of its byte draws; 257 draws two bytes.
+@pytest.mark.parametrize(
+    "p", [3, 131, 251, 257, SECURE_PRIME_VALUE], ids=["p3", "p131", "p251", "p257", "p25519"]
+)
+@given(units=st.lists(st.booleans(), max_size=40), seed=st.binary(min_size=1, max_size=8))
+def test_residues_match_the_sample_sequence(p, units, seed):
+    prime = Prime(p)
+    batch_rng, sample_rng, hand_rng = Rng(seed), Rng(seed), Rng(seed)
+    residues = prime._residues(batch_rng, units)
+    sampled = [(prime.sample_unit if unit else prime.sample)(sample_rng) for unit in units]
+    assert residues == [x.residue for x in sampled]
+    assert residues == [_draw_by_hand(prime, hand_rng, unit) for unit in units]
+    assert batch_rng.take(16) == sample_rng.take(16) == hand_rng.take(16)
 
 
 def test_zero_has_no_inverse(prime):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from silmarils.errors import MalformedSignature, ModulusMismatch
+from silmarils.errors import MalformedSignature, ModulusMismatch, ProtocolMisuse, WrongType
 from silmarils.field import SECURE_PRIME_VALUE, FieldElement, Prime, count_field_ops
 from silmarils.hashing import (
     derive_message_key,
@@ -330,8 +330,17 @@ def test_sign_many_refuses_foreign_weights_before_drawing():
     assert rng.take(16) == Rng(b"\x06" * 32).take(16)
 
 
+@pytest.mark.parametrize("count, error", [(-1, ProtocolMisuse), (2.5, WrongType), ("3", WrongType)])
+def test_sign_many_refuses_a_bad_count_before_drawing(count, error):
+    keys, _ = _setup(P251)
+    rng = Rng(b"\x06" * 32)
+    with pytest.raises(error):
+        sign_many(keys, b"m", rng, count)
+    assert rng.take(16) == Rng(b"\x06" * 32).take(16)
+
+
 def _sign_by_hand(keys, msg, rng):
-    # sign's documented draw order, one signature and one inv_with at a time
+    # sign's documented draw order, one signature and one _assemble at a time
     prime = keys.sk_K.prime
     n, r = derive_receipt(keys.k_sig, msg, prime)
     alpha, beta, b, d = (prime.sample_unit(rng) for _ in range(4))
@@ -348,8 +357,11 @@ def test_sign_many_matches_sign(prime, count):
     seed = b"\x09" * 32
     batch_rng, sign_rng, hand_rng = Rng(seed), Rng(seed), Rng(seed)
     batch = sign_many(keys, b"batched", batch_rng, count)
-    assert batch == [sign(keys, b"batched", sign_rng) for _ in range(count)]
-    assert batch == [_sign_by_hand(keys, b"batched", hand_rng) for _ in range(count)]
+    signed = [sign(keys, b"batched", sign_rng) for _ in range(count)]
+    assert signed == [_sign_by_hand(keys, b"batched", hand_rng) for _ in range(count)]
+    assert batch == [sig for sig, _ in signed]
+    for _, tape in signed:
+        _check_tape(keys, b"batched", tape)
     assert batch_rng.take(16) == sign_rng.take(16) == hand_rng.take(16)
 
 
