@@ -89,6 +89,21 @@ def test_inv_residues_is_every_inverse(p, values, at):
         prime._inv_residues(xs[:spot] + [0] + xs[spot:])
 
 
+# The pair inversion that replaced FieldElement.inv_with: _assemble inverts its
+# (eps, b) with one _inv_residues call on two residues.
+@pytest.mark.parametrize("p", [3, 5, 13, 251, SECURE_PRIME_VALUE], ids=lambda v: f"p{v.bit_length()}b")
+@given(a=st.integers(min_value=1), b=st.integers(min_value=1))
+def test_inv_with_is_both_inverses(p, a, b):
+    prime = Prime(p)
+    a, b = a % p or 1, b % p or p - 1
+    with count_field_ops() as counter:
+        pair = prime._inv_residues((a, b))
+    assert pair == [prime.elt(a).inv().residue, prime.elt(b).inv().residue]
+    assert pair == [inverse_by_ext_gcd(a, p), inverse_by_ext_gcd(b, p)]
+    assert all(type(v) is int and 0 < v < p for v in pair)
+    assert (counter.muls, counter.invs) == (0, 2)
+
+
 def test_inv_residues_checks_and_counts(prime13, monkeypatch):
     assert prime13._inv_residues([5, 7]) == [8, 2]  # 5*8 = 7*2 = 1 mod 13
     pows = []
