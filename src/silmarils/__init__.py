@@ -8,7 +8,7 @@ information-checking layer without giving the middle party the keys.
 
 Layout:
     field         prime-field arithmetic (pure Python, any odd prime)
-    sss           2-of-2 linear secret sharing at public weights
+    sss           the public weights; 2-of-2 sharing as (f(w0), f(w1)) pairs
     keyed hashes  hashing.py: domain-separated hash/PRF into the field
     two_party     sign / verify / extract / forgery + simulator surfaces
     three_party   the seven-round signing-and-transfer session
@@ -41,7 +41,7 @@ from .field import (
 )
 from .hashing import PairKey
 from .rng import Rng
-from .sss import SharePair, Weights, reconstruct, share
+from .sss import Weights, reconstruct
 from .two_party import (
     KeyMaterial,
     Params,
@@ -79,7 +79,6 @@ __all__ = [
     "RoleMismatch",
     "ScheduleViolation",
     "SECURE_PRIME_VALUE",
-    "SharePair",
     "Signature",
     "SilmarilsError",
     "UnknownStrategy",
@@ -93,7 +92,6 @@ __all__ = [
     "public_r_forge",
     "public_receipt",
     "reconstruct",
-    "share",
     "sign",
     "sign_accepted",
     "verify",

@@ -25,6 +25,12 @@ class WrongType(ProtocolMisuse, TypeError):
     """A ProtocolMisuse by an argument of the wrong type."""
 
 
+def require_bytes(value, what: str) -> None:
+    """Raise WrongType unless value is bytes or a bytearray."""
+    if not isinstance(value, (bytes, bytearray)):
+        raise WrongType(f"{what} must be bytes, got {type(value).__name__}")
+
+
 class ModulusMismatch(SilmarilsError):
     """Field elements from different moduli were mixed in one operation."""
 

@@ -8,6 +8,7 @@ share one code path on Python integers.
 from __future__ import annotations
 
 from ..errors import LengthMismatch, MalformedInput, ModulusMismatch, WrongType, ZeroInverse
+from ..errors import require_bytes
 from . import counting
 from .primality import is_prime
 
@@ -83,6 +84,7 @@ class Prime:
 
     def from_bytes(self, data: bytes) -> "FieldElement":
         """Decode one fixed-width canonical element."""
+        require_bytes(data, "an element encoding")
         if len(data) != self.byte_length:
             raise LengthMismatch(
                 f"element of F_{self.value} is {self.byte_length} bytes, got {len(data)}"

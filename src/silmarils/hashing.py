@@ -20,7 +20,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, require_bytes
 from .rng import Rng
 
 DOMAIN_NONCE = b"SLM/v1/nonce"
@@ -59,6 +59,7 @@ class PairKey:
     _receipt_memo: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        require_bytes(self.data, "a pair key")
         if len(self.data) != PAIR_KEY_BYTES:
             raise LengthMismatch(f"pair key must be {PAIR_KEY_BYTES} bytes")
 
@@ -93,6 +94,7 @@ def derive_receipt(k_sig: PairKey, message: bytes, prime):
     memo = k_sig._receipt_memo
     if memo is not None and memo[0] == prime and memo[1] == message:
         return memo[2]
+    require_bytes(message, "a message")
     nonce = derive_nonce(k_sig, message, prime)
     result = nonce, receipt_from_nonce(message, nonce)
     object.__setattr__(k_sig, "_receipt_memo", (prime, bytes(message), result))

@@ -17,26 +17,27 @@ A Session runs in steps: run(k) runs on through round k, and rounds_run is
 the last round run.  branch(adversary) returns an independent twin under a
 new hook for the same corrupted role: each party a new instance of its type
 with its attribute dict and tape copied (by the state contract, a full copy),
-and a copy of the transcript and of the corrupted party's View.  Exhaustive
+a copy of the transcript, and the corrupted party's sent list.  Exhaustive
 sweeps branch to run the rounds their grid points share once.  run_session
-runs a Session to the end and returns its transcript.
+runs a Session to the end and returns its transcript.  A run that raised
+mid-round is spent: part of that round was recorded and delivered, so it
+must be neither run on nor branched.
 
-Within a round the corrupted party acts last: it receives the honest
-envelopes addressed to it before it emits, as the broadcast model's adversary
-may.  The adversary rewrites only the corrupted party's outgoing envelopes.
-The scheduler guarantees two things: senders are authenticated (a
-replacement that names another sender raises), and every broadcast envelope
-is delivered to all parties.  The honest parties do not yet check a
-payload's route (its round, sender and channel), so a corrupt party can send
-a broadcast-kind payload privately, to one party only.
+Each round fans out twice.  A fan-out appends envelopes to the transcript,
+then delivers each broadcast to every party and each private envelope to its
+recipient.  The honest parties' envelopes, emitted on pre-round knowledge,
+fan out first.  Then the corrupted party, holding those addressed to it, as
+the broadcast model's rushing adversary may, emits; the adversary's rewrites
+of its envelopes fan out.  The scheduler guarantees two things: senders are
+authenticated (a replacement that names another sender raises), and every
+broadcast envelope is delivered to all parties.  The honest parties do not
+yet check a payload's route (its round, sender and channel), so a corrupt
+party can send a broadcast-kind payload privately, to one party only.
 
-The transcript is the session's one record: each round's honest envelopes,
-in the parties' mapping order, then the corrupted party's rewritten ones.
-Every party receives what is addressed to it, privately or by broadcast, in
-transcript order; the corrupted party too, as its early deliveries are the
-round's honest envelopes.  So view_of(transcript, role) is exactly what role
-was delivered, in order.  Only the corrupted party keeps a live View, because
-the adversary's rewrite reads it mid-round.
+So the transcript is the session's one record, and each party receives what
+is addressed to it in transcript order: view_of(transcript, role) is exactly
+what role was delivered.  The corrupted party's View reads that off the
+transcript and keeps only what the party sent.
 """
 
 from __future__ import annotations
@@ -79,14 +80,18 @@ class Envelope:
 
 @dataclass
 class View:
-    """What the corrupted party saw so far: every envelope delivered to it
-    (broadcasts included) and every envelope it emitted, before the rewrite,
-    in order.  The adversary's rewrite receives it; a session keeps no other
-    View (see view_of)."""
+    """The corrupted party's view, which the adversary's rewrite receives:
+    received is every envelope delivered to it so far (broadcasts included),
+    read off its session's transcript by view_of; sent is every envelope it
+    emitted, before the rewrite, in order."""
 
     role: Role
-    received: list = field(default_factory=list)
+    transcript: list = field(repr=False)
     sent: list = field(default_factory=list)
+
+    @property
+    def received(self) -> list:
+        return view_of(self.transcript, self.role)
 
 
 @frozen_record
@@ -94,16 +99,13 @@ class AdversaryHook:
     """Single-corruption active adversary.
 
     rewrite(envelope, view) -> list of replacement envelopes; it may drop
-    (empty list), replace, or inject extra envelopes, all with
-    sender = corrupted.  A session without corruption takes no hook.
+    (empty list), replace, or inject extra envelopes, all with sender =
+    corrupted.  Without one, each envelope goes out as emitted.  A session
+    without corruption takes no hook.
     """
 
     corrupted: Role
     rewrite: Callable = None  # type: ignore[assignment]
-
-
-def _identity_rewrite(envelope: Envelope, view: View):
-    return [envelope]
 
 
 class Session:
@@ -114,18 +116,14 @@ class Session:
         if corrupted is not None and corrupted not in parties:
             raise ProtocolMisuse(f"corrupted role {corrupted} not present")
         self.adversary = adversary
-        # (role, party, view-or-None) by position, in mapping order; only the
-        # corrupted party keeps a view.
-        self._slots = [
-            (role, party, View(role) if role is corrupted else None)
-            for role, party in parties.items()
-        ]
+        self._slots = list(parties.items())  # (role, party), in mapping order
         self._transcript: list = []
+        self._view = View(corrupted, self._transcript) if corrupted is not None else None
         self._round = 0
 
     @property
     def parties(self) -> dict:
-        return {role: party for role, party, _ in self._slots}
+        return dict(self._slots)
 
     @property
     def rounds_run(self) -> int:
@@ -136,59 +134,48 @@ class Session:
         """Run the rounds after the last one run, through round `until`.
         Raises ScheduleViolation if a party emits outside its emit_rounds."""
         adversary = self.adversary
-        corrupted = adversary.corrupted if adversary else None
-        rewrite = adversary.rewrite if adversary and adversary.rewrite else _identity_rewrite
+        rewrite = adversary.rewrite if adversary and adversary.rewrite else lambda env, view: [env]
+        view = self._view
+        corrupted = view.role if view else None
         slots = self._slots
-        # A broadcast goes to every slot, a private envelope to its recipient's.
-        addressed = {slot[0]: (slot,) for slot in slots}
+        everyone = [party for _, party in slots]
+        addressed = {role: (party,) for role, party in slots}
         honest = [slot for slot in slots if slot[0] is not corrupted]
-        adv = addressed[corrupted][0] if corrupted is not None else None
+        adv = addressed[corrupted][0] if view else None
         transcript = self._transcript
+
+        def fan_out(envelopes):
+            transcript.extend(envelopes)
+            for env in envelopes:
+                targets = everyone if env.recipient is None else addressed.get(env.recipient, ())
+                for party in targets:
+                    party.deliver(env)
 
         for rnd in range(self._round + 1, until + 1):
             # Honest parties emit on pre-round knowledge; the corrupted one last.
-            pending: list[Envelope] = []
-            for role, party, _ in honest:
+            emitted: list[Envelope] = []
+            for role, party in honest:
                 out = party.emit(rnd)
                 if out:
                     if rnd not in party.emit_rounds:
                         raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
-                    pending.extend(out)
-            # The corrupted party receives the first `early` envelopes
-            # addressed to it before it emits; the fan-out skips them for it.
-            early = 0
-            if adv is not None:
-                role, party, view = adv
-                early = len(pending)
-                for env in pending:
-                    if env.recipient is None or env.recipient is role:
-                        party.deliver(env)
-                        view.received.append(env)
+                    emitted.extend(out)
+            fan_out(emitted)
+            if view is not None:
                 rewritten: list[Envelope] = []
-                for env in party.emit(rnd):
+                for env in adv.emit(rnd):
                     view.sent.append(env)
                     for replacement in rewrite(env, view):
-                        if replacement.sender is not role:
+                        if replacement.sender is not corrupted:
                             raise ProtocolMisuse(
                                 "adversary cannot forge sender "
                                 f"{replacement.sender}: channels are authenticated"
                             )
                         rewritten.append(replacement)
                 if rewritten:
-                    if rnd not in party.emit_rounds:
-                        raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
-                    pending.extend(rewritten)
-
-            transcript.extend(pending)
-            for i, env in enumerate(pending):
-                recipient = env.recipient
-                skip = corrupted if i < early else None
-                targets = slots if recipient is None else addressed.get(recipient, ())
-                for role, party, view in targets:
-                    if role is not skip:
-                        party.deliver(env)
-                        if view is not None:
-                            view.received.append(env)
+                    if rnd not in adv.emit_rounds:
+                        raise ScheduleViolation(f"{corrupted} emitted in foreign round {rnd}")
+                    fan_out(rewritten)
             self._round = rnd
         return self
 
@@ -197,18 +184,18 @@ class Session:
         return self._transcript
 
     def branch(self, adversary: Optional[AdversaryHook]) -> "Session":
-        """An independent twin under a new hook for the same corrupted role."""
-        corrupted = self.adversary.corrupted if self.adversary else None
+        """An independent twin under a new hook for the same corrupted role.
+        Branch only from a session whose runs all returned (module docstring)."""
+        view = self._view
+        corrupted = view and view.role
         if (adversary.corrupted if adversary else None) is not corrupted:
             raise ProtocolMisuse(f"a branch must corrupt the same role as its stem ({corrupted})")
         twin = object.__new__(Session)
         twin.adversary = adversary
         twin._transcript = self._transcript[:]
+        twin._view = view and View(view.role, twin._transcript, view.sent[:])
         twin._round = self._round
-        twin._slots = [
-            (role, _copy_party(party), view and View(role, [*view.received], [*view.sent]))
-            for role, party, view in self._slots
-        ]
+        twin._slots = [(role, _copy_party(party)) for role, party in self._slots]
         return twin
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import secrets
 from hashlib import sha512
 
-from .errors import ProtocolMisuse, WrongType
+from .errors import ProtocolMisuse, require_bytes
 
 SEED_BYTES = 32
 _KEY_WIDTH = 128  # SHA-512 input block size: HMAC pads keys to it
@@ -52,8 +52,7 @@ class Rng:
     __slots__ = ("_key", "_counter", "_buf", "_pos", "_states")
 
     def __init__(self, seed: bytes):
-        if not isinstance(seed, (bytes, bytearray)):
-            raise WrongType("seed must be bytes")
+        require_bytes(seed, "seed")
         self._key = bytes(seed)
         self._counter = 0
         self._buf = b""

@@ -1,13 +1,13 @@
 """2-out-of-2 Shamir sharing over F_p with fixed public interpolation weights.
 
-A secret s is shared as evaluations of f(x) = s + a*x at the two public
-weights; reconstruction interpolates f(0).  The slope a is returned to the
-caller because the signing algebra and the extraction demo need it by name.
+A secret s is shared as the pair (f(w0), f(w1)), f(x) = s + a*x, at the two
+public weights; reconstruction interpolates f(0).  Signing computes on
+residues and calls neither: they are the reference its tests check it against.
 """
 
 from __future__ import annotations
 
-from .errors import DegenerateWeights
+from .errors import DegenerateWeights, require_bytes
 
 
 class Weights:
@@ -48,6 +48,7 @@ class Weights:
 
     @classmethod
     def from_bytes(cls, prime, data: bytes) -> "Weights":
+        require_bytes(data, "a weights encoding")
         width = prime.byte_length
         if len(data) != 2 * width:
             raise DegenerateWeights(f"weights encoding must be {2 * width} bytes")
@@ -62,50 +63,12 @@ class Weights:
         return f"Weights(w0={int(self.w0)}, w1={int(self.w1)}, p={self.prime.value})"
 
 
-class SharePair:
-    """Evaluations (f(w0), f(w1)) of a degree-<=1 polynomial."""
-
-    __slots__ = ("s0", "s1")
-
-    def __init__(self, s0, s1):
-        self.s0 = s0
-        self.s1 = s1
-
-    def __add__(self, other):
-        if not isinstance(other, SharePair):
-            return NotImplemented
-        return SharePair(self.s0 + other.s0, self.s1 + other.s1)
-
-    def scale(self, c) -> "SharePair":
-        return SharePair(c * self.s0, c * self.s1)
-
-    def to_bytes(self) -> bytes:
-        return self.s0.to_bytes() + self.s1.to_bytes()
-
-    def __eq__(self, other):
-        if not isinstance(other, SharePair):
-            return NotImplemented
-        return self.s0 == other.s0 and self.s1 == other.s1
-
-    def __iter__(self):
-        yield self.s0
-        yield self.s1
-
-    def __repr__(self):
-        return f"SharePair({int(self.s0)}, {int(self.s1)})"
+def share_with_slope(secret, slope, weights: Weights) -> tuple:
+    """The shares (f(w0), f(w1)) of f(x) = secret + slope*x."""
+    return secret + slope * weights.w0, secret + slope * weights.w1
 
 
-def share_with_slope(secret, slope, weights: Weights) -> SharePair:
-    """Deterministic sharing with a caller-chosen slope."""
-    return SharePair(secret + slope * weights.w0, secret + slope * weights.w1)
-
-
-def share(secret, weights: Weights, rng):
-    """Share under a uniform slope; returns (pair, slope)."""
-    slope = secret.prime.sample(rng)
-    return share_with_slope(secret, slope, weights), slope
-
-
-def reconstruct(pair: SharePair, weights: Weights):
-    """Interpolate f(0) from the two shares."""
-    return weights.lam0 * pair.s0 + weights.lam1 * pair.s1
+def reconstruct(pair, weights: Weights):
+    """Interpolate f(0) from any pair of shares (f(w0), f(w1))."""
+    s0, s1 = pair
+    return weights.lam0 * s0 + weights.lam1 * s1

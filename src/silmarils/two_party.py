@@ -32,7 +32,7 @@ from typing import Union
 
 from ._record import frozen_record
 from .errors import DegenerateExtraction, MalformedInput, MalformedSignature, ModulusMismatch
-from .errors import ProtocolMisuse, WrongType
+from .errors import ProtocolMisuse, WrongType, require_bytes
 from .field import FieldElement, counting
 from .field._pure import _element, _new
 from .hashing import (
@@ -104,6 +104,7 @@ class Signature:
 
     @classmethod
     def decode(cls, prime, data: bytes) -> "Signature":
+        require_bytes(data, "a signature encoding")
         width = prime.byte_length
         if len(data) != 5 * width:
             raise MalformedSignature(f"signature must be {5 * width} bytes, got {len(data)}")

@@ -30,6 +30,7 @@ from silmarils.three_party import (
 from silmarils.two_party import (
     KeyMaterial,
     Signature,
+    dv_forge,
     extract_params,
     sign,
     sign_accepted,
@@ -62,6 +63,23 @@ SITES = {
     "Prime() of a non-int": (lambda: Prime("251"), WrongType, TypeError),
     "non-canonical from_bytes": (lambda: P251.from_bytes(b"\xfb"), MalformedInput, ValueError),
     "PairKey length": (lambda: PairKey(b"\x00" * 31), LengthMismatch, ValueError),
+    # Bytes inputs given a str: each raised a bare TypeError, or for PairKey
+    # none until its first HMAC.
+    "PairKey of a str": (lambda: PairKey("x" * 32), WrongType, TypeError),
+    "from_bytes of a str": (lambda: P251.from_bytes("x"), WrongType, TypeError),
+    "Signature.decode of a str": (lambda: Signature.decode(P251, "x" * 5), WrongType, TypeError),
+    "Weights.from_bytes of a str": (lambda: Weights.from_bytes(P251, "xy"), WrongType, TypeError),
+    "sign of a str message": (lambda: sign(KEYS, "m", Rng(SEED)), WrongType, TypeError),
+    "verify of a str message": (
+        lambda: verify(KEYS.pk, KEYS.k_sig, "m", SIG),
+        WrongType,
+        TypeError,
+    ),
+    "dv_forge of a str message": (
+        lambda: dv_forge(KEYS.k_sig, KEYS.pk, "m", Rng(SEED)),
+        WrongType,
+        TypeError,
+    ),
     "extract_params hint kind": (
         lambda: extract_params(
             KEYS.k_sig, MSG, sign(KEYS, MSG, Rng(SEED))[0], ("q", P251.one), KEYS.pk

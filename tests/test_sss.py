@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from silmarils.errors import DegenerateWeights, LengthMismatch
 from silmarils.field import Prime
 from silmarils.rng import Rng
-from silmarils.sss import SharePair, Weights, reconstruct, share, share_with_slope
+from silmarils.sss import Weights, reconstruct, share_with_slope
 
 from .oracles import line_at_zero
 
@@ -23,7 +23,7 @@ def test_spot_fact_p13():
     # Hand-checked: w=(1,2), s=5, a=3 -> shares (8, 11); f(0) = 5.
     w = _weights(P13, 1, 2)
     pair = share_with_slope(P13.elt(5), P13.elt(3), w)
-    assert (int(pair.s0), int(pair.s1)) == (8, 11)
+    assert pair == (P13.elt(8), P13.elt(11))
     assert reconstruct(pair, w) == P13.elt(5)
 
 
@@ -37,9 +37,9 @@ def test_reconstruct_matches_interpolation_oracle(secret, slope, w0, w1):
     if w0 == w1:
         w1 = w0 % 250 + 1
     w = _weights(P251, w0, w1)
-    pair = share_with_slope(P251.elt(secret), P251.elt(slope), w)
-    got = reconstruct(pair, w)
-    assert int(got) == line_at_zero(w0, int(pair.s0), w1, int(pair.s1), 251)
+    s0, s1 = share_with_slope(P251.elt(secret), P251.elt(slope), w)
+    got = reconstruct((s0, s1), w)
+    assert int(got) == line_at_zero(w0, int(s0), w1, int(s1), 251)
     assert int(got) == secret
 
 
@@ -47,18 +47,16 @@ def test_reconstruct_matches_interpolation_oracle(secret, slope, w0, w1):
 def test_share_then_reconstruct_is_identity(seed):
     rng = Rng(seed)
     w = Weights.generate(P251, rng.fork(b"w"))
-    secret = P251.sample(rng.fork(b"s"))
-    pair, slope = share(secret, w, rng.fork(b"a"))
-    assert reconstruct(pair, w) == secret
-    assert pair == share_with_slope(secret, slope, w)
+    secret, slope = P251.sample(rng.fork(b"s")), P251.sample(rng.fork(b"a"))
+    assert reconstruct(share_with_slope(secret, slope, w), w) == secret
 
 
 def test_sharing_is_linear():
     w = _weights(P13, 3, 7)
     pa = share_with_slope(P13.elt(4), P13.elt(9), w)
     pb = share_with_slope(P13.elt(11), P13.elt(2), w)
-    assert reconstruct(pa + pb, w) == P13.elt(4 + 11)
-    assert reconstruct(pa.scale(P13.elt(6)), w) == P13.elt(4 * 6)
+    assert reconstruct([a + b for a, b in zip(pa, pb)], w) == P13.elt(4 + 11)
+    assert reconstruct([P13.elt(6) * a for a in pa], w) == P13.elt(4 * 6)
 
 
 def test_degenerate_weights_rejected():
@@ -83,15 +81,6 @@ def test_weights_encoding_round_trip():
     assert again == w
     with pytest.raises(DegenerateWeights):
         Weights.from_bytes(P251, w.to_bytes() + b"\x00")
-
-
-def test_share_pair_encoding_and_equality():
-    w = _weights(P13, 1, 2)
-    pair = share_with_slope(P13.elt(5), P13.elt(3), w)
-    assert pair.to_bytes() == bytes([8, 11])
-    assert list(pair) == [P13.elt(8), P13.elt(11)]
-    assert pair != SharePair(P13.elt(8), P13.elt(12))
-    assert (pair == object()) is False
 
 
 def test_reconstruction_coefficients_cached_cost():

@@ -15,7 +15,7 @@ from silmarils.hashing import (
     receipt_from_nonce,
 )
 from silmarils.rng import Rng
-from silmarils.sss import SharePair, Weights, reconstruct
+from silmarils.sss import Weights, reconstruct
 from silmarils.stats import make_estimate
 from silmarils.two_party import (
     KeyMaterial,
@@ -259,7 +259,7 @@ def _verify_by_hand(w, r, sig):
     if not sig.s4:
         return False
     m = sig.s1 * sig.s2
-    return not reconstruct(SharePair(m - sig.s5, m - sig.s3 + r * sig.s4), w)
+    return not reconstruct((m - sig.s5, m - sig.s3 + r * sig.s4), w)
 
 
 def _elements(data, prime, count, unit=False):
