@@ -311,7 +311,7 @@ def cmd_sim3p(args) -> int:
         arm_counts[res.arm] += 1
         if args.out is not None:
             log_lines.append(json.dumps({"trial": i}, sort_keys=True))
-            log_lines.extend(transcript_lines(res.transcript))
+            log_lines.extend(transcript_lines(out.transcript))
     if args.out is not None:
         Path(args.out).write_text("\n".join(log_lines) + "\n")
 

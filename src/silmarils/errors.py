@@ -31,6 +31,12 @@ def require_bytes(value, what: str) -> None:
         raise WrongType(f"{what} must be bytes, got {type(value).__name__}")
 
 
+def require_int(value, what: str) -> None:
+    """Raise WrongType unless value is an int."""
+    if not isinstance(value, int):
+        raise WrongType(f"{what} must be an int, got {type(value).__name__}")
+
+
 class ModulusMismatch(SilmarilsError):
     """Field elements from different moduli were mixed in one operation."""
 

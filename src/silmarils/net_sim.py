@@ -16,12 +16,11 @@ parties' tapes and the adversary's choices carry all the randomness.
 A Session runs in steps: run(k) runs on through round k, and rounds_run is
 the last round run.  branch(adversary) returns an independent twin under a
 new hook for the same corrupted role: each party a new instance of its type
-with its attribute dict and tape copied (by the state contract, a full copy),
-a copy of the transcript, and the corrupted party's sent list.  Exhaustive
-sweeps branch to run the rounds their grid points share once.  run_session
-runs a Session to the end and returns its transcript.  A run that raised
-mid-round is spent: part of that round was recorded and delivered, so it
-must be neither run on nor branched.
+with its attribute dict and tape copied (by the state contract, a full copy)
+and a copy of the transcript.  Exhaustive sweeps branch to run the rounds
+their grid points share once.  run_session runs a Session to the end and
+returns its transcript.  A run that raised mid-round is spent: part of that
+round was recorded and delivered, so it must be neither run on nor branched.
 
 Each round fans out twice.  A fan-out appends envelopes to the transcript,
 then delivers each broadcast to every party and each private envelope to its
@@ -36,8 +35,8 @@ party can send a broadcast-kind payload privately, to one party only.
 
 So the transcript is the session's one record, and each party receives what
 is addressed to it in transcript order: view_of(transcript, role) is exactly
-what role was delivered.  The corrupted party's View reads that off the
-transcript and keeps only what the party sent.
+what role was delivered.  The corrupted party's View is its role and that
+list; a rewrite sees each envelope its party emits and keeps any history.
 """
 
 from __future__ import annotations
@@ -82,12 +81,11 @@ class Envelope:
 class View:
     """The corrupted party's view, which the adversary's rewrite receives:
     received is every envelope delivered to it so far (broadcasts included),
-    read off its session's transcript by view_of; sent is every envelope it
-    emitted, before the rewrite, in order."""
+    read off its session's transcript by view_of.  A rewrite that needs what
+    the party sent keeps that history itself."""
 
     role: Role
     transcript: list = field(repr=False)
-    sent: list = field(default_factory=list)
 
     @property
     def received(self) -> list:
@@ -164,7 +162,6 @@ class Session:
             if view is not None:
                 rewritten: list[Envelope] = []
                 for env in adv.emit(rnd):
-                    view.sent.append(env)
                     for replacement in rewrite(env, view):
                         if replacement.sender is not corrupted:
                             raise ProtocolMisuse(
@@ -193,7 +190,7 @@ class Session:
         twin = object.__new__(Session)
         twin.adversary = adversary
         twin._transcript = self._transcript[:]
-        twin._view = view and View(view.role, twin._transcript, view.sent[:])
+        twin._view = view and View(view.role, twin._transcript)
         twin._round = self._round
         twin._slots = [(role, _copy_party(party)) for role, party in self._slots]
         return twin

@@ -37,12 +37,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import isqrt
 from typing import Callable, Iterator, Optional
 
 from .errors import (
-    EmptyExperiment, PrimeTooLarge, ProtocolMisuse, RoleMismatch, UnknownStrategy, WrongType
+    EmptyExperiment, PrimeTooLarge, ProtocolMisuse, RoleMismatch, UnknownStrategy, WrongType,
+    require_int,
 )
 from .field import Prime
 from .hashing import derive_message_key, derive_receipt
@@ -200,9 +202,11 @@ class AttackStrategy:
     AdversaryHook for `corrupted`.  forced parameters (ghat, offset, delta,
     delta_prime) replace the random draws so the exhaustive enumerations can
     sweep them.  With every draw forced, a rewrite draws nothing and keeps no
-    per-session state, so one hook may serve many sessions.  acts_in is the
-    first round whose envelopes the rewrite can change: before it, the
-    rewrite returns [envelope] and draws nothing.
+    per-session state, so one hook may serve many sessions.  The view holds
+    only what the party received; a rewrite that needs more history keeps it
+    in its own closure, one per build.  acts_in is the first round whose
+    envelopes the rewrite can change: before it, the rewrite returns
+    [envelope] and draws nothing.
     """
 
     name: str
@@ -214,18 +218,20 @@ class AttackStrategy:
         return AdversaryHook(self.corrupted, self.build(prime, rng, forced))
 
 
+def _forced_or_drawn(forced: dict, name: str, draw: Callable, rng: Rng):
+    """forced[name] unless it is missing or None, else draw(rng)."""
+    value = forced.get(name)
+    return draw(rng) if value is None else value
+
+
 def _substitute_guess_k1(prime, rng: Rng, forced: dict) -> Callable:
     # Corrupt P2 rewrites the transfer to (x*, sigma + g*(x* - x)); the result
     # passes P3's line check iff the guess g hits k1, so success rate is 1/p.
     def rewrite(env: Envelope, view) -> list:
         if env.round == ROUND_TRANSFER and isinstance(env.payload, TransferValue):
             t = env.payload
-            g = forced.get("ghat")
-            if g is None:
-                g = prime.sample(rng)
-            offset = forced.get("offset")
-            if offset is None:
-                offset = prime.sample_unit(rng)
+            g = _forced_or_drawn(forced, "ghat", prime.sample, rng)
+            offset = _forced_or_drawn(forced, "offset", prime.sample_unit, rng)
             forged = TransferValue(
                 t.x + offset, t.sigma + g * offset, t.message, t.sig_alg, t.nonce
             )
@@ -243,12 +249,8 @@ def _inconsistent_line(prime, rng: Rng, forced: dict) -> Callable:
     def rewrite(env: Envelope, view) -> list:
         if env.round == ROUND_SETUP and isinstance(env.payload, HolderSetup):
             h = env.payload
-            delta = forced.get("delta")
-            if delta is None:
-                delta = prime.sample_unit(rng)
-            delta_prime = forced.get("delta_prime")
-            if delta_prime is None:
-                delta_prime = prime.zero
+            delta = _forced_or_drawn(forced, "delta", prime.sample_unit, rng)
+            delta_prime = _forced_or_drawn(forced, "delta_prime", lambda _: prime.zero, rng)
             tampered = HolderSetup(
                 x=h.x,
                 x_prime=h.x_prime,
@@ -310,6 +312,7 @@ def run_trials(
     attack strategy, the adversary draws from that trial's b"adversary" fork.
     interpret passes through to run_signing_session.
     """
+    require_int(trials, "trials")
     prime = _as_prime(prime)
     root = Rng(seed)
     keys = _keys_for(prime, root)
@@ -346,6 +349,7 @@ def estimate_correctness(
     sessions=True each trial runs the full three-party session and counts a
     failure whenever z2, z3, or the final interpretation misses x.
     """
+    require_int(trials, "trials")
     prime = _as_prime(p)
     failures = 0
     if sessions:
@@ -424,6 +428,7 @@ def estimate_transferability(
 
 def estimate_core_forgery(p, trials: int, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     """Uniform 5-tuples against a fresh uniform receipt; target 1/p."""
+    require_int(trials, "trials")
     prime = _as_prime(p)
     root = Rng(seed)
     weights = Weights.generate(prime, root.fork(b"weights"))
@@ -670,53 +675,38 @@ def run_suite(
     if suite not in SUITES:
         raise ProtocolMisuse(f"suite must be one of {SUITES}, got {suite!r}")
     pv = prime.value
+    if suite == "secrecy" and pv > EXHAUSTIVE_SECRECY_MAX:
+        raise PrimeTooLarge(
+            f"secrecy suite is exhaustive-only; p = {pv} > {EXHAUSTIVE_SECRECY_MAX}"
+        )
     root = Rng(seed)
 
-    def sub(label: bytes) -> bytes:
-        return root.fork(label).seed
+    def secrecy(*, seed: bytes) -> ExactResult:
+        tv = estimate_secrecy_tv(prime, seed=seed)
+        note = "exhaustive TV of P3's signing-phase view across two values"
+        return exact_result("secrecy-tv", pv, tv, 0, note=note)
 
-    results: list = []
-    if suite in ("correctness", "all"):
-        results.append(estimate_correctness(prime, trials, seed=sub(b"correctness")))
-    if suite in ("unforgeability", "all"):
-        results.append(
-            estimate_unforgeability(
-                prime, "substitute-guess-k1", trials, seed=sub(b"unforgeability")
-            )
-        )
-        if pv <= EXHAUSTIVE_ATTACK_MAX:
-            results.append(exhaustive_unforgeability(prime, seed=sub(b"uf-exhaustive")))
-    if suite in ("transferability", "all"):
-        results.append(
-            estimate_transferability(
-                prime, "inconsistent-line", trials, seed=sub(b"transferability")
-            )
-        )
-        if pv <= EXHAUSTIVE_ATTACK_MAX:
-            results.append(
-                exhaustive_transferability(prime, seed=sub(b"trans-exhaustive"))
-            )
-    if suite in ("secrecy", "all"):
-        if pv <= EXHAUSTIVE_SECRECY_MAX:
-            tv = estimate_secrecy_tv(prime, seed=sub(b"secrecy"))
-            results.append(
-                exact_result(
-                    "secrecy-tv",
-                    pv,
-                    tv,
-                    Fraction(0),
-                    note="exhaustive TV of P3's signing-phase view across two values",
-                )
-            )
-        elif suite == "secrecy":
-            raise PrimeTooLarge(
-                f"secrecy suite is exhaustive-only; p = {pv} > {EXHAUSTIVE_SECRECY_MAX}"
-            )
-    if suite in ("core", "all"):
-        results.append(estimate_core_forgery(prime, trials, seed=sub(b"core")))
-        if pv <= EXHAUSTIVE_CORE_MAX:
-            results.append(exhaustive_core_forgery(prime, seed=sub(b"core-exhaustive")))
-    return results
+    # (suite, fork label, largest p or None, row), in output order; each row
+    # runs on the seed of its own fork of Rng(seed).
+    table = (
+        ("correctness", b"correctness", None, partial(estimate_correctness, prime, trials)),
+        ("unforgeability", b"unforgeability", None,
+         partial(estimate_unforgeability, prime, "substitute-guess-k1", trials)),
+        ("unforgeability", b"uf-exhaustive", EXHAUSTIVE_ATTACK_MAX,
+         partial(exhaustive_unforgeability, prime)),
+        ("transferability", b"transferability", None,
+         partial(estimate_transferability, prime, "inconsistent-line", trials)),
+        ("transferability", b"trans-exhaustive", EXHAUSTIVE_ATTACK_MAX,
+         partial(exhaustive_transferability, prime)),
+        ("secrecy", b"secrecy", EXHAUSTIVE_SECRECY_MAX, secrecy),
+        ("core", b"core", None, partial(estimate_core_forgery, prime, trials)),
+        ("core", b"core-exhaustive", EXHAUSTIVE_CORE_MAX, partial(exhaustive_core_forgery, prime)),
+    )
+    return [
+        row(seed=root.fork(label).seed)
+        for name, label, limit, row in table
+        if suite in (name, "all") and (limit is None or pv <= limit)
+    ]
 
 
 def result_json_line(res) -> str:

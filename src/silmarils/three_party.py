@@ -28,8 +28,8 @@ check, 5 P1's judgement of P3's check, 6 resolution reveals, 7 transfer.
 Honest parties fall back to zero-valued defaults when a (corrupt)
 counterparty starves them of state, keeping every session total.  A session's
 result is read off the parties' final state: P1's setup and arm, P2's z2,
-P3's z3 and the transfer it received.  force_coins twins a session with the
-installer's coins or the challenge forced, until the round drawing them runs.
+P3's z3 and the transfer it received.  force_coins, the one way to force
+coins, twins a session with the installer's coins or the challenge forced.
 
 Wire format (to_wire, the ``payload`` hex of a transcript line): the class's
 tag byte, written as a one-byte message, then each field in declared order:
@@ -45,7 +45,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from ._record import frozen_record
-from .errors import ProtocolMisuse, WrongType
+from .errors import ModulusMismatch, ProtocolMisuse, WrongType, require_bytes
 from .field import FieldElement
 from .hashing import authenticated_value, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, Role, Session
@@ -231,12 +231,13 @@ class P1Signer:
 
     emit_rounds = frozenset({ROUND_SETUP, ROUND_P1_CHECK, ROUND_AUDIT, ROUND_RESOLUTION})
 
-    def __init__(self, keys: KeyMaterial, message: bytes, tape: Rng, ic_coins=None):
+    def __init__(self, keys: KeyMaterial, message: bytes, tape: Rng):
         # The signature comes first off the tape, before round 1's coins.
+        require_bytes(message, "a message")
         self.keys = keys
         self.message = message = bytes(message)  # payload fields are immutable
         self._rng = tape
-        self._ic_coins = ic_coins
+        self._ic_coins = None  # set only by force_coins
         self.sig_alg, signing_tape = sign(keys, message, tape)
         self.nonce = signing_tape.n
         self.x = authenticated_value(message, self.sig_alg.encode(), keys.sk_K.prime)
@@ -246,32 +247,25 @@ class P1Signer:
         self.p3_verdict: Optional[LineVerdict] = None
         self.arm: Optional[str] = None
 
-    def start(self) -> list:
-        """Round 1: deal both setup packages; ic_coins, when given, forces
-        (k1, k2, x_prime, k2_prime) over the tape's draws."""
-        rng = self._rng
-        prime = self.keys.sk_K.prime
-        x = self.x
-        if self._ic_coins is None:
-            k1 = prime.sample(rng)
-            k2 = prime.sample(rng)
-            x_prime = prime.sample(rng)
-            k2_prime = prime.sample(rng)
-        else:
-            k1, k2, x_prime, k2_prime = self._ic_coins
-        self.setup = HolderSetup(
-            x, x_prime, k1 * x + k2, k1 * x_prime + k2_prime,
-            self.message, self.sig_alg, self.nonce,
-        )
-        self.line = VerifierSetup(k1, k2, k2_prime)
-        return [
-            Envelope(ROUND_SETUP, Role.P1, Role.P2, self.setup),
-            Envelope(ROUND_SETUP, Role.P1, Role.P3, self.line),
-        ]
-
     def emit(self, rnd: int) -> list:
         if rnd == ROUND_SETUP:
-            return self.start()
+            # Deal both setup packages; forced coins replace the tape's draws
+            # of (k1, k2, x_prime, k2_prime).
+            if self._ic_coins is None:
+                rng, prime = self._rng, self.keys.sk_K.prime
+                k1, k2, x_prime, k2_prime = [prime.sample(rng) for _ in range(4)]
+            else:
+                k1, k2, x_prime, k2_prime = self._ic_coins
+            x = self.x
+            self.setup = HolderSetup(
+                x, x_prime, k1 * x + k2, k1 * x_prime + k2_prime,
+                self.message, self.sig_alg, self.nonce,
+            )
+            self.line = VerifierSetup(k1, k2, k2_prime)
+            return [
+                Envelope(rnd, Role.P1, Role.P2, self.setup),
+                Envelope(rnd, Role.P1, Role.P3, self.line),
+            ]
         if rnd == ROUND_P1_CHECK:
             # Compare the broadcast combination against the real line.  A
             # missing challenge counts as a deviation (silence is not honest
@@ -329,10 +323,10 @@ class P2Holder:
 
     emit_rounds = frozenset({ROUND_CHALLENGE, ROUND_TRANSFER})
 
-    def __init__(self, prime, tape: Rng, challenge_coin=None):
+    def __init__(self, prime, tape: Rng):
         self.prime = prime
         self._rng = tape
-        self._coin = challenge_coin
+        self._coin = None  # set only by force_coins
         self.setup: Optional[HolderSetup] = None
         self.cur_x = None
         self.cur_sigma = None
@@ -488,12 +482,11 @@ class IcSessionResult:
     nonce: object
     arm: Optional[str]
     accepted: Optional[bool]
-    transcript: list
 
 
 def open_signing_session(
     keys: KeyMaterial, message: bytes, seed: Union[bytes, Rng], *,
-    adversary: Optional[AdversaryHook] = None, ic_coins=None, challenge_coin=None,
+    adversary: Optional[AdversaryHook] = None,
 ) -> Session:
     """The three parties built from a root seed, in a Session at round 0.
 
@@ -502,21 +495,36 @@ def open_signing_session(
     prime = keys.sk_K.prime
     root = seed if type(seed) is Rng else Rng(seed)
     parties = {
-        Role.P1: P1Signer(keys, message, root.fork(b"tape/P1"), ic_coins=ic_coins),
-        Role.P2: P2Holder(prime, root.fork(b"tape/P2"), challenge_coin=challenge_coin),
+        Role.P1: P1Signer(keys, message, root.fork(b"tape/P1")),
+        Role.P2: P2Holder(prime, root.fork(b"tape/P2")),
         Role.P3: P3Verifier(prime),
     }
     return Session(parties, adversary)
 
 
 def force_coins(session: Session, *, ic_coins=None, challenge_coin=None) -> Session:
-    """A twin of the session with P1's installer coins and/or P2's challenge
-    coin forced (None: left as they are).  Raises ProtocolMisuse if the
-    round that draws a forced coin has already run."""
-    if ic_coins is not None and session.rounds_run >= ROUND_SETUP:
-        raise ProtocolMisuse("the installer's coins are dealt in round 1, which has run")
-    if challenge_coin is not None and session.rounds_run >= ROUND_CHALLENGE:
-        raise ProtocolMisuse("the challenge coin is drawn in round 2, which has run")
+    """A twin of the session with P1's installer coins (k1, k2, x', k2') and/or
+    P2's challenge coin forced (None: left as they are).  Raises before it
+    branches: ProtocolMisuse if a forced coin's round has run, WrongType
+    unless ic_coins is a 4-tuple of elements and challenge_coin an element,
+    ModulusMismatch if one is over another prime than the session's."""
+    forced = []
+    if ic_coins is not None:
+        if session.rounds_run >= ROUND_SETUP:
+            raise ProtocolMisuse("the installer's coins are dealt in round 1, which has run")
+        if type(ic_coins) is not tuple or len(ic_coins) != 4:
+            raise WrongType("the installer's coins must be a tuple of four elements")
+        forced += ic_coins
+    if challenge_coin is not None:
+        if session.rounds_run >= ROUND_CHALLENGE:
+            raise ProtocolMisuse("the challenge coin is drawn in round 2, which has run")
+        forced.append(challenge_coin)
+    q = session.parties[Role.P2].prime.value
+    for coin in forced:
+        if type(coin) is not FieldElement:
+            raise WrongType(f"a coin must be an element, got {type(coin).__name__}")
+        if coin.prime.value != q:
+            raise ModulusMismatch(f"a coin over {coin.prime.value} in a session over {q}")
     twin = session.branch(session.adversary)
     parties = twin.parties
     if ic_coins is not None:
@@ -530,7 +538,6 @@ def signing_result(session: Session, *, interpret: bool = False) -> IcSessionRes
     """Read a session that has run all seven rounds off its parties."""
     parties = session.parties
     p1, p2, p3 = parties[Role.P1], parties[Role.P2], parties[Role.P3]
-    transcript = session.result()
     accepted = None
     if interpret:
         # z3 is set only by a delivered transfer, so one is present here.
@@ -545,25 +552,20 @@ def signing_result(session: Session, *, interpret: bool = False) -> IcSessionRes
         )
     s = p1.setup
     return IcSessionResult(
-        outcome=SessionOutcome(p2.z2, p3.z3, transcript),
+        outcome=SessionOutcome(p2.z2, p3.z3, session.result()),
         x=s.x,
         sig_alg=s.sig_alg,
         nonce=s.nonce,
         arm=p1.arm,
         accepted=accepted,
-        transcript=transcript,
     )
 
 
 def run_signing_session(
     keys: KeyMaterial, message: bytes, seed: Union[bytes, Rng], *,
     adversary: Optional[AdversaryHook] = None, interpret=False,
-    ic_coins=None, challenge_coin=None,
 ) -> IcSessionResult:
     """Construct the three parties from a root seed (or its Rng) and run all
     seven rounds."""
-    session = open_signing_session(
-        keys, message, seed, adversary=adversary,
-        ic_coins=ic_coins, challenge_coin=challenge_coin,
-    )
+    session = open_signing_session(keys, message, seed, adversary=adversary)
     return signing_result(session.run(TOTAL_ROUNDS), interpret=interpret)

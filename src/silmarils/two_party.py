@@ -32,7 +32,7 @@ from typing import Union
 
 from ._record import frozen_record
 from .errors import DegenerateExtraction, MalformedInput, MalformedSignature, ModulusMismatch
-from .errors import ProtocolMisuse, WrongType, require_bytes
+from .errors import ProtocolMisuse, WrongType, require_bytes, require_int
 from .field import FieldElement, counting
 from .field._pure import _element, _new
 from .hashing import (
@@ -224,8 +224,7 @@ def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
     that count calls of sign on the same rng return, leaving rng where they
     do.  A count that is not an int, or is negative, raises before drawing.
     """
-    if not isinstance(count, int):
-        raise WrongType(f"count must be an int, got {type(count).__name__}")
+    require_int(count, "count")
     if count < 0:
         raise ProtocolMisuse(f"count must be at least 0, got {count}")
     return _sign_batch(keys, message, rng, count)[-1]

@@ -298,7 +298,7 @@ def test_criterion_12_byte_identical_determinism(tmp_path, capsys):
     keys = _keys(P251, b"c12")
     runs = [
         transcript_lines(
-            run_signing_session(keys, b"replay", MASTER_SEED).transcript
+            run_signing_session(keys, b"replay", MASTER_SEED).outcome.transcript
         )
         for _ in range(2)
     ]

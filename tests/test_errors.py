@@ -19,13 +19,24 @@ from silmarils.field import Prime
 from silmarils.hashing import PairKey, derive_receipt
 from silmarils.net_sim import AdversaryHook, Envelope, Role, Session
 from silmarils.rng import Rng
-from silmarils.stats import _keys_for, _sqrt_upper, result_json_line, run_suite, wilson_interval
+from silmarils.stats import (
+    _keys_for,
+    _sqrt_upper,
+    estimate_core_forgery,
+    estimate_correctness,
+    estimate_unforgeability,
+    result_json_line,
+    run_suite,
+    run_trials,
+    wilson_interval,
+)
 from silmarils.sss import Weights
 from silmarils.three_party import (
     RevealPoint,
     force_coins,
     interpret_value,
     open_signing_session,
+    run_signing_session,
 )
 from silmarils.two_party import (
     KeyMaterial,
@@ -167,6 +178,63 @@ SITES = {
         ProtocolMisuse,
         ValueError,
     ),
+    # Coins that force_coins used to accept and a session later failed on:
+    # ints, a 3-tuple and elements of F_13 in a session over F_251.
+    "force_coins of int installer coins": (
+        lambda: force_coins(_session(), ic_coins=(1, 2, 3, 4)),
+        WrongType,
+        TypeError,
+    ),
+    "force_coins of three installer coins": (
+        lambda: force_coins(_session(), ic_coins=(P251.one,) * 3),
+        WrongType,
+        TypeError,
+    ),
+    "force_coins of installer coins over another prime": (
+        lambda: force_coins(_session(), ic_coins=(P13.one,) * 4),
+        ModulusMismatch,
+        ModulusMismatch,
+    ),
+    "force_coins of an int challenge coin": (
+        lambda: force_coins(_session(), challenge_coin=1),
+        WrongType,
+        TypeError,
+    ),
+    "force_coins of a challenge coin over another prime": (
+        lambda: force_coins(_session(), challenge_coin=P13.one),
+        ModulusMismatch,
+        ModulusMismatch,
+    ),
+    # Messages that are not bytes: a str raised a bare TypeError, and an int
+    # n was signed as n zero bytes.
+    "run_signing_session of a str message": (
+        lambda: run_signing_session(KEYS, "hello", SEED),
+        WrongType,
+        TypeError,
+    ),
+    "run_trials of an int message": (
+        lambda: next(run_trials(P251, 1, seed=SEED, message=5)),
+        WrongType,
+        TypeError,
+    ),
+    # Trial counts that are not ints: each reached range() and raised a bare
+    # TypeError.
+    "estimate_correctness of a float trial count": (
+        lambda: estimate_correctness(251, 2.5),
+        WrongType,
+        TypeError,
+    ),
+    "estimate_core_forgery of a float trial count": (
+        lambda: estimate_core_forgery(251, 2.5),
+        WrongType,
+        TypeError,
+    ),
+    "estimate_unforgeability of a float trial count": (
+        lambda: estimate_unforgeability(251, "substitute-guess-k1", 2.5),
+        WrongType,
+        TypeError,
+    ),
+    "run_suite of a str trial count": (lambda: run_suite(5, "core", "3"), WrongType, TypeError),
     "_wire_parts without an encoding": (
         lambda: RevealPoint(7, P251.one).to_wire(),
         WrongType,

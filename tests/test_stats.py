@@ -21,7 +21,13 @@ from silmarils.field import Prime
 from silmarils.net_sim import AdversaryHook, Role, transcript_lines
 from silmarils.rng import Rng
 from silmarils import three_party
-from silmarils.three_party import run_signing_session, signing_result
+from silmarils.three_party import (
+    TOTAL_ROUNDS,
+    force_coins,
+    open_signing_session,
+    run_signing_session,
+    signing_result,
+)
 from silmarils.two_party import sign, verify
 
 from .oracles import wilson_bounds_by_bisection
@@ -148,15 +154,15 @@ def test_branched_exhaustive_leaves_equal_fresh_sessions(monkeypatch):
     assert len(leaves) == 3**6 + 3 * 3 * 2
 
     def summary(res) -> tuple:
-        lines = transcript_lines(res.transcript)
+        lines = transcript_lines(res.outcome.transcript)
         return lines, res.outcome.z2, res.outcome.z3, res.arm, res.outcome.verdicts
 
     for leaf in leaves:
         p1, p2 = leaf.parties[Role.P1], leaf.parties[Role.P2]
-        fresh = run_signing_session(
-            p1.keys, p1.message, H.DEFAULT_SEED, adversary=leaf.adversary,
+        fresh = signing_result(force_coins(
+            open_signing_session(p1.keys, p1.message, H.DEFAULT_SEED, adversary=leaf.adversary),
             ic_coins=p1._ic_coins, challenge_coin=p2._coin,
-        )
+        ).run(TOTAL_ROUNDS))
         assert summary(signing_result(leaf)) == summary(fresh)
         assert read(leaf) == (fresh.x, fresh.outcome.z2, fresh.outcome.z3)
 
@@ -177,11 +183,11 @@ def test_secrecy_tree_tallies_equal_fresh_sessions(monkeypatch):
     for base, tally in zip(bases, tallies):
         flat = Counter()
         for coins, e in product(product(elems, repeat=4), elems):
-            res = run_signing_session(
-                keys, base.parties[Role.P1].message, H.DEFAULT_SEED,
+            res = signing_result(force_coins(
+                open_signing_session(keys, base.parties[Role.P1].message, H.DEFAULT_SEED),
                 ic_coins=coins, challenge_coin=e,
-            )
-            flat[H._signing_phase_view(res.transcript, Role.P3)] += 1
+            ).run(TOTAL_ROUNDS))
+            flat[H._signing_phase_view(res.outcome.transcript, Role.P3)] += 1
         assert dict(tally) == dict(flat)
         assert sum(tally.values()) == 3**5 and len(tally) > 1
 
@@ -301,6 +307,57 @@ def test_run_suite_all_skips_what_it_cannot_enumerate():
         H.run_suite(251, "secrecy", 10)
     with pytest.raises(ValueError):
         H.run_suite(251, "no-such-suite", 10)
+
+
+# run_suite's rows in output order: (suite, estimator on silmarils.stats, its
+# arguments after the prime with T for the trial count, fork label of the
+# row's seed, largest p the row runs at or None).
+SUITE_ROWS = [
+    ("correctness", "estimate_correctness", ("T",), b"correctness", None),
+    ("unforgeability", "estimate_unforgeability", ("substitute-guess-k1", "T"),
+     b"unforgeability", None),
+    ("unforgeability", "exhaustive_unforgeability", (), b"uf-exhaustive", 7),
+    ("transferability", "estimate_transferability", ("inconsistent-line", "T"),
+     b"transferability", None),
+    ("transferability", "exhaustive_transferability", (), b"trans-exhaustive", 7),
+    ("secrecy", "estimate_secrecy_tv", (), b"secrecy", 7),
+    ("core", "estimate_core_forgery", ("T",), b"core", None),
+    ("core", "exhaustive_core_forgery", (), b"core-exhaustive", 13),
+]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 251])
+@pytest.mark.parametrize("suite", H.SUITES)
+def test_run_suite_runs_its_rows_in_order_on_their_fork_seeds(monkeypatch, suite, p):
+    # Each estimator is replaced by a recorder, so only run_suite's choice of
+    # rows, their order, arguments and seeds is exercised.
+    calls = []
+
+    def recorder(name):
+        def record(prime, *args, seed):
+            calls.append((name, prime.value, args, seed))
+            return Fraction(0) if name == "estimate_secrecy_tv" else name
+
+        return record
+
+    for _, name, _, _, _ in SUITE_ROWS:
+        monkeypatch.setattr(H, name, recorder(name))
+    seed, trials = b"\x61" * 32, 17
+    if suite == "secrecy" and p > 7:
+        with pytest.raises(PrimeTooLarge):
+            H.run_suite(p, suite, trials, seed=seed)
+        assert calls == []
+        return
+    want = [
+        (name, p, tuple(trials if a == "T" else a for a in args), Rng(seed).fork(label).seed)
+        for row_suite, name, args, label, limit in SUITE_ROWS
+        if suite in (row_suite, "all") and (limit is None or p <= limit)
+    ]
+    rows = H.run_suite(p, suite, trials, seed=seed)
+    assert calls == want
+    assert [getattr(row, "name", row) for row in rows] == [
+        "secrecy-tv" if name == "estimate_secrecy_tv" else name for name, *_ in want
+    ]
 
 
 def test_result_json_lines_are_canonical():

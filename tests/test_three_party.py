@@ -13,7 +13,6 @@ from silmarils.net_sim import (
     AdversaryHook,
     Envelope,
     Role,
-    run_session,
     transcript_lines,
     view_of,
 )
@@ -60,6 +59,12 @@ KEYS = _keys()
 MSG = b"three party message"
 
 
+def _run_forced(adversary=None, interpret=False, **coins):
+    """run_signing_session(KEYS, MSG, SEED) with coins forced by force_coins."""
+    session = force_coins(open_signing_session(KEYS, MSG, SEED, adversary=adversary), **coins)
+    return signing_result(session.run(TOTAL_ROUNDS), interpret=interpret)
+
+
 def test_honest_session_resolves_arm_b_and_transfers():
     res = run_signing_session(KEYS, MSG, SEED, interpret=True)
     assert res.arm == "B"
@@ -68,9 +73,9 @@ def test_honest_session_resolves_arm_b_and_transfers():
     assert res.accepted is True
     # every verdict broadcast is an accept in the honest run
     assert {v[2] for v in res.outcome.verdicts} == {"accept"}
-    broadcasts = [env for env in res.transcript if env.is_broadcast]
+    broadcasts = [env for env in res.outcome.transcript if env.is_broadcast]
     assert all(
-        [env for env in view_of(res.transcript, role) if env.is_broadcast] == broadcasts
+        [env for env in view_of(res.outcome.transcript, role) if env.is_broadcast] == broadcasts
         for role in Role
     )
 
@@ -78,12 +83,12 @@ def test_honest_session_resolves_arm_b_and_transfers():
 def test_session_is_deterministic():
     a = run_signing_session(KEYS, MSG, SEED)
     b = run_signing_session(KEYS, MSG, SEED)
-    assert [e.payload.to_wire() for e in a.transcript] == [
-        e.payload.to_wire() for e in b.transcript
+    assert [e.payload.to_wire() for e in a.outcome.transcript] == [
+        e.payload.to_wire() for e in b.outcome.transcript
     ]
     c = run_signing_session(KEYS, MSG, b"\x5b" * 32)
-    assert [e.payload.to_wire() for e in a.transcript] != [
-        e.payload.to_wire() for e in c.transcript
+    assert [e.payload.to_wire() for e in a.outcome.transcript] != [
+        e.payload.to_wire() for e in c.outcome.transcript
     ]
 
 
@@ -99,7 +104,7 @@ def test_a_session_opens_alike_from_its_seed_and_from_its_rng(name):
         a = run_signing_session(KEYS, MSG, rng, adversary=hook(rng))
         b = run_signing_session(KEYS, MSG, seed, adversary=hook(Rng(seed)))
         assert rng.take(16) == Rng(seed).take(16)  # forks leave the root unmoved
-        assert transcript_lines(a.transcript) == transcript_lines(b.transcript)
+        assert transcript_lines(a.outcome.transcript) == transcript_lines(b.outcome.transcript)
         assert (a.outcome.z2, a.outcome.z3, a.arm, a.x) == (b.outcome.z2, b.outcome.z3, b.arm, b.x)
 
 
@@ -110,10 +115,10 @@ def test_x_binds_message_and_signature():
 
 def test_forced_ic_coins_are_used():
     coins = (P251.elt(3), P251.elt(7), P251.elt(11), P251.elt(13))
-    res = run_signing_session(KEYS, MSG, SEED, ic_coins=coins)
+    res = _run_forced(ic_coins=coins)
     dealt = {
         type(env.payload): env.payload
-        for env in res.transcript
+        for env in res.outcome.transcript
         if env.round == ROUND_SETUP
     }
     setup, keys = dealt[HolderSetup], dealt[VerifierSetup]
@@ -149,12 +154,12 @@ def test_substitute_attack_success_iff_guess_hits_k1():
     coins = (P251.elt(42), P251.elt(7), P251.elt(11), P251.elt(13))  # k1 = 42
 
     wrong = strategy.hook(P251, Rng(SEED), ghat=P251.elt(41), offset=P251.one)
-    res = run_signing_session(KEYS, MSG, SEED, adversary=wrong, ic_coins=coins)
+    res = _run_forced(adversary=wrong, ic_coins=coins)
     assert res.outcome.z2 == res.x
     assert res.outcome.z3 is None  # forged point misses the line: bottom
 
     right = strategy.hook(P251, Rng(SEED), ghat=P251.elt(42), offset=P251.one)
-    res = run_signing_session(KEYS, MSG, SEED, adversary=right, ic_coins=coins)
+    res = _run_forced(adversary=right, ic_coins=coins)
     assert res.outcome.z2 == res.x
     assert res.outcome.z3 == res.x + P251.one  # accepted forgery
     assert res.outcome.z3 != res.x
@@ -166,9 +171,7 @@ def test_substitute_forgery_never_interprets():
     strategy = get_strategy("substitute-guess-k1")
     coins = (P251.elt(42), P251.elt(7), P251.elt(11), P251.elt(13))
     right = strategy.hook(P251, Rng(SEED), ghat=P251.elt(42), offset=P251.one)
-    res = run_signing_session(
-        KEYS, MSG, SEED, adversary=right, ic_coins=coins, interpret=True
-    )
+    res = _run_forced(adversary=right, ic_coins=coins, interpret=True)
     assert res.outcome.z3 is not None and res.outcome.z3 != res.x
     assert res.accepted is False
 
@@ -178,18 +181,14 @@ def test_inconsistent_line_caught_unless_challenge_blind_spot():
 
     # e forced off the blind spot: P1's own check fails, arm A reveals truth.
     adv = strategy.hook(P251, Rng(SEED), delta=P251.elt(5), delta_prime=P251.zero)
-    res = run_signing_session(
-        KEYS, MSG, SEED, adversary=adv, challenge_coin=P251.elt(9)
-    )
+    res = _run_forced(adversary=adv, challenge_coin=P251.elt(9))
     assert res.arm == "A"
     assert res.outcome.z2 == res.x and res.outcome.z3 == res.x
 
     # blind spot e = -delta_prime/delta = 0: tampering survives the challenge,
     # P2 keeps the offset point, and the transfer dies at P3 instead.
     adv = strategy.hook(P251, Rng(SEED), delta=P251.elt(5), delta_prime=P251.zero)
-    res = run_signing_session(
-        KEYS, MSG, SEED, adversary=adv, challenge_coin=P251.zero
-    )
+    res = _run_forced(adversary=adv, challenge_coin=P251.zero)
     assert res.arm == "B"
     assert res.outcome.z2 == res.x  # the held x was never altered
     assert res.outcome.z3 is None
@@ -206,7 +205,7 @@ def test_verifier_first_setup_wins():
 
 def test_holder_first_setup_wins():
     holder = P2Holder(P251, Rng(SEED))
-    envs = P1Signer(KEYS, MSG, Rng(b"\x77" * 32)).start()
+    envs = P1Signer(KEYS, MSG, Rng(b"\x77" * 32)).emit(ROUND_SETUP)
     setup = envs[0].payload
     holder.deliver(envs[0])
     tampered = dataclasses.replace(setup, x=setup.x + P251.one)
@@ -283,8 +282,8 @@ def test_role_identity_hash_changes_no_lookup_or_session(monkeypatch):
                 # the hash changes, when the old dicts can no longer be probed.
                 runs.append((
                     (res.outcome, res.x, res.arm),
-                    transcript_lines(res.transcript),
-                    [(role, view_of(res.transcript, role)) for role in Role],
+                    transcript_lines(res.outcome.transcript),
+                    [(role, view_of(res.outcome.transcript, role)) for role in Role],
                 ))
         return runs
 
@@ -374,8 +373,8 @@ def test_payload_fields_are_immutable():
     assert type(signer.message) is bytes and signer.message == MSG
     fresh = run_signing_session(KEYS, MSG, SEED)
     res = run_signing_session(KEYS, bytearray(MSG), SEED)
-    assert type(res.transcript[0].payload.message) is bytes
-    assert transcript_lines(res.transcript) == transcript_lines(fresh.transcript)
+    assert type(res.outcome.transcript[0].payload.message) is bytes
+    assert transcript_lines(res.outcome.transcript) == transcript_lines(fresh.outcome.transcript)
 
 
 def test_honest_verdicts_are_shared_instances():
@@ -383,7 +382,7 @@ def test_honest_verdicts_are_shared_instances():
     b = run_signing_session(KEYS, MSG, b"\x5b" * 32)
     broadcasts = [
         (x.payload, y.payload)
-        for x, y in zip(a.transcript, b.transcript)
+        for x, y in zip(a.outcome.transcript, b.outcome.transcript)
         if x.payload.tag in (b"\x13", b"\x14", b"\x15")
     ]
     assert len(broadcasts) == 3
@@ -431,16 +430,11 @@ def test_malformed_verdicts_never_raise(corrupted, swap, verdicts):
 
 
 def _run_parties(keys, adversary, *, ic_coins=None):
-    """One session through run_session with the party objects kept, so a
-    test can read the state each party ended in."""
-    root = Rng(SEED)
-    parties = {
-        Role.P1: P1Signer(keys, MSG, root.fork(b"tape/P1"), ic_coins=ic_coins),
-        Role.P2: P2Holder(P251, root.fork(b"tape/P2")),
-        Role.P3: P3Verifier(P251),
-    }
-    transcript = run_session(parties, adversary, total_rounds=TOTAL_ROUNDS)
-    return parties, transcript
+    """One session run to the end with the party objects kept, so a test can
+    read the state each party ended in."""
+    session = open_signing_session(keys, MSG, SEED, adversary=adversary)
+    session = force_coins(session, ic_coins=ic_coins).run(TOTAL_ROUNDS)
+    return session.parties, session.result()
 
 
 def test_arm_d_false_reject_reveals_the_line():
@@ -504,9 +498,12 @@ def _reveal_point_instead(*, starve_p3=False, force_arm_a=False):
     P1 only reveals in round 6 after an audit failure, so the hook provokes
     one: it garbles P3's k2' (P3 then rejects the honest challenge), or
     drops P3's keys altogether (a starved P3 rejects), or publishes the true
-    point in round 3 (arm A, after which P3 stays silent in round 4)."""
+    point in round 3 (arm A, after which P3 stays silent in round 4).  The
+    rewrite keeps its own list of what P1 sent."""
+    sent = []
 
     def rewrite(env: Envelope, view) -> list:
+        sent.append(env)
         payload = env.payload
         if isinstance(payload, VerifierSetup):
             if starve_p3:
@@ -514,7 +511,7 @@ def _reveal_point_instead(*, starve_p3=False, force_arm_a=False):
             bad = VerifierSetup(payload.k1, payload.k2, payload.k2_prime + P251.one)
             return [Envelope(env.round, env.sender, env.recipient, bad)]
         if force_arm_a and isinstance(payload, ChallengeVerdict):
-            setup = view.sent[0].payload
+            setup = sent[0].payload
             reveal = ChallengeVerdict(False, setup.x, setup.sigma)
             return [Envelope(env.round, env.sender, None, reveal)]
         if env.round == ROUND_RESOLUTION:
@@ -569,14 +566,13 @@ def test_revealless_failing_challenge_verdict_is_silence():
 
 def _session_state(session) -> tuple:
     """Everything a branch could disturb: each party's attributes and tape
-    position, what the corrupted party sent and the transcript (the rest of
-    its view is read off the transcript)."""
+    position and the transcript (the corrupted party's view is read off the
+    transcript)."""
     parties = session.parties
     return (
         {role: dict(vars(party)) for role, party in parties.items()},
         {role: party._rng.copy().take(16) for role, party in parties.items()
          if hasattr(party, "_rng")},
-        session._view and list(session._view.sent),
         list(session.result()),
     )
 
@@ -632,7 +628,7 @@ def test_force_coins_refuses_a_coin_already_drawn():
 
 
 def test_forced_twin_equals_a_fresh_session_and_leaves_its_base_untouched():
-    fresh = run_signing_session(KEYS, MSG, SEED, ic_coins=COINS, challenge_coin=E)
+    fresh = _run_forced(ic_coins=COINS, challenge_coin=E)
     base = open_signing_session(KEYS, MSG, SEED)
     before = _session_state(base)
     for twin in (
@@ -641,10 +637,10 @@ def test_forced_twin_equals_a_fresh_session_and_leaves_its_base_untouched():
     ):
         res = signing_result(twin.run(TOTAL_ROUNDS))
         assert _session_state(base) == before
-        assert transcript_lines(res.transcript) == transcript_lines(fresh.transcript)
+        assert transcript_lines(res.outcome.transcript) == transcript_lines(fresh.outcome.transcript)
         assert (res.x, res.arm, res.outcome.z2, res.outcome.z3) == (
             fresh.x, fresh.arm, fresh.outcome.z2, fresh.outcome.z3
         )
     assert base.rounds_run == 0
-    challenge = next(env.payload for env in fresh.transcript if env.round == ROUND_CHALLENGE)
+    challenge = next(env.payload for env in fresh.outcome.transcript if env.round == ROUND_CHALLENGE)
     assert challenge.e == E
