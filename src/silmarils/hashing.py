@@ -49,10 +49,10 @@ def prf_to_field(key: bytes, prime, tag: bytes, payload: bytes):
 class PairKey:
     """The 32-byte signer/designated-verifier shared key k_sig.
 
-    derive_receipt keeps its last result on the key: (prime, a bytes copy of
-    the message, (n, r)).  One entry per key object bounds the memory and
-    drops the derived values with the key; it takes no part in ==, hash or
-    repr.
+    derive_receipt keeps its last result on the key: (the prime's value, a
+    bytes copy of the message, (n, r)).  One entry per key object bounds the
+    memory and drops the derived values with the key; it takes no part in ==,
+    hash or repr.
     """
 
     data: bytes
@@ -88,16 +88,17 @@ def receipt_from_nonce(message: bytes, nonce):
 def derive_receipt(k_sig: PairKey, message: bytes, prime):
     """Nonce and receipt for one message: n = PRF(k_sig, M), r = H(M, n).
 
-    The key remembers its last (prime, message) and result, so calling again
-    with the same ones derives nothing.
+    The key remembers its last (prime value, message) and result, so calling
+    again with an equal prime and the same message derives nothing, and a hit
+    compares ints and bytes.
     """
     memo = k_sig._receipt_memo
-    if memo is not None and memo[0] == prime and memo[1] == message:
+    if memo is not None and memo[0] == prime.value and memo[1] == message:
         return memo[2]
     require_bytes(message, "a message")
     nonce = derive_nonce(k_sig, message, prime)
     result = nonce, receipt_from_nonce(message, nonce)
-    object.__setattr__(k_sig, "_receipt_memo", (prime, bytes(message), result))
+    object.__setattr__(k_sig, "_receipt_memo", (prime.value, bytes(message), result))
     return result
 
 

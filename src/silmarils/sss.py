@@ -15,9 +15,11 @@ class Weights:
 
     Reconstruction coefficients lam0 = -w1/(w0-w1) and lam1 = w0/(w0-w1) are
     cached at construction so reconstruct costs two field multiplications.
+    prime is w0's Prime, stored in a slot at construction: sign and verify
+    read it on every call, and a slot read is cheaper than a property.
     """
 
-    __slots__ = ("w0", "w1", "lam0", "lam1")
+    __slots__ = ("w0", "w1", "lam0", "lam1", "prime")
 
     def __init__(self, w0, w1):
         if not w0 or not w1:
@@ -26,6 +28,7 @@ class Weights:
             raise DegenerateWeights("weights must be distinct")
         self.w0 = w0
         self.w1 = w1
+        self.prime = w0.prime
         span_inv = (w0 - w1).inv()
         self.lam0 = -w1 * span_inv
         self.lam1 = w0 * span_inv
@@ -38,10 +41,6 @@ class Weights:
             w1 = prime.sample_unit(rng)
             if w1 != w0:
                 return cls(w0, w1)
-
-    @property
-    def prime(self):
-        return self.w0.prime
 
     def to_bytes(self) -> bytes:
         return self.w0.to_bytes() + self.w1.to_bytes()

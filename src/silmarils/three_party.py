@@ -47,11 +47,11 @@ from typing import Optional, Union
 from ._record import frozen_record
 from .errors import ModulusMismatch, ProtocolMisuse, WrongType, require_bytes
 from .field import FieldElement
-from .hashing import authenticated_value, receipt_from_nonce
+from .hashing import authenticated_value, derive_receipt, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, Role, Session
 from .rng import Rng
 from .sss import Weights
-from .two_party import KeyMaterial, Signature, _core_verify, sign
+from .two_party import KeyMaterial, Signature, _core_verify, sign_many
 
 ROUND_SETUP = 1
 ROUND_CHALLENGE = 2
@@ -238,9 +238,12 @@ class P1Signer:
         self.message = message = bytes(message)  # payload fields are immutable
         self._rng = tape
         self._ic_coins = None  # set only by force_coins
-        self.sig_alg, signing_tape = sign(keys, message, tape)
-        self.nonce = signing_tape.n
-        self.x = authenticated_value(message, self.sig_alg.encode(), keys.sk_K.prime)
+        # sign_many draws what sign would and builds no tape; the nonce is
+        # the receipt memo's, which signing has just filled.
+        prime = keys.sk_K.prime
+        (self.sig_alg,) = sign_many(keys, message, tape, 1)
+        self.nonce = derive_receipt(keys.k_sig, message, prime)[0]
+        self.x = authenticated_value(message, self.sig_alg.encode(), prime)
         self.setup: Optional[HolderSetup] = None
         self.line: Optional[VerifierSetup] = None
         self.challenge: Optional[Challenge] = None

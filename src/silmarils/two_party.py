@@ -232,6 +232,7 @@ def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
 
 def sign_accepted(keys: KeyMaterial, message: bytes, rng, max_tries: int = 64):
     """Retry wrapper (off the default path): re-draws until sigma4 != 0."""
+    require_int(max_tries, "max_tries")
     if max_tries < 1:
         raise ProtocolMisuse(f"max_tries must be at least 1, got {max_tries}")
     for _ in range(max_tries):
@@ -245,22 +246,25 @@ def _core_verify(weights: Weights, r, sig: Signature) -> bool:
     """The acceptance check on residues, after checking each part and r."""
     if type(sig) is not Signature:
         raise WrongType(f"expected a Signature, got {type(sig).__name__}")
-    q = weights.lam0.prime.value
-    for x in (*sig, r):
+    q = weights.prime.value
+    s1, s2, s3, s4, s5 = sig.s1, sig.s2, sig.s3, sig.s4, sig.s5
+    for x in (s1, s2, s3, s4, s5, r):
         if type(x) is not FieldElement:
             raise WrongType(f"signature parts and r must be elements, got {type(x).__name__}")
         if x.prime.value != q:
             raise ModulusMismatch(f"{q} vs {x.prime.value}")
-    if not sig.s4.residue:
+    if not s4.residue:
         return False
     if counting.enabled:
         counting.bump_mul(4)
-    m = sig.s1.residue * sig.s2.residue
-    v1 = m - sig.s3.residue + r.residue * sig.s4.residue
-    return not (weights.lam0.residue * (m - sig.s5.residue) + weights.lam1.residue * v1) % q
+    m = s1.residue * s2.residue
+    v1 = m - s3.residue + r.residue * s4.residue
+    return not (weights.lam0.residue * (m - s5.residue) + weights.lam1.residue * v1) % q
 
 
 def _as_signature(prime, sig: Union[Signature, bytes]) -> Signature:
+    """Decode bytes; anything else is left for _core_verify's type check.
+    The entry points call it only when type(sig) is not Signature."""
     if isinstance(sig, (bytes, bytearray)):
         return Signature.decode(prime, bytes(sig))
     return sig
@@ -269,14 +273,15 @@ def _as_signature(prime, sig: Union[Signature, bytes]) -> Signature:
 def verify(pk: Weights, k_sig: PairKey, message: bytes, sig) -> bool:
     """Designated-verifier check: recomputes r from the pair key."""
     prime = pk.prime
-    sig = _as_signature(prime, sig)
-    _, r = derive_receipt(k_sig, message, prime)
-    return _core_verify(pk, r, sig)
+    if type(sig) is not Signature:
+        sig = _as_signature(prime, sig)
+    return _core_verify(pk, derive_receipt(k_sig, message, prime)[1], sig)
 
 
 def verify_with_receipt(pk: Weights, r, message: bytes, sig) -> bool:
     """Third-party check against a published receipt r."""
-    sig = _as_signature(pk.prime, sig)
+    if type(sig) is not Signature:
+        sig = _as_signature(pk.prime, sig)
     return _core_verify(pk, r, sig)
 
 
@@ -363,7 +368,8 @@ def extract_params(
     if kind not in HINT_KINDS:
         raise MalformedInput(f"hint kind must be one of {HINT_KINDS}, got {kind!r}")
     prime = pk.prime
-    sig = _as_signature(prime, sig)
+    if type(sig) is not Signature:
+        sig = _as_signature(prime, sig)
     _, r = derive_receipt(k_sig, message, prime)
     if not sig.s3:
         raise DegenerateExtraction("sigma3 = 0: ratio undefined")
@@ -407,7 +413,8 @@ def public_receipt(message: bytes, prime):
 
 def verify_public_r(pk: Weights, message: bytes, sig) -> bool:
     """Deliberately weakened verifier that derives r from the message alone."""
-    sig = _as_signature(pk.prime, sig)
+    if type(sig) is not Signature:
+        sig = _as_signature(pk.prime, sig)
     return _core_verify(pk, public_receipt(message, pk.prime), sig)
 
 

@@ -151,6 +151,15 @@ SITES = {
         ProtocolMisuse,
         ValueError,
     ),
+    # Counts that are not ints: each raised a bare TypeError, from range()
+    # or a slice or a comparison.
+    "sign_accepted of a float max_tries": (
+        lambda: sign_accepted(KEYS, MSG, Rng(SEED), max_tries=2.5),
+        WrongType,
+        TypeError,
+    ),
+    "Rng take of a float": (lambda: Rng(SEED).take(2.5), WrongType, TypeError),
+    "Rng take of a str": (lambda: Rng(SEED).take("3"), WrongType, TypeError),
     "Rng seed type": (lambda: Rng("not bytes"), WrongType, TypeError),
     "Rng negative take": (lambda: Rng(SEED).take(-1), ProtocolMisuse, ValueError),
     "Session without the corrupted role": (

@@ -115,6 +115,16 @@ def test_receipt_memo_follows_message_and_prime():
         assert derive_receipt(key, msg, prime) is got
 
 
+def test_receipt_memo_keys_the_prime_by_value():
+    key = PairKey(b"\xce" * 32)
+    got = derive_receipt(key, b"m", P251)
+    # An equal but distinct Prime hits; another modulus misses.
+    assert derive_receipt(key, b"m", Prime(251)) is got
+    other = derive_receipt(key, b"m", Prime(257))
+    assert other == _fresh_receipt(key, b"m", Prime(257))
+    assert other[0].prime.value == 257
+
+
 def test_receipt_memo_copies_a_mutable_message():
     key = PairKey(b"\xcd" * 32)
     msg = bytearray(b"original")

@@ -147,6 +147,30 @@ def test_mutating_a_bytearray_seed_afterwards_changes_nothing():
     assert rng.fork(b"f").seed == _reference_fork(SEED, b"f")
 
 
+# A batch of 64 signatures at the secure prime draws 12,288 bytes at once.
+LONG_TAKE = 13_000
+
+
+@given(
+    offset=st.integers(min_value=0, max_value=63),
+    draws=st.lists(st.integers(min_value=0, max_value=LONG_TAKE), min_size=1, max_size=3),
+)
+def test_long_takes_match_the_hmac_reference(offset, draws):
+    rng = Rng(SEED)
+    rng.take(offset)
+    got = b"".join(rng.take(n) for n in draws)
+    assert got == _reference_stream(SEED, offset + sum(draws))[offset:]
+
+
+def test_a_long_take_from_every_in_block_offset_matches_the_reference():
+    reference = _reference_stream(SEED, 64 + LONG_TAKE + 64)
+    for offset in range(64):
+        rng = Rng(SEED)
+        assert rng.take(offset) + rng.take(LONG_TAKE) == reference[: offset + LONG_TAKE]
+        # The stream goes on from inside the last block.
+        assert rng.take(64) == reference[offset + LONG_TAKE : offset + LONG_TAKE + 64]
+
+
 @given(
     seed=st.binary(max_size=300),
     labels=st.lists(st.binary(max_size=150), max_size=3),

@@ -83,6 +83,14 @@ def test_weights_encoding_round_trip():
         Weights.from_bytes(P251, w.to_bytes() + b"\x00")
 
 
+def test_weights_prime_is_w0s_prime():
+    generated = Weights.generate(P251, Rng(b"\x04" * 32))
+    decoded = Weights.from_bytes(P13, bytes([3, 9]))
+    for w, prime in ((generated, P251), (decoded, P13)):
+        assert w.prime is w.w0.prime
+        assert w.prime == prime
+
+
 def test_reconstruction_coefficients_cached_cost():
     from silmarils.field import count_field_ops
 

@@ -194,13 +194,13 @@ def test_secrecy_tree_tallies_equal_fresh_sessions(monkeypatch):
 
 def test_each_exhaustive_sweep_signs_once_per_message(monkeypatch):
     signed = Counter()
-    sign = three_party.sign
+    sign_many = three_party.sign_many  # P1Signer signs through it
 
-    def counted(keys, message, rng):
-        signed[message] += 1
-        return sign(keys, message, rng)
+    def counted(keys, message, rng, count):
+        signed[message] += count
+        return sign_many(keys, message, rng, count)
 
-    monkeypatch.setattr(three_party, "sign", counted)
+    monkeypatch.setattr(three_party, "sign_many", counted)
     for sweep, messages in [
         (H.exhaustive_unforgeability, 1),
         (H.exhaustive_transferability, 1),

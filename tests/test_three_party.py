@@ -43,7 +43,7 @@ from silmarils.three_party import (
     run_signing_session,
     signing_result,
 )
-from silmarils.two_party import Params, Signature, keygen
+from silmarils.two_party import Params, Signature, keygen, sign
 
 P251 = Prime(251)
 SEED = b"\x5a" * 32
@@ -106,6 +106,19 @@ def test_a_session_opens_alike_from_its_seed_and_from_its_rng(name):
         assert rng.take(16) == Rng(seed).take(16)  # forks leave the root unmoved
         assert transcript_lines(a.outcome.transcript) == transcript_lines(b.outcome.transcript)
         assert (a.outcome.z2, a.outcome.z3, a.arm, a.x) == (b.outcome.z2, b.outcome.z3, b.arm, b.x)
+
+
+def test_p1_signs_as_sign_does_and_leaves_its_tape_where_sign_does():
+    # Messages alternate, so a nonce left in the receipt memo by the last
+    # message would show.
+    for i, msg in enumerate([MSG, b"other", MSG]):
+        root = Rng(i.to_bytes(32, "big"))
+        tape, twin = root.fork(b"tape/P1"), root.fork(b"tape/P1")
+        p1 = P1Signer(KEYS, msg, tape)
+        sig, signing_tape = sign(KEYS, msg, twin)
+        assert p1.sig_alg == sig
+        assert p1.nonce == signing_tape.n
+        assert tape.take(16) == twin.take(16)
 
 
 def test_x_binds_message_and_signature():

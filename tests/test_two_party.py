@@ -25,6 +25,7 @@ from silmarils.two_party import (
     _assemble,
     _core_verify,
     dv_forge,
+    extract_params,
     keygen,
     public_r_forge,
     public_receipt,
@@ -109,6 +110,23 @@ def test_verify_accepts_raw_bytes_and_rejects_sigma4_zero():
     assert verify(keys.pk, keys.k_sig, msg, sig.encode())
     zeroed = Signature(sig.s1, sig.s2, sig.s3, P251.zero, sig.s5)
     assert not verify(keys.pk, keys.k_sig, msg, zeroed)
+
+
+def test_every_entry_decodes_bytes_and_bytearrays_alike():
+    keys, rng = _setup(P251)
+    msg = b"encoded in"
+    sig, tape = sign_accepted(keys, msg, rng)
+    _, r = derive_receipt(keys.k_sig, msg, P251)
+    entries = [
+        lambda s: verify(keys.pk, keys.k_sig, msg, s),
+        lambda s: verify_with_receipt(keys.pk, r, msg, s),
+        lambda s: verify_public_r(keys.pk, msg, s),
+        lambda s: extract_params(keys.k_sig, msg, s, ("d", tape.d), keys.pk).pinned,
+    ]
+    for entry in entries:
+        assert entry(sig) == entry(sig.encode()) == entry(bytearray(sig.encode()))
+    with pytest.raises(MalformedSignature):
+        verify(keys.pk, keys.k_sig, msg, bytearray(sig.encode())[:-1])
 
 
 def test_receipt_path_equals_dv_path():
