@@ -7,7 +7,8 @@ residues and calls neither: they are the reference its tests check it against.
 
 from __future__ import annotations
 
-from .errors import DegenerateWeights, require_bytes
+from .errors import DegenerateWeights, ModulusMismatch, WrongType, require_bytes
+from .field import FieldElement
 
 
 class Weights:
@@ -22,6 +23,11 @@ class Weights:
     __slots__ = ("w0", "w1", "lam0", "lam1", "prime")
 
     def __init__(self, w0, w1):
+        for w in (w0, w1):
+            if type(w) is not FieldElement:
+                raise WrongType(f"weights must be field elements, got {type(w).__name__}")
+        if w0.prime.value != w1.prime.value:
+            raise ModulusMismatch(f"{w0.prime.value} vs {w1.prime.value}")
         if not w0 or not w1:
             raise DegenerateWeights("weights must be nonzero")
         if w0 == w1:

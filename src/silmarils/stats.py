@@ -62,15 +62,7 @@ from .three_party import (
     open_signing_session,
     run_signing_session,
 )
-from .two_party import (
-    Params,
-    Signature,
-    _assemble,
-    _core_verify,
-    keygen,
-    sign_many,
-    verify,
-)
+from .two_party import Params, _accepts, _assemble, _sign_batch, keygen
 
 DEFAULT_SEED = b"silmarils/stats/default-seed\x00\x00\x00\x00"
 DEFAULT_MESSAGE = b"harness message"
@@ -85,9 +77,9 @@ EXHAUSTIVE_ATTACK_MAX = 7
 EXHAUSTIVE_CORE_MAX = 13
 EXHAUSTIVE_DV_MAX = 7
 
-# Signatures per sign_many call in the correctness fast path: one pow each,
-# and a bounded list however many trials run.
-_SIGN_BATCH = 64
+# Trials per batch in the correctness fast path (one pow each) and in
+# estimate_core_forgery: a bounded list however many trials run.
+_BATCH = 64
 
 SUITES = ("correctness", "unforgeability", "transferability", "secrecy", "core", "all")
 
@@ -343,9 +335,11 @@ def estimate_correctness(
 
     Fast path signs and verifies directly: the only honest failure mode is the
     verifier rejecting (the signer drew sigma4 = 0, rate exactly 1/p).  It
-    signs _SIGN_BATCH trials at a time with sign_many, which returns the
-    signatures one sign call per trial would, from the same draws, and shares
-    one pow per batch; it verifies each signature in turn.  With
+    signs _BATCH trials at a time with two_party._sign_batch, whose
+    residue rows are the signatures one sign call per trial makes, from the
+    same draws, with one pow a batch.  Each row goes to _accepts, verify's
+    acceptance kernel, with the designated verifier's receipt: no Signature is
+    built, and the field-op counts are those of sign + verify.  With
     sessions=True each trial runs the full three-party session and counts a
     failure whenever z2, z3, or the final interpretation misses x.
     """
@@ -363,11 +357,12 @@ def estimate_correctness(
         root = Rng(seed)
         keys = _keys_for(prime, root)
         rng = root.fork(b"sign")
-        pk, k_sig = keys.pk, keys.k_sig
-        for done in range(0, trials, _SIGN_BATCH):
-            count = min(_SIGN_BATCH, trials - done)
-            for sig in sign_many(keys, DEFAULT_MESSAGE, rng, count):
-                if not verify(pk, k_sig, DEFAULT_MESSAGE, sig):
+        pk = keys.pk
+        r = derive_receipt(keys.k_sig, DEFAULT_MESSAGE, prime)[1].residue
+        for done in range(0, trials, _BATCH):
+            count = min(_BATCH, trials - done)
+            for row in _sign_batch(keys, DEFAULT_MESSAGE, rng, count)[-1]:
+                if not _accepts(pk, r, *row):
                     failures += 1
         name = "correctness"
         note = "failure = honest signature rejected (sigma4 = 0)"
@@ -427,18 +422,20 @@ def estimate_transferability(
 
 
 def estimate_core_forgery(p, trials: int, *, seed: bytes = DEFAULT_SEED) -> Estimate:
-    """Uniform 5-tuples against a fresh uniform receipt; target 1/p."""
+    """Uniform 5-tuples against a fresh uniform receipt; target 1/p.  A trial
+    is r, then sigma1..sigma5: the bytes of six prime.sample calls, drawn
+    _BATCH trials per Prime._residues call and checked by _accepts."""
     require_int(trials, "trials")
     prime = _as_prime(p)
     root = Rng(seed)
     weights = Weights.generate(prime, root.fork(b"weights"))
     rng = root.fork(b"tuples")
     successes = 0
-    for _ in range(trials):
-        r = prime.sample(rng)
-        sig = Signature(*(prime.sample(rng) for _ in range(5)))
-        if _core_verify(weights, r, sig):
-            successes += 1
+    for done in range(0, trials, _BATCH):
+        draws = prime._residues(rng, (False,) * 6 * min(_BATCH, trials - done))
+        for tup in zip(*[iter(draws)] * 6):  # (r, sigma1, ..., sigma5)
+            if _accepts(weights, *tup):
+                successes += 1
     return make_estimate(
         "core-forgery", prime.value, trials, successes, Fraction(1, prime.value)
     )
@@ -455,18 +452,15 @@ def exhaustive_core_forgery(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     Acceptance depends on (sigma1, sigma2) only through m = sigma1*sigma2, so
     the tuple is represented as (m, 1, s3, s4, s5).  For every (m, s3, s4, s5)
     with s4 != 0 exactly one r accepts, so the count is (p-1)*p^3 of p^5.
+    The sweep runs over residues, through _accepts.
     """
-    prime, elems = _grid(
-        p, EXHAUSTIVE_CORE_MAX, "exhaustive core forgery sweeps p^5 tuples"
-    )
+    prime, _ = _grid(p, EXHAUSTIVE_CORE_MAX, "exhaustive core forgery sweeps p^5 tuples")
     weights = Weights.generate(prime, Rng(seed).fork(b"weights"))
     pv = prime.value
-    one = elems[1]
     successes = 0
-    for m, s3, s4, s5 in product(elems, repeat=4):
-        sig = Signature(m, one, s3, s4, s5)
-        for r in elems:
-            if _core_verify(weights, r, sig):
+    for m, s3, s4, s5 in product(range(pv), repeat=4):
+        for r in range(pv):
+            if _accepts(weights, r, m, 1, s3, s4, s5):
                 successes += 1
     return make_estimate(
         "core-forgery-exhaustive",

@@ -20,9 +20,9 @@ derived from the pair key.  The verifier recombines
 and accepts iff sigma4 != 0 and the share reconstruction of (V0, V1) is zero.
 An honest tape gives (V0, V1) = (d*C*w0, d*C*w1) for C = -a_K + r*a_eps/eps,
 which reconstructs to f(0) = 0; a signer unlucky enough to draw sigma4 = 0
-(probability 1/p) is rejected, and signing does not resample.  Sign and
-verify compute on residues (ints mod p) from the draws to the five sigmas,
-and count their field muls in bulk, one bump a call.
+(probability 1/p) is rejected, and signing does not resample.  Two kernels
+on ints mod p, each counting its muls in one bump, hold the arithmetic: the
+sigmas (_equations) and the check (_accepts); stats builds no Signature.
 """
 
 from __future__ import annotations
@@ -142,32 +142,39 @@ def keygen(params: Params, rng) -> KeyMaterial:
 
 
 def _equations(weights: Weights, Kprime, r, rows, inverses) -> list:
-    """The signature equations on residues: one Signature per row of
-    (b, d, eps, slope_eps, slope_K) residues, with eps^-1 and b^-1 at
+    """The signature equations on residues: a (sigma1..sigma5) tuple per row
+    of (b, d, eps, slope_eps, slope_K) residues, eps^-1 and b^-1 at
     inverses[2i] and [2i + 1].  The weights, K', r and K' - r are read once a
     batch, and the 12 muls of each signature are counted in one bump."""
-    prime = Kprime.prime
-    q = prime.value
+    q = Kprime.prime.value
     w0, w1, k, rr = weights.w0.residue, weights.w1.residue, Kprime.residue, r.residue
     k_r = k - rr
-    signed = []
+    sigmas = []
     for i, (b, d, eps, slope_eps, slope_K) in enumerate(rows):
         eps_inv = inverses[2 * i]
-        sigma = []
-        for v in (  # sigma1..sigma5
+        sigmas.append((
             b * k_r % q,
             d * inverses[2 * i + 1] % q,
             (k + slope_K * w1) * d % q,
             d * (eps_inv * (eps + slope_eps * w1) % q) % q,
             d * (k + slope_K * w0 - rr * (eps_inv * (eps + slope_eps * w0) % q)) % q,
-        ):
-            elt = _new(FieldElement)
-            elt.residue = v
-            elt.prime = prime
-            sigma.append(elt)
-        signed.append(Signature(*sigma))
+        ))
     if counting.enabled:
         counting.bump_mul(12 * len(rows))
+    return sigmas
+
+
+def _signatures(prime, sigmas) -> list:
+    """One Signature per (sigma1..sigma5) residue tuple of _equations, its
+    elements built inline (as in Prime.sample) to skip _element's call."""
+    signed = []
+    for row in sigmas:
+        parts = []
+        for v in row:
+            elt = _new(FieldElement)
+            elt.residue, elt.prime = v, prime
+            parts.append(elt)
+        signed.append(Signature(*parts))
     return signed
 
 
@@ -175,17 +182,17 @@ def _assemble(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K):
     """One signature from its ephemerals; dv_forge's and stats' entry."""
     row = (b.residue, d.residue, eps.residue, slope_eps.residue, slope_K.residue)
     inverses = Kprime.prime._inv_residues((eps.residue, b.residue))
-    return _equations(weights, Kprime, r, (row,), inverses)[0]
+    return _signatures(Kprime.prime, _equations(weights, Kprime, r, (row,), inverses))[0]
 
 
 _TAPE_UNITS = (True, True, True, True, False, False)  # alpha, beta, b, d are nonzero
 
 
 def _sign_batch(keys: KeyMaterial, message: bytes, rng, count: int) -> tuple:
-    """sign's and sign_many's step: (n, r, K', draws, signatures).  draws is
-    one Prime._residues call of count tapes (alpha, beta, b, d, slope_eps,
-    slope_K); eps = alpha * beta is one counted mul a tape, and one pow inverts
-    every (eps, b) (Prime._inv_residues).  n, r and K' are derived once."""
+    """sign's and sign_many's step: (n, r, K', draws, _equations' tuples).
+    draws is one Prime._residues call of count tapes (alpha, beta, b, d,
+    slope_eps, slope_K); eps = alpha * beta is one counted mul a tape, and one
+    pow inverts every (eps, b) (Prime._inv_residues).  n, r, K' derived once."""
     prime = keys.sk_K.prime
     if keys.pk.prime.value != prime.value:
         raise ModulusMismatch(f"key over {prime.value}, weights over {keys.pk.prime.value}")
@@ -212,8 +219,9 @@ def sign(keys: KeyMaterial, message: bytes, rng):
     sigma4 = 0 is a legal (rejected-by-verify) output; see sign_accepted for
     the retry wrapper.
     """
-    n, r, Kprime, draws, (sig,) = _sign_batch(keys, message, rng, 1)
+    n, r, Kprime, draws, sigmas = _sign_batch(keys, message, rng, 1)
     prime = Kprime.prime
+    (sig,) = _signatures(prime, sigmas)
     eps = draws[0] * draws[1] % prime.value
     alpha, beta, b, d, slope_eps, slope_K, eps = [_element(v, prime) for v in (*draws, eps)]
     return sig, SigningTape(alpha, beta, b, d, eps, slope_eps, Kprime, slope_K, n, r)
@@ -227,7 +235,7 @@ def sign_many(keys: KeyMaterial, message: bytes, rng, count: int) -> list:
     require_int(count, "count")
     if count < 0:
         raise ProtocolMisuse(f"count must be at least 0, got {count}")
-    return _sign_batch(keys, message, rng, count)[-1]
+    return _signatures(keys.sk_K.prime, _sign_batch(keys, message, rng, count)[-1])
 
 
 def sign_accepted(keys: KeyMaterial, message: bytes, rng, max_tries: int = 64):
@@ -242,8 +250,20 @@ def sign_accepted(keys: KeyMaterial, message: bytes, rng, max_tries: int = 64):
     raise RuntimeError(f"no accepting signature in {max_tries} tries")
 
 
+def _accepts(weights: Weights, r, s1, s2, s3, s4, s5) -> bool:
+    """The acceptance check on residues: sigma4 != 0, then the share
+    reconstruction of (V0, V1) is zero, 4 counted muls."""
+    if not s4:
+        return False
+    if counting.enabled:
+        counting.bump_mul(4)
+    m = s1 * s2
+    v1 = m - s3 + r * s4
+    return not (weights.lam0.residue * (m - s5) + weights.lam1.residue * v1) % weights.prime.value
+
+
 def _core_verify(weights: Weights, r, sig: Signature) -> bool:
-    """The acceptance check on residues, after checking each part and r."""
+    """The acceptance check, after checking each part and r."""
     if type(sig) is not Signature:
         raise WrongType(f"expected a Signature, got {type(sig).__name__}")
     q = weights.prime.value
@@ -253,21 +273,15 @@ def _core_verify(weights: Weights, r, sig: Signature) -> bool:
             raise WrongType(f"signature parts and r must be elements, got {type(x).__name__}")
         if x.prime.value != q:
             raise ModulusMismatch(f"{q} vs {x.prime.value}")
-    if not s4.residue:
-        return False
-    if counting.enabled:
-        counting.bump_mul(4)
-    m = s1.residue * s2.residue
-    v1 = m - s3.residue + r.residue * s4.residue
-    return not (weights.lam0.residue * (m - s5.residue) + weights.lam1.residue * v1) % q
+    return _accepts(weights, r.residue, s1.residue, s2.residue, s3.residue, s4.residue, s5.residue)
 
 
 def _as_signature(prime, sig: Union[Signature, bytes]) -> Signature:
-    """Decode bytes; anything else is left for _core_verify's type check.
+    """Decode bytes; anything else raises WrongType, as _core_verify would.
     The entry points call it only when type(sig) is not Signature."""
     if isinstance(sig, (bytes, bytearray)):
         return Signature.decode(prime, bytes(sig))
-    return sig
+    raise WrongType(f"expected a Signature, got {type(sig).__name__}")
 
 
 def verify(pk: Weights, k_sig: PairKey, message: bytes, sig) -> bool:

@@ -33,6 +33,14 @@ def line_at_zero(w0: int, s0: int, w1: int, s1: int, p: int) -> int:
     return num * inverse_by_ext_gcd((w1 - w0) % p, p) % p
 
 
+def accepts(w0: int, w1: int, r: int, sigma, p: int) -> bool:
+    """The verifier's check as the two_party docstring states it: sigma4 != 0
+    and the line through (w0, V0) and (w1, V1) passes through 0."""
+    s1, s2, s3, s4, s5 = sigma
+    m = s1 * s2
+    return s4 % p != 0 and line_at_zero(w0, m - s5, w1, m - s3 + r * s4, p) == 0
+
+
 def reduce_big_endian(data: bytes, p: int) -> int:
     return int.from_bytes(data, "big") % p
 

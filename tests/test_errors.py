@@ -1,8 +1,8 @@
 """Library raise sites reachable from a caller's input: each raises a typed
 SilmarilsError that is still the builtin (for ModulusMismatch, the library
-error) it raised before.  The verifier's type checks are the exception: a
-non-Signature there raised AttributeError and now raises WrongType, a
-TypeError."""
+error) it raised before.  The type checks of the signature entry points and
+of Weights are the exception: a non-Signature there, or a weight that is not
+an element, raised AttributeError and now raises WrongType, a TypeError."""
 
 from fractions import Fraction
 
@@ -98,6 +98,11 @@ SITES = {
         MalformedInput,
         ValueError,
     ),
+    "extract_params of None": (
+        lambda: extract_params(KEYS.k_sig, MSG, None, ("d", P251.one), KEYS.pk),
+        WrongType,
+        TypeError,
+    ),
     "verify of a non-signature": (
         lambda: verify(KEYS.pk, KEYS.k_sig, MSG, "zz"),
         WrongType,
@@ -133,6 +138,15 @@ SITES = {
         lambda: sign_many(
             KeyMaterial(KEYS.sk_K, Weights(P13.elt(1), P13.elt(2)), KEYS.k_sig), MSG, Rng(SEED), 1
         ),
+        ModulusMismatch,
+        ModulusMismatch,
+    ),
+    # Weights check their types, then their moduli, before any arithmetic
+    # or degeneracy test: a zero weight over another prime is a mismatch.
+    "Weights of ints": (lambda: Weights(1, 2), WrongType, TypeError),
+    "Weights of an element and an int": (lambda: Weights(P251.one, 2), WrongType, TypeError),
+    "Weights over two primes": (
+        lambda: Weights(P251.zero, P13.one),
         ModulusMismatch,
         ModulusMismatch,
     ),

@@ -17,9 +17,10 @@ from silmarils.errors import (
     RoleMismatch,
     UnknownStrategy,
 )
-from silmarils.field import Prime
+from silmarils.field import Prime, count_field_ops
 from silmarils.net_sim import AdversaryHook, Role, transcript_lines
 from silmarils.rng import Rng
+from silmarils.sss import Weights
 from silmarils import three_party
 from silmarils.three_party import (
     TOTAL_ROUNDS,
@@ -28,9 +29,9 @@ from silmarils.three_party import (
     run_signing_session,
     signing_result,
 )
-from silmarils.two_party import sign, verify
+from silmarils.two_party import Signature, _core_verify, sign, verify
 
-from .oracles import wilson_bounds_by_bisection
+from .oracles import accepts, wilson_bounds_by_bisection
 
 Z = H.Z95
 
@@ -89,20 +90,75 @@ def test_estimates_are_reproducible():
     assert a.successes != c.successes or a == c  # different seed may differ
 
 
-@pytest.mark.parametrize("p", [5, 251])
-@pytest.mark.parametrize("trials", [1, 63, 64, 65, 129])
-def test_batched_correctness_equals_one_sign_per_trial(p, trials):
-    # the harness's own streams: keys from Rng(seed), every signature from b"sign"
+# The estimators count through residue kernels; these primes and trial counts
+# pin them to the public calls: one-byte draws with rejection (3, 5, 251),
+# two-byte draws (1009) and the secure prime, around the 64-trial batches.
+PINNED_PRIMES = [3, 5, 251, 1009, pytest.param(2**255 - 19, id="secure")]
+PINNED_TRIALS = [1, 63, 64, 65, 129, 130]
+
+
+def _forked_streams(monkeypatch) -> dict:
+    # label -> the stream Rng.fork last returned for it, so a test can read
+    # on from where an estimator left its stream
+    streams = {}
+    fork = Rng.fork
+
+    def recording(self, label):
+        streams[label] = child = fork(self, label)
+        return child
+
+    monkeypatch.setattr(Rng, "fork", recording)
+    return streams
+
+
+@pytest.mark.parametrize("p", PINNED_PRIMES)
+@pytest.mark.parametrize("trials", PINNED_TRIALS)
+def test_batched_correctness_equals_one_sign_per_trial(monkeypatch, p, trials):
+    # perfbench's replay: keys from Rng(seed), then sign + verify per trial on
+    # the b"sign" fork; the same count, field ops and stream position
     prime = Prime(p)
-    root = Rng(H.DEFAULT_SEED)
-    keys = H._keys_for(prime, root)
-    rng = root.fork(b"sign")
-    failures = 0
-    for _ in range(trials):
-        sig, _ = sign(keys, H.DEFAULT_MESSAGE, rng)
-        failures += not verify(keys.pk, keys.k_sig, H.DEFAULT_MESSAGE, sig)
-    est = H.estimate_correctness(p, trials)
+    with count_field_ops() as by_hand:
+        root = Rng(H.DEFAULT_SEED)
+        keys = H._keys_for(prime, root)
+        w0, w1 = int(keys.pk.w0), int(keys.pk.w1)
+        rng = root.fork(b"sign")
+        failures = 0
+        for _ in range(trials):
+            sig, tape = sign(keys, H.DEFAULT_MESSAGE, rng)
+            accepted = verify(keys.pk, keys.k_sig, H.DEFAULT_MESSAGE, sig)
+            assert accepted == accepts(w0, w1, int(tape.r), map(int, sig), p)
+            failures += not accepted
+    streams = _forked_streams(monkeypatch)
+    with count_field_ops() as batched:
+        est = H.estimate_correctness(p, trials)
     assert (est.trials, est.successes) == (trials, failures)
+    assert (batched.muls, batched.invs) == (by_hand.muls, by_hand.invs)
+    assert streams[b"sign"].take(16) == rng.take(16)
+
+
+@pytest.mark.parametrize("p", PINNED_PRIMES)
+@pytest.mark.parametrize("trials", PINNED_TRIALS)
+def test_core_forgery_equals_one_core_verify_per_tuple(monkeypatch, p, trials):
+    # r, then sigma1..sigma5, one sample each, checked by _core_verify
+    prime = Prime(p)
+    with count_field_ops() as by_hand:
+        root = Rng(H.DEFAULT_SEED)
+        weights = Weights.generate(prime, root.fork(b"weights"))
+        w0, w1 = int(weights.w0), int(weights.w1)
+        rng = root.fork(b"tuples")
+        successes = 0
+        for _ in range(trials):
+            r = prime.sample(rng)
+            sig = Signature(*(prime.sample(rng) for _ in range(5)))
+            accepted = _core_verify(weights, r, sig)
+            assert accepted == accepts(w0, w1, int(r), map(int, sig), p)
+            successes += accepted
+    streams = _forked_streams(monkeypatch)
+    with count_field_ops() as batched:
+        est = H.estimate_core_forgery(p, trials)
+    assert (est.trials, est.successes) == (trials, successes)
+    assert (batched.muls, batched.invs) == (by_hand.muls, by_hand.invs)
+    assert streams[b"tuples"].take(16) == rng.take(16)
 
 
 def test_estimator_input_validation():
