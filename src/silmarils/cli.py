@@ -21,6 +21,7 @@ import statistics as pystats
 import sys
 import time
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import stats as harness
@@ -294,26 +295,28 @@ def cmd_sim3p(args) -> int:
         strategy = harness.get_strategy(args.adversary)
     seed = args.seed if args.seed is not None else harness.DEFAULT_SEED
     message = Path(args.msg).read_bytes() if args.msg else harness.DEFAULT_MESSAGE
-    results = harness.run_trials(prime, args.trials, seed=seed, strategy=strategy, message=message)
 
     z2_eq = z3_eq = bottom = forged = divergent = 0
     verdict_counts: Counter = Counter()
     arm_counts: Counter = Counter()
-    log_lines: list = []
-    for i, res in enumerate(results):
-        out = res.outcome
-        z2_eq += out.z2 == res.x
-        z3_eq += out.z3 == res.x
-        bottom += out.z3 is None
-        forged += harness._forged(res.x, out.z2, out.z3)
-        divergent += harness._divergent(res.x, out.z2, out.z3)
-        verdict_counts.update(label for _, _, label in out.verdicts)
-        arm_counts[res.arm] += 1
-        if args.out is not None:
-            log_lines.append(json.dumps({"trial": i}, sort_keys=True))
-            log_lines.extend(transcript_lines(out.transcript))
-    if args.out is not None:
-        Path(args.out).write_text("\n".join(log_lines) + "\n")
+    # The log opens before the first session and takes each session's lines
+    # as it ends, so an unwritable path fails at once and no run is held.
+    with open(args.out, "w") if args.out is not None else nullcontext() as log:
+        results = harness.run_trials(
+            prime, args.trials, seed=seed, strategy=strategy, message=message
+        )
+        for i, res in enumerate(results):
+            out = res.outcome
+            z2_eq += out.z2 == res.x
+            z3_eq += out.z3 == res.x
+            bottom += out.z3 is None
+            forged += harness._forged(res.x, out.z2, out.z3)
+            divergent += harness._divergent(res.x, out.z2, out.z3)
+            verdict_counts.update(label for _, _, label in out.verdicts)
+            arm_counts[res.arm] += 1
+            if log is not None:
+                trial = json.dumps({"trial": i}, sort_keys=True)
+                log.write("\n".join([trial, *transcript_lines(out.transcript)]) + "\n")
 
     print(
         f"p={prime.value} adversary={args.adversary} trials={args.trials} "

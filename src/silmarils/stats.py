@@ -34,7 +34,6 @@ p = 5 unforgeability is 1 signature, 625 deals, 3,125 challenges, 15,625 leaves.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
@@ -554,22 +553,32 @@ def exhaustive_transferability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     )
 
 
-def _signing_phase_view(transcript, role: Role) -> tuple:
-    """Canonical bytes of everything the role received before the transfer."""
-    # Bytes, not payloads: payload keys hold every stem's payloads alive in
-    # the p^5 tallies, while stems sharing a payload share its cached bytes.
-    # The keys stay in this process, so the sender is the Role itself.
-    return tuple(
-        (env.round, env.sender, env.payload.to_wire())
-        for env in view_of(transcript, role)
-        if env.round < ROUND_TRANSFER
-    )
+_SENDER_BYTES = {role: role.value.encode() for role in Role}
 
 
-def _total_variation(a: dict, a_total: int, b: dict, b_total: int) -> Fraction:
-    """Exact total variation between count tables over a_total, b_total draws."""
-    l1 = sum(abs(a.get(k, 0) * b_total - b.get(k, 0) * a_total) for k in a.keys() | b.keys())
-    return Fraction(l1, 2 * a_total * b_total)
+def _signing_phase_view(transcript, role: Role) -> bytes:
+    """One bytes key for everything the role received before the transfer:
+    per envelope b"<round><sender><length>:" then its to_wire bytes.  The
+    decimal round ends at the two-byte sender's "P", and the length prefix
+    keeps the key injective whatever width a payload's elements have."""
+    # Short bytes keys keep a p^5 tally small; stems share cached wire bytes.
+    parts = []
+    for env in view_of(transcript, role):
+        if env.round < ROUND_TRANSFER:
+            wire = env.payload.to_wire()
+            parts.append(b"%d%b%d:%b" % (env.round, _SENDER_BYTES[env.sender], len(wire), wire))
+    return b"".join(parts)
+
+
+def _total_variation(a_keys, a_total: int, b_keys, b_total: int) -> Fraction:
+    """Exact total variation between the keys two sides draw, a_total and
+    b_total of them, in one signed table: +b_total per a key, -a_total per b key."""
+    table: dict = {}
+    for key in a_keys:
+        table[key] = table.get(key, 0) + b_total
+    for key in b_keys:
+        table[key] = table.get(key, 0) - a_total
+    return Fraction(sum(map(abs, table.values())), 2 * a_total * b_total)
 
 
 def _distinct_x_messages(keys, seed: bytes) -> tuple:
@@ -589,22 +598,24 @@ def estimate_secrecy_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
 
     Each value's session signs once and _stems branches it into its p^5
     coin/challenge stems, each stopped after round 6: the view reads nothing
-    later.  The honest protocol gives TV = 0: the view determines sigma_e
-    from (k1, k2, k2', e, x_e) and x_e = x' + e*x is uniform for uniform x'.
+    later.  Both values' view keys stream into _total_variation's one signed
+    table; no stem or per-value count table is kept.  The honest protocol
+    gives TV = 0: the view determines sigma_e from (k1, k2, k2', e, x_e) and
+    x_e = x' + e*x is uniform for uniform x'.
     """
     prime, elems = _grid(
         p, EXHAUSTIVE_SECRECY_MAX, "secrecy enumeration sweeps p^5 sessions per value"
     )
     keys = _keys_for(prime, Rng(seed))
-    counts = [
-        Counter(
+    a, b = (
+        (
             _signing_phase_view(stem.result(), Role.P3)
             for stem in _stems(base, product(elems, repeat=4), elems, ROUND_RESOLUTION)
         )
         for base in _distinct_x_messages(keys, seed)
-    ]
+    )
     total = prime.value**5
-    return _total_variation(counts[0], total, counts[1], total)
+    return _total_variation(a, total, b, total)
 
 
 def dv_transcript_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
@@ -638,18 +649,12 @@ def dv_transcript_tv(p, *, seed: bytes = DEFAULT_SEED) -> Fraction:
     pv = prime.value
     units = elems[1:]
 
-    def tally(key_values) -> dict:
-        out: dict = {}
-        grid = product(key_values, units, units, units, elems, elems)
-        for kp, b, d, eps, slope_eps, slope_k in grid:
-            enc = _assemble(keys.pk, kp, r, b, d, eps, slope_eps, slope_k).encode()
-            out[enc] = out.get(enc, 0) + 1
-        return out
+    def encodings(key_values) -> Iterator[bytes]:
+        for kp, *nuisances in product(key_values, units, units, units, elems, elems):
+            yield _assemble(keys.pk, kp, r, *nuisances).encode()
 
-    honest = tally([kprime])
-    simulated = tally(elems)
     h_total = (pv - 1) ** 3 * pv * pv
-    return _total_variation(honest, h_total, simulated, h_total * pv)
+    return _total_variation(encodings([kprime]), h_total, encodings(elems), h_total * pv)
 
 
 # ---------------------------------------------------------------------------

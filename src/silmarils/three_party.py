@@ -227,7 +227,12 @@ def _label(verdict) -> str:
 
 
 class P1Signer:
-    """The signer's state machine; emits in rounds 1, 3, 5, 6."""
+    """The signer's state machine; emits in rounds 1, 3, 5, 6.
+
+    Arm C cannot arise while P1 is honest: a challenge that passes the
+    round-3 check lies on the line P1 dealt, so its keys imply acceptance and
+    a rejecting P3 fails the audit (arm D).  The arm is the paper's and stays.
+    """
 
     emit_rounds = frozenset({ROUND_SETUP, ROUND_P1_CHECK, ROUND_AUDIT, ROUND_RESOLUTION})
 

@@ -90,3 +90,13 @@ def wilson_bounds_by_bisection(
     low = root(Fraction(0), center, want_low=True) if g(Fraction(0)) > 0 else Fraction(0)
     high = root(center, Fraction(1), want_low=False) if g(Fraction(1)) > 0 else Fraction(1)
     return low, high
+
+
+def signing_phase_view_tuples(transcript, role, before_round: int) -> tuple:
+    """The role's view as (round, sender, wire bytes) per envelope delivered
+    to it before before_round: a reference key for the compact bytes key."""
+    return tuple(
+        (env.round, env.sender, env.payload.to_wire())
+        for env in transcript
+        if (env.recipient is None or env.recipient is role) and env.round < before_round
+    )

@@ -284,6 +284,20 @@ def test_sim3p_summary_and_transcript_determinism(tmp_path, capsys):
     assert rounds == {1, 2, 3, 4, 5, 7}  # nothing to resolve in honest runs
 
 
+def test_sim3p_unwritable_log_exits_before_any_session(tmp_path, capsys, monkeypatch):
+    from silmarils import stats as harness
+
+    def no_sessions(*args, **kwargs):
+        raise AssertionError("a session ran before the log was opened")
+
+    monkeypatch.setattr(harness, "run_trials", no_sessions)
+    missing = tmp_path / "missing" / "x.jsonl"
+    assert main(["sim3p", "--profile", "toy-251", "--trials", "1", "--out", str(missing)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not missing.parent.exists()
+
+
 def test_sim3p_with_adversary_reports_divergence(capsys):
     assert main([
         "sim3p", "--profile", "toy-13", "--seed", SEED,

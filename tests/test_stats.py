@@ -2,9 +2,11 @@
 enumeration values, estimator plumbing, and report formatting."""
 
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,7 @@ from silmarils.errors import (
     UnknownStrategy,
 )
 from silmarils.field import Prime, count_field_ops
-from silmarils.net_sim import AdversaryHook, Role, transcript_lines
+from silmarils.net_sim import AdversaryHook, Envelope, Role, transcript_lines
 from silmarils.rng import Rng
 from silmarils.sss import Weights
 from silmarils import three_party
@@ -31,7 +33,7 @@ from silmarils.three_party import (
 )
 from silmarils.two_party import Signature, _core_verify, sign, verify
 
-from .oracles import accepts, wilson_bounds_by_bisection
+from .oracles import accepts, signing_phase_view_tuples, wilson_bounds_by_bisection
 
 Z = H.Z95
 
@@ -224,13 +226,19 @@ def test_branched_exhaustive_leaves_equal_fresh_sessions(monkeypatch):
 
 
 def test_secrecy_tree_tallies_equal_fresh_sessions(monkeypatch):
-    # The tree stops each stem after round 6; its tally of P3's view for
-    # each message must equal one over a fresh session per (coins, e).
+    # The tree stops each stem after round 6; the multiset of P3's view keys
+    # it feeds the tally for each message must equal the one over a fresh
+    # session per (coins, e).  The key streams are caught as the helper
+    # reads them.
     tallies = []
     tv = H._total_variation
-    monkeypatch.setattr(
-        H, "_total_variation", lambda a, at, b, bt: tallies.extend((a, b)) or tv(a, at, b, bt)
-    )
+
+    def caught(a, a_total, b, b_total):
+        a, b = list(a), list(b)
+        tallies.extend((Counter(a), Counter(b)))
+        return tv(a, a_total, b, b_total)
+
+    monkeypatch.setattr(H, "_total_variation", caught)
     assert H.estimate_secrecy_tv(3) == 0
     prime, elems = H._grid(3, 3, "p = 3")
     keys = H._keys_for(prime, Rng(H.DEFAULT_SEED))
@@ -244,8 +252,65 @@ def test_secrecy_tree_tallies_equal_fresh_sessions(monkeypatch):
                 ic_coins=coins, challenge_coin=e,
             ).run(TOTAL_ROUNDS))
             flat[H._signing_phase_view(res.outcome.transcript, Role.P3)] += 1
-        assert dict(tally) == dict(flat)
+        assert tally == flat
         assert sum(tally.values()) == 3**5 and len(tally) > 1
+
+
+def test_secrecy_view_keys_split_stems_as_tuple_views():
+    # The bytes key must split the 2 * 3^5 stems into exactly the classes of
+    # the (round, sender, wire) tuple view: one tuple per key, one key per tuple.
+    prime, elems = H._grid(3, 3, "p = 3")
+    keys = H._keys_for(prime, Rng(H.DEFAULT_SEED))
+    pairs = set()
+    stems = 0
+    for base in H._distinct_x_messages(keys, H.DEFAULT_SEED):
+        for stem in H._stems(base, product(elems, repeat=4), elems, three_party.ROUND_RESOLUTION):
+            transcript = stem.result()
+            pairs.add((
+                H._signing_phase_view(transcript, Role.P3),
+                signing_phase_view_tuples(transcript, Role.P3, three_party.ROUND_TRANSFER),
+            ))
+            stems += 1
+    assert stems == 2 * 3**5
+    by_key = {key for key, _ in pairs}
+    by_tuple = {view for _, view in pairs}
+    assert len(by_key) == len(by_tuple) == len(pairs) > 1
+
+
+def test_secrecy_view_key_is_length_prefixed():
+    # Without the length prefix, one envelope whose wire bytes spell a
+    # second envelope's framing would key like those two envelopes.
+    def sent(rnd, wire):
+        return Envelope(rnd, Role.P1, None, SimpleNamespace(to_wire=lambda: wire))
+
+    one = [sent(1, b"x" + b"2P1" + b"y")]
+    two = [sent(1, b"x"), sent(2, b"y")]
+    assert H._signing_phase_view(one, Role.P3) != H._signing_phase_view(two, Role.P3)
+
+
+def test_total_variation_tallies_key_streams_exactly():
+    # Against the count-table formula: sum |a_k * b_total - b_k * a_total|.
+    a, b = "xxyz", "xyyyww"
+    ca, cb = Counter(a), Counter(b)
+    l1 = sum(abs(ca[k] * len(b) - cb[k] * len(a)) for k in ca.keys() | cb.keys())
+    assert H._total_variation(iter(a), len(a), iter(b), len(b)) == Fraction(
+        l1, 2 * len(a) * len(b)
+    )
+    assert H._total_variation(iter("ab"), 2, iter("ba"), 2) == 0
+    assert H._total_variation(iter("a"), 1, iter("b"), 1) == 1
+
+
+def test_secrecy_tv_p5_peak_memory():
+    # One signed table of compact bytes keys: the p = 5 sweep peaks well
+    # under the 3 MiB that two Counters of (round, Role, wire) tuples took.
+    H.estimate_secrecy_tv(3)  # imports and per-prime set-up, outside the peak
+    tracemalloc.start()
+    try:
+        assert H.estimate_secrecy_tv(5) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_each_exhaustive_sweep_signs_once_per_message(monkeypatch):
