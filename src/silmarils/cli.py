@@ -35,7 +35,7 @@ from .errors import (
 from .field import BACKEND, SECURE_PRIME_VALUE, Prime, count_field_ops
 from .hashing import PairKey, derive_receipt
 from .net_sim import transcript_lines
-from .rng import SEED_BYTES, Rng
+from .rng import SEED_BYTES, Rng, sha512
 from .sss import Weights
 from .two_party import (
     HINT_KINDS,
@@ -383,7 +383,7 @@ def cmd_bench(args) -> int:
         verify_times.append(time.perf_counter() - t0)
     med_sign = pystats.median(sign_times) * 1e6
     med_verify = pystats.median(verify_times) * 1e6
-    print(f"backend={BACKEND}")
+    print(f"backend={BACKEND} sha512={sha512.__module__}")
     print(
         f"  sign: muls={sign_ops.muls} invs={sign_ops.invs}"
         f"  verify: muls={verify_ops.muls} invs={verify_ops.invs}"

@@ -16,12 +16,11 @@ modulus up to 256 bits.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass, field
 
 from .errors import LengthMismatch, require_bytes
-from .rng import Rng
+from .rng import Rng, sha512
 
 DOMAIN_NONCE = b"SLM/v1/nonce"
 DOMAIN_RECEIPT = b"SLM/v1/receipt"
@@ -37,7 +36,7 @@ def _frame(tag: bytes, payload: bytes) -> bytes:
 
 def hash_to_field(prime, tag: bytes, payload: bytes):
     """Unkeyed hash of the framed payload into F_p."""
-    return prime.reduce_wide(hashlib.sha512(_frame(tag, payload)).digest())
+    return prime.reduce_wide(sha512(_frame(tag, payload)).digest())
 
 
 def prf_to_field(key: bytes, prime, tag: bytes, payload: bytes):

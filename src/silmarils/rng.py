@@ -15,9 +15,19 @@ SHA-512's 128-byte block (a longer key is hashed first), and
 
 A stream hashes its two padded keys once, on first use, and keeps both
 SHA-512 states; each block and fork then copies them instead of hashing the
-pads again, which roughly halves the cost of an HMAC on these short messages.
-The bytes are those of hmac.digest(key, msg, "sha512"), which the tests use
-as the reference.
+pads again, so an HMAC on these short messages costs two compressions, not
+four.  The bytes are those of hmac.digest(key, msg, "sha512"), which the
+tests use as the reference.
+
+sha512 is CPython's built-in _sha512 where the interpreter has one (3.11 and
+earlier) and hashlib's OpenSSL constructor otherwise; both give the same
+bytes.  Each block copies two states, and through hashlib most of a block's
+C time goes to those two OpenSSL EVP context copies: on CPython 3.11.7 with
+OpenSSL 3.0.19 a block costs 0.94-1.02 us through _sha512 and 1.32-1.33 us
+through hashlib.  CPython 3.12 replaced _sha512 with HACL*'s _sha2, at
+1.83-1.91 us a block against hashlib's 1.30-1.32 us, so from 3.12 on
+hashlib stays.  hashing.hash_to_field imports the same name, so this module
+picks the one SHA-512 every session computes.
 
 take(n) serves a request inside the current block with one slice.  A request
 that runs past it is served in one pass: the rest of the block, every block
@@ -29,7 +39,11 @@ that is not an int raises WrongType; the check costs an int one identity test.
 from __future__ import annotations
 
 import secrets
-from hashlib import sha512
+
+try:
+    from _sha512 import sha512
+except ImportError:
+    from hashlib import sha512
 
 from .errors import ProtocolMisuse, require_bytes, require_int
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from silmarils.cli import PROFILES, main
 from silmarils.errors import SilmarilsError
+from silmarils.rng import sha512
 
 SEED = "2a" * 32
 SEED2 = "b7" * 32
@@ -344,6 +345,8 @@ def test_bench_reports_sizes_and_op_counts(capsys):
     assert main(["bench", "--profile", "toy-251", "--trials", "5"]) == 0
     out = capsys.readouterr().out
     assert "backend=pure" in out
+    assert f"backend=pure sha512={sha512.__module__}" in out.splitlines()
+    assert sha512.__module__ in ("_sha512", "_hashlib")
     assert "sign: muls=13 invs=2" in out
     assert "verify: muls=4 invs=0" in out
     assert "sizes: sk=1 B  pk=2 B  sig=5 B" in out

@@ -1,11 +1,14 @@
 """Seeded stream determinism, chunking invariance, fork independence."""
 
+import hashlib
 import hmac
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from silmarils import hashing
+from silmarils import rng as rng_module
 from silmarils.rng import SEED_BYTES, Rng
 
 SEED = bytes(range(32))
@@ -181,3 +184,14 @@ def test_streams_and_fork_chains_match_the_hmac_reference(seed, labels, draws):
     for label in labels:
         rng, key = rng.fork(label), _reference_fork(key, label)
     assert b"".join(rng.take(n) for n in draws) == _reference_stream(key, sum(draws))
+
+
+def test_streams_hash_with_the_builtin_sha512_where_the_interpreter_has_one():
+    # _sha512 is gone from CPython 3.12 on; there hashlib's OpenSSL one stays.
+    try:
+        from _sha512 import sha512 as expected
+    except ImportError:
+        expected = hashlib.sha512
+    assert rng_module.sha512 is expected
+    # hash_to_field computes the same SHA-512.
+    assert hashing.sha512 is expected

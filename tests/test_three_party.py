@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import enum
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -17,12 +18,14 @@ from silmarils.net_sim import (
     view_of,
 )
 from silmarils.rng import Rng
-from silmarils.stats import STRATEGIES, get_strategy, run_trials
+from silmarils.stats import STRATEGIES, _keys_for, get_strategy, make_estimate, run_trials
 from silmarils.three_party import (
     ROUND_CHALLENGE,
+    ROUND_P1_CHECK,
     ROUND_P3_CHECK,
     ROUND_RESOLUTION,
     ROUND_SETUP,
+    ROUND_TRANSFER,
     TOTAL_ROUNDS,
     AuditVerdict,
     Challenge,
@@ -657,3 +660,117 @@ def test_forced_twin_equals_a_fresh_session_and_leaves_its_base_untouched():
     assert base.rounds_run == 0
     challenge = next(env.payload for env in fresh.outcome.transcript if env.round == ROUND_CHALLENGE)
     assert challenge.e == E
+
+
+# Protocol defects an off-route or malformed payload opens today.  The parties
+# do not check a payload's route (round, sender, channel) or its kinds, so a
+# corrupt party can send a payload in a round, on a channel or over a prime
+# the schedule does not allow.  Each test states the property a route and
+# kind check restores; it fails today and is marked as a strict xfail.
+
+DEFECT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+DEFECT_KEYS = _keys_for(P251, Rng(b"k" * 32))
+DEFECT_SESSIONS = 2000
+
+
+def _defect_results(rewrite, corrupted, sessions=DEFECT_SESSIONS):
+    adversary = AdversaryHook(corrupted=corrupted, rewrite=rewrite)
+    for i in range(sessions):
+        yield run_signing_session(DEFECT_KEYS, MSG, i.to_bytes(32, "big"), adversary=adversary)
+
+
+def _forged(res) -> bool:
+    return res.outcome.z3 is not None and res.outcome.z3 != res.x
+
+
+def _within_guess_rate(name, sessions, hits) -> bool:
+    return make_estimate(name, 251, sessions, hits, Fraction(1, 251)).verdict == "pass"
+
+
+def _transfer(env, x, sigma):
+    payload = dataclasses.replace(env.payload, x=x, sigma=sigma)
+    return Envelope(env.round, env.sender, env.recipient, payload)
+
+
+@DEFECT
+def test_defect_a_round_7_reveal_line_does_not_forge_a_transfer():
+    # A corrupt P2 broadcasts RevealLine(0, s) in round 7, then transfers
+    # (x + 1, s), which lies on the line P3 would adopt from it.
+    def rewrite(env, view):
+        if env.round != ROUND_TRANSFER:
+            return [env]
+        t = env.payload
+        reveal = Envelope(env.round, env.sender, None, RevealLine(P251.zero, t.sigma))
+        return [reveal, _transfer(env, t.x + P251.one, t.sigma)]
+
+    forged = sum(map(_forged, _defect_results(rewrite, Role.P2)))
+    assert _within_guess_rate("a", DEFECT_SESSIONS, forged)
+
+
+@DEFECT
+def test_defect_b_an_equivocated_challenge_does_not_forge_a_transfer():
+    # A corrupt P2 sends its honest challenge privately to P1 and one with
+    # x_e + 1 privately to P3.  P3 rejects, P1's audit reveals the line
+    # (arm D), and P2 transfers another point on that line.
+    def rewrite(env, view):
+        if env.round == ROUND_CHALLENGE:
+            ch = env.payload
+            skewed = Challenge(ch.e, ch.x_e + P251.one, ch.sigma_e)
+            return [
+                Envelope(env.round, env.sender, Role.P1, ch),
+                Envelope(env.round, env.sender, Role.P3, skewed),
+            ]
+        lines = [e.payload for e in view.received if isinstance(e.payload, RevealLine)]
+        if env.round != ROUND_TRANSFER or not lines:
+            return [env]
+        x = env.payload.x + P251.one
+        return [_transfer(env, x, lines[0].k1 * x + lines[0].k2)]
+
+    forged = sum(map(_forged, _defect_results(rewrite, Role.P2)))
+    assert _within_guess_rate("b", DEFECT_SESSIONS, forged)
+
+
+@DEFECT
+def test_defect_c_a_split_challenge_verdict_does_not_split_z2_and_z3():
+    # A corrupt P1 sends a failing verdict revealing (5, 9) privately to P2
+    # and an accepting one privately to P3.
+    reveal = ChallengeVerdict(False, P251.elt(5), P251.elt(9))
+
+    def rewrite(env, view):
+        if env.round != ROUND_P1_CHECK:
+            return [env]
+        return [
+            Envelope(env.round, env.sender, Role.P2, reveal),
+            Envelope(env.round, env.sender, Role.P3, ChallengeVerdict(True)),
+        ]
+
+    diverged = sum(res.outcome.z2 != res.outcome.z3 for res in _defect_results(rewrite, Role.P1))
+    assert _within_guess_rate("c", DEFECT_SESSIONS, diverged)
+
+
+@DEFECT
+def test_defect_e_a_round_4_reveal_point_does_not_move_z2():
+    # A corrupt P3 also broadcasts RevealPoint(7, 9) with its line verdict.
+    extra = RevealPoint(P251.elt(7), P251.elt(9))
+
+    def rewrite(env, view):
+        return [env, Envelope(env.round, env.sender, None, extra)]
+
+    assert all(res.outcome.z2 == res.x for res in _defect_results(rewrite, Role.P3))
+
+
+@DEFECT
+@pytest.mark.parametrize(
+    "corrupted, swap",
+    [(Role.P2, Challenge(*map(Prime(13).elt, (1, 2, 3)))), (Role.P1, ChallengeVerdict(2))],
+    ids=["challenge-f13", "challenge-verdict-2"],
+)
+def test_defect_f_malformed_on_route_payloads_keep_the_session_total(corrupted, swap):
+    def rewrite(env, view):
+        if isinstance(env.payload, type(swap)):
+            return [Envelope(env.round, env.sender, env.recipient, swap)]
+        return [env]
+
+    (res,) = _defect_results(rewrite, corrupted, sessions=1)
+    transcript = res.outcome.transcript
+    assert len(transcript_lines(transcript)) == len(transcript)
