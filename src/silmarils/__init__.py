@@ -26,7 +26,6 @@ from .errors import (
     ModulusMismatch,
     PrimeTooLarge,
     RoleMismatch,
-    ScheduleViolation,
     SilmarilsError,
     UnknownStrategy,
     ZeroInverse,
@@ -77,7 +76,6 @@ __all__ = [
     "PrimeTooLarge",
     "Rng",
     "RoleMismatch",
-    "ScheduleViolation",
     "SECURE_PRIME_VALUE",
     "Signature",
     "SilmarilsError",

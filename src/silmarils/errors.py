@@ -61,10 +61,6 @@ class DegenerateExtraction(SilmarilsError):
     """Extraction precondition violated (sigma3 = 0, r = 0, or ratio edge case)."""
 
 
-class ScheduleViolation(SilmarilsError):
-    """A party emitted envelopes in a round it does not own."""
-
-
 class UnknownStrategy(SilmarilsError):
     """Adversary strategy name not registered."""
 

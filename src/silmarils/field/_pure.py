@@ -8,7 +8,7 @@ share one code path on Python integers.
 from __future__ import annotations
 
 from ..errors import LengthMismatch, MalformedInput, ModulusMismatch, WrongType, ZeroInverse
-from ..errors import require_bytes
+from ..errors import require_bytes, require_int
 from . import counting
 from .primality import is_prime
 
@@ -38,6 +38,7 @@ class Prime:
         self.one = _element(1, self)
 
     def elt(self, value: int) -> "FieldElement":
+        require_int(value, "an element value")
         return _element(value % self.value, self)
 
     def sample(self, rng) -> "FieldElement":
@@ -139,6 +140,7 @@ class FieldElement:
     __slots__ = ("residue", "prime")
 
     def __init__(self, residue: int, prime: Prime):
+        require_int(residue, "a residue")
         self.residue = residue % prime.value
         self.prime = prime
 

@@ -29,14 +29,9 @@ def _trial_division(n: int) -> bool:
 def _mr_bases(n: int, count: int):
     """Deterministic pseudorandom bases in [2, n-2]."""
     seed = n.to_bytes((n.bit_length() + 7) // 8, "big")
-    produced = 0
-    counter = 0
-    while produced < count:
+    for counter in range(count):
         block = hashlib.sha512(seed + counter.to_bytes(8, "big")).digest()
-        counter += 1
-        base = 2 + int.from_bytes(block, "big") % (n - 3)
-        produced += 1
-        yield base
+        yield 2 + int.from_bytes(block, "big") % (n - 3)
 
 
 def _miller_rabin(n: int, rounds: int) -> bool:

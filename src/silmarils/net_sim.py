@@ -3,15 +3,17 @@ authenticated broadcast, a fixed round schedule, and one actively corrupted
 party.
 
 The party contract is three members: emit(round) -> [Envelope],
-deliver(envelope), and emit_rounds, the set of rounds the party may emit in.
-A party's state is its attributes: they are rebound, never mutated in place,
-except its tape, which advances.  A party keeps its tape, if any, in _rng; a
-branch copies the attribute dict and that tape (the keys' per-message memos
-cache a pure function, so sharing them changes nothing).  The scheduler runs
-rounds in lockstep, delivering each round's traffic before the next round
-begins.  It returns only what travelled over the network; a party's result
-is its own state, which the caller reads off the party object it built.  The
-parties' tapes and the adversary's choices carry all the randomness.
+deliver(envelope), and emit_rounds, the set of rounds the scheduler asks the
+party to emit in; it asks in no other round, so no party, honest or
+corrupted, speaks outside its rounds.  A party's state is its attributes:
+they are rebound, never mutated in place, except its tape, which advances.
+A party keeps its tape, if any, in _rng; a branch copies the attribute dict
+and that tape (the keys' per-message memos cache a pure function, so
+sharing them changes nothing).  The scheduler runs rounds in lockstep,
+delivering each round's traffic before the next round begins.  It returns
+only what travelled over the network; a party's result is its own state,
+which the caller reads off the party object it built.  The parties' tapes
+and the adversary's choices carry all the randomness.
 
 A Session runs in steps: run(k) runs on through round k, and rounds_run is
 the last round run.  branch(adversary) returns an independent twin under a
@@ -27,11 +29,12 @@ then delivers each broadcast to every party and each private envelope to its
 recipient.  The honest parties' envelopes, emitted on pre-round knowledge,
 fan out first.  Then the corrupted party, holding those addressed to it, as
 the broadcast model's rushing adversary may, emits; the adversary's rewrites
-of its envelopes fan out.  The scheduler guarantees two things: senders are
-authenticated (a replacement that names another sender raises), and every
-broadcast envelope is delivered to all parties.  The honest parties do not
-yet check a payload's route (its round, sender and channel), so a corrupt
-party can send a broadcast-kind payload privately, to one party only.
+of its envelopes fan out.  The scheduler guarantees two things: the network
+authenticates senders and stamps rounds (a replacement that names another
+sender or another round raises), and every broadcast envelope is delivered
+to all parties.  The honest parties do not yet check a payload's route (its
+round, sender and channel), so a corrupt party can send a broadcast-kind
+payload privately, to one party only.
 
 So the transcript is the session's one record, and each party receives what
 is addressed to it in transcript order: view_of(transcript, role) is exactly
@@ -47,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from ._record import frozen_record
-from .errors import ProtocolMisuse, ScheduleViolation
+from .errors import ProtocolMisuse
 
 
 class Role(enum.Enum):
@@ -129,8 +132,8 @@ class Session:
         return self._round
 
     def run(self, until: int) -> "Session":
-        """Run the rounds after the last one run, through round `until`.
-        Raises ScheduleViolation if a party emits outside its emit_rounds."""
+        """Run the rounds after the last one run, through round `until`,
+        asking each party to emit only in its emit_rounds."""
         adversary = self.adversary
         rewrite = adversary.rewrite if adversary and adversary.rewrite else lambda env, view: [env]
         view = self._view
@@ -138,7 +141,7 @@ class Session:
         slots = self._slots
         everyone = [party for _, party in slots]
         addressed = {role: (party,) for role, party in slots}
-        honest = [slot for slot in slots if slot[0] is not corrupted]
+        honest = [party for role, party in slots if role is not corrupted]
         adv = addressed[corrupted][0] if view else None
         transcript = self._transcript
 
@@ -152,14 +155,11 @@ class Session:
         for rnd in range(self._round + 1, until + 1):
             # Honest parties emit on pre-round knowledge; the corrupted one last.
             emitted: list[Envelope] = []
-            for role, party in honest:
-                out = party.emit(rnd)
-                if out:
-                    if rnd not in party.emit_rounds:
-                        raise ScheduleViolation(f"{role} emitted in foreign round {rnd}")
-                    emitted.extend(out)
+            for party in honest:
+                if rnd in party.emit_rounds:
+                    emitted.extend(party.emit(rnd))
             fan_out(emitted)
-            if view is not None:
+            if view is not None and rnd in adv.emit_rounds:
                 rewritten: list[Envelope] = []
                 for env in adv.emit(rnd):
                     for replacement in rewrite(env, view):
@@ -168,11 +168,13 @@ class Session:
                                 "adversary cannot forge sender "
                                 f"{replacement.sender}: channels are authenticated"
                             )
+                        if replacement.round != rnd:
+                            raise ProtocolMisuse(
+                                f"adversary cannot restamp round {rnd} as "
+                                f"{replacement.round}: the network stamps rounds"
+                            )
                         rewritten.append(replacement)
-                if rewritten:
-                    if rnd not in adv.emit_rounds:
-                        raise ScheduleViolation(f"{corrupted} emitted in foreign round {rnd}")
-                    fan_out(rewritten)
+                fan_out(rewritten)
             self._round = rnd
         return self
 

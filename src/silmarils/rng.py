@@ -33,7 +33,8 @@ take(n) serves a request inside the current block with one slice.  A request
 that runs past it is served in one pass: the rest of the block, every block
 it needs, hashed from the two states loaded once, and one join (a batch of
 64 signatures at the secure prime draws 12,288 bytes, 192 blocks).  A count
-that is not an int raises WrongType; the check costs an int one identity test.
+that is not an int, or a fork label that is not bytes, raises WrongType; the
+check costs an int count or a bytes label one identity test.
 """
 
 from __future__ import annotations
@@ -136,6 +137,8 @@ class Rng:
 
     def fork(self, label: bytes) -> "Rng":
         """Independent child stream; distinct labels give unrelated streams."""
+        if type(label) is not bytes:
+            require_bytes(label, "a fork label")
         return _stream(self._hmac(b"fork" + _frame(label))[:SEED_BYTES])
 
 

@@ -34,7 +34,7 @@ from ._record import frozen_record
 from .errors import DegenerateExtraction, MalformedInput, MalformedSignature, ModulusMismatch
 from .errors import ProtocolMisuse, WrongType, require_bytes, require_int
 from .field import FieldElement, counting
-from .field._pure import _element, _new
+from .field._pure import _element
 from .hashing import (
     DOMAIN_RECEIPT,
     PairKey,
@@ -165,17 +165,8 @@ def _equations(weights: Weights, Kprime, r, rows, inverses) -> list:
 
 
 def _signatures(prime, sigmas) -> list:
-    """One Signature per (sigma1..sigma5) residue tuple of _equations, its
-    elements built inline (as in Prime.sample) to skip _element's call."""
-    signed = []
-    for row in sigmas:
-        parts = []
-        for v in row:
-            elt = _new(FieldElement)
-            elt.residue, elt.prime = v, prime
-            parts.append(elt)
-        signed.append(Signature(*parts))
-    return signed
+    """One Signature per (sigma1..sigma5) residue tuple of _equations."""
+    return [Signature(*[_element(v, prime) for v in row]) for row in sigmas]
 
 
 def _assemble(weights: Weights, Kprime, r, b, d, eps, slope_eps, slope_K):
@@ -277,8 +268,9 @@ def _core_verify(weights: Weights, r, sig: Signature) -> bool:
 
 
 def _as_signature(prime, sig: Union[Signature, bytes]) -> Signature:
-    """Decode bytes; anything else raises WrongType, as _core_verify would.
-    The entry points call it only when type(sig) is not Signature."""
+    """A Signature unchanged; bytes decoded; anything else raises WrongType."""
+    if type(sig) is Signature:
+        return sig
     if isinstance(sig, (bytes, bytearray)):
         return Signature.decode(prime, bytes(sig))
     raise WrongType(f"expected a Signature, got {type(sig).__name__}")
@@ -287,16 +279,13 @@ def _as_signature(prime, sig: Union[Signature, bytes]) -> Signature:
 def verify(pk: Weights, k_sig: PairKey, message: bytes, sig) -> bool:
     """Designated-verifier check: recomputes r from the pair key."""
     prime = pk.prime
-    if type(sig) is not Signature:
-        sig = _as_signature(prime, sig)
+    sig = _as_signature(prime, sig)
     return _core_verify(pk, derive_receipt(k_sig, message, prime)[1], sig)
 
 
 def verify_with_receipt(pk: Weights, r, message: bytes, sig) -> bool:
     """Third-party check against a published receipt r."""
-    if type(sig) is not Signature:
-        sig = _as_signature(pk.prime, sig)
-    return _core_verify(pk, r, sig)
+    return _core_verify(pk, r, _as_signature(pk.prime, sig))
 
 
 def dv_forge(k_sig: PairKey, pk: Weights, message: bytes, rng) -> Signature:
@@ -378,12 +367,15 @@ def extract_params(
     true line parameter, per-message key, or key slope.  The returned family
     also exposes every other consistent member via member(d).
     """
+    if type(hint) is not tuple or len(hint) != 2 or type(hint[1]) is not FieldElement:
+        raise WrongType(f"hint must be a (kind, FieldElement) pair, got {hint!r}")
     kind, value = hint
     if kind not in HINT_KINDS:
         raise MalformedInput(f"hint kind must be one of {HINT_KINDS}, got {kind!r}")
     prime = pk.prime
-    if type(sig) is not Signature:
-        sig = _as_signature(prime, sig)
+    if value.prime.value != prime.value:
+        raise ModulusMismatch(f"hint over {value.prime.value}, key over {prime.value}")
+    sig = _as_signature(prime, sig)
     _, r = derive_receipt(k_sig, message, prime)
     if not sig.s3:
         raise DegenerateExtraction("sigma3 = 0: ratio undefined")
@@ -421,14 +413,14 @@ def extract_params(
 
 def public_receipt(message: bytes, prime):
     """The weakened receipt r' = H(M) with no nonce: publicly computable."""
+    require_bytes(message, "a message")
     payload = len(message).to_bytes(8, "big") + message
     return hash_to_field(prime, DOMAIN_RECEIPT, payload)
 
 
 def verify_public_r(pk: Weights, message: bytes, sig) -> bool:
     """Deliberately weakened verifier that derives r from the message alone."""
-    if type(sig) is not Signature:
-        sig = _as_signature(pk.prime, sig)
+    sig = _as_signature(pk.prime, sig)
     return _core_verify(pk, public_receipt(message, pk.prime), sig)
 
 

@@ -1,8 +1,10 @@
 """Library raise sites reachable from a caller's input: each raises a typed
 SilmarilsError that is still the builtin (for ModulusMismatch, the library
-error) it raised before.  The type checks of the signature entry points and
-of Weights are the exception: a non-Signature there, or a weight that is not
-an element, raised AttributeError and now raises WrongType, a TypeError."""
+error) it raised before.  Some type checks are the exception: a
+non-Signature at a signature entry point, a weight that is not an element,
+or an extraction hint that is not a (kind, element) pair raised
+AttributeError or ValueError, and an element of a float residue raised
+nothing; each now raises WrongType, a TypeError."""
 
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from silmarils.errors import (
     ProtocolMisuse,
     WrongType,
 )
-from silmarils.field import Prime
+from silmarils.field import FieldElement, Prime
 from silmarils.hashing import PairKey, derive_receipt
 from silmarils.net_sim import AdversaryHook, Envelope, Role, Session
 from silmarils.rng import Rng
@@ -43,6 +45,8 @@ from silmarils.two_party import (
     Signature,
     dv_forge,
     extract_params,
+    public_r_forge,
+    public_receipt,
     sign,
     sign_accepted,
     sign_many,
@@ -97,6 +101,41 @@ SITES = {
         ),
         MalformedInput,
         ValueError,
+    ),
+    # Hints that are not a (kind, element) pair raised AttributeError or a
+    # bare ValueError; a zero hint over another prime passed as degenerate.
+    "extract_params of an int hint": (
+        lambda: extract_params(KEYS.k_sig, MSG, SIG, ("d", 5), KEYS.pk),
+        WrongType,
+        TypeError,
+    ),
+    "extract_params of a bare hint kind": (
+        lambda: extract_params(KEYS.k_sig, MSG, SIG, "d", KEYS.pk),
+        WrongType,
+        TypeError,
+    ),
+    "extract_params of a hint over another prime": (
+        lambda: extract_params(KEYS.k_sig, MSG, SIG, ("d", P13.zero), KEYS.pk),
+        ModulusMismatch,
+        ModulusMismatch,
+    ),
+    # Element values that are not ints: a float made an element with a float
+    # residue, and a str or None raised a bare TypeError.
+    "Prime.elt of a float": (lambda: P251.elt(2.5), WrongType, TypeError),
+    "Prime.elt of a str": (lambda: P251.elt("3"), WrongType, TypeError),
+    "Prime.elt of None": (lambda: P251.elt(None), WrongType, TypeError),
+    "FieldElement of a float": (lambda: FieldElement(2.5, P251), WrongType, TypeError),
+    # Public-receipt calls given a str message raised a bare TypeError.
+    "public_receipt of a str message": (lambda: public_receipt("m", P251), WrongType, TypeError),
+    "verify_public_r of a str message": (
+        lambda: verify_public_r(KEYS.pk, "m", SIG),
+        WrongType,
+        TypeError,
+    ),
+    "public_r_forge of a str message": (
+        lambda: public_r_forge(KEYS.pk, "m", Rng(SEED)),
+        WrongType,
+        TypeError,
     ),
     "extract_params of None": (
         lambda: extract_params(KEYS.k_sig, MSG, None, ("d", P251.one), KEYS.pk),
@@ -175,6 +214,7 @@ SITES = {
     "Rng take of a float": (lambda: Rng(SEED).take(2.5), WrongType, TypeError),
     "Rng take of a str": (lambda: Rng(SEED).take("3"), WrongType, TypeError),
     "Rng seed type": (lambda: Rng("not bytes"), WrongType, TypeError),
+    "Rng fork of a str label": (lambda: Rng(SEED).fork("label"), WrongType, TypeError),
     "Rng negative take": (lambda: Rng(SEED).take(-1), ProtocolMisuse, ValueError),
     "Session without the corrupted role": (
         lambda: Session({Role.P1: object()}, AdversaryHook(Role.P2)),

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from silmarils.errors import ScheduleViolation
+from silmarils.errors import ProtocolMisuse
 from silmarils.net_sim import (
     AdversaryHook,
     Envelope,
     Role,
+    Session,
     run_session,
     transcript_lines,
     view_of,
@@ -86,13 +87,41 @@ def test_round_ordering_is_strict():
     assert texts == ["first", "second"]
 
 
-def test_emitting_in_a_foreign_round_is_a_violation():
-    party = Chatter(Role.P1, {1: [Envelope(1, Role.P1, None, Note("x"))]})
-    party.emit_rounds = frozenset({2})  # advertises 2, emits in 1
+class RoundSpy(Chatter):
+    """A Chatter that records each round it is asked to emit in."""
+
+    def __init__(self, role, plan, emit_rounds):
+        super().__init__(role, plan)
+        self.emit_rounds = frozenset(emit_rounds)
+        self.asked = []
+
+    def emit(self, rnd):
+        self.asked.append(rnd)
+        return super().emit(rnd)
+
+
+@pytest.mark.parametrize("corrupted", [None, Role.P1, Role.P2, Role.P3])
+def test_each_party_is_asked_exactly_in_its_emit_rounds(corrupted):
+    rounds = {Role.P1: {1, 3, 5, 6}, Role.P2: {2, 7}, Role.P3: {4}}
+    parties = {role: RoundSpy(role, {}, rounds[role]) for role in Role}
+    adversary = AdversaryHook(corrupted) if corrupted else None
+    session = Session(parties, adversary).run(3)
+    assert {role: spy.asked for role, spy in parties.items()} == {
+        Role.P1: [1, 3], Role.P2: [2], Role.P3: [],
+    }
+    session.run(7)
+    assert {role: spy.asked for role, spy in parties.items()} == {
+        role: sorted(rounds[role]) for role in Role
+    }
+
+
+def test_an_envelope_planned_for_a_foreign_round_is_never_emitted():
+    party = RoundSpy(Role.P1, {1: [Envelope(1, Role.P1, None, Note("x"))]}, {2})
     parties = _trio({})
     parties[Role.P1] = party
-    with pytest.raises(ScheduleViolation):
-        run_session(parties, total_rounds=1)
+    assert run_session(parties, total_rounds=2) == []
+    assert party.asked == [2]
+    assert all(p.got == [] for p in parties.values())
 
 
 def test_adversary_cannot_forge_sender():
@@ -307,21 +336,33 @@ def test_view_of_the_transcript_is_what_each_party_was_delivered(corrupted):
         assert any(env.sender is corrupted for env in transcript)
 
 
-def test_corrupted_party_in_a_foreign_round_is_a_violation_unless_dropped():
-    def parties():
-        trio = _trio({Role.P2: {1: [Envelope(1, Role.P2, Role.P3, Note("early"))]}})
-        trio[Role.P2].emit_rounds = frozenset({2})  # advertises 2, emits in 1
-        return trio
+def test_a_corrupted_party_planning_a_foreign_round_is_never_asked_in_it():
+    rewritten = []
 
-    with pytest.raises(ScheduleViolation):
-        run_session(parties(), AdversaryHook(corrupted=Role.P2), total_rounds=2)
-    trio = parties()
-    run_session(
-        trio,
-        AdversaryHook(corrupted=Role.P2, rewrite=lambda env, view: []),
-        total_rounds=2,
-    )
-    assert trio[Role.P3].payloads == []
+    def record(env, view):
+        rewritten.append(env)
+        return [env]
+
+    early = {1: [Envelope(1, Role.P2, Role.P3, Note("early"))]}
+    for rewrite in (None, record):
+        trio = _trio({})
+        trio[Role.P2] = RoundSpy(Role.P2, early, {2})
+        transcript = run_session(trio, AdversaryHook(Role.P2, rewrite), total_rounds=2)
+        assert transcript == [] and trio[Role.P2].asked == [2]
+        assert trio[Role.P3].payloads == []
+    assert rewritten == []
+
+
+@pytest.mark.parametrize("stamp", [1, 3])
+def test_adversary_cannot_restamp_the_round(stamp):
+    def restamp(env, view):
+        return [Envelope(stamp, env.sender, env.recipient, env.payload)]
+
+    plans = {Role.P2: {2: [Envelope(2, Role.P2, Role.P3, Note("late"))]}}
+    parties = _trio(plans)
+    with pytest.raises(ProtocolMisuse, match="stamps rounds"):
+        run_session(parties, AdversaryHook(Role.P2, restamp), total_rounds=3)
+    assert parties[Role.P3].payloads == []
 
 
 def test_rushing_delivers_each_envelope_to_the_corrupted_party_once():
