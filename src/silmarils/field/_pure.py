@@ -79,6 +79,7 @@ class Prime:
 
     def reduce_wide(self, data: bytes) -> "FieldElement":
         """Reduce a 64-byte big-endian integer; the hash-to-field back end."""
+        require_bytes(data, "a wide value")
         if len(data) != WIDE_BYTES:
             raise LengthMismatch(f"reduce_wide needs {WIDE_BYTES} bytes, got {len(data)}")
         return _element(int.from_bytes(data, "big") % self.value, self)

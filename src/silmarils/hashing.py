@@ -31,6 +31,7 @@ PAIR_KEY_BYTES = 32
 
 
 def _frame(tag: bytes, payload: bytes) -> bytes:
+    require_bytes(payload, "a hash payload")
     return tag + len(payload).to_bytes(8, "big") + payload
 
 
@@ -61,6 +62,8 @@ class PairKey:
         require_bytes(self.data, "a pair key")
         if len(self.data) != PAIR_KEY_BYTES:
             raise LengthMismatch(f"pair key must be {PAIR_KEY_BYTES} bytes")
+        # A caller's bytearray could change under the receipt memo.
+        object.__setattr__(self, "data", bytes(self.data))
 
     @classmethod
     def generate(cls, rng: Rng) -> "PairKey":

@@ -29,12 +29,13 @@ then delivers each broadcast to every party and each private envelope to its
 recipient.  The honest parties' envelopes, emitted on pre-round knowledge,
 fan out first.  Then the corrupted party, holding those addressed to it, as
 the broadcast model's rushing adversary may, emits; the adversary's rewrites
-of its envelopes fan out.  The scheduler guarantees two things: the network
+of its envelopes fan out.  The scheduler guarantees three things: the network
 authenticates senders and stamps rounds (a replacement that names another
-sender or another round raises), and every broadcast envelope is delivered
-to all parties.  The honest parties do not yet check a payload's route (its
-round, sender and channel), so a corrupt party can send a broadcast-kind
-payload privately, to one party only.
+sender or another round raises), every broadcast envelope is delivered to
+all parties, and a replacement reaches the parties only if the protocol's
+admit predicate, given to the Session, accepts it.  An envelope a party
+emitted goes out unchecked; a replacement admit refuses is a dead letter,
+delivered to no one, kept out of the transcript and counted in dead_letters.
 
 So the transcript is the session's one record, and each party receives what
 is addressed to it in transcript order: view_of(transcript, role) is exactly
@@ -112,11 +113,13 @@ class AdversaryHook:
 class Session:
     """One session, run in steps from round 0 (see the module docstring)."""
 
-    def __init__(self, parties: Mapping[Role, object], adversary=None):
+    def __init__(self, parties: Mapping[Role, object], adversary=None, admit=None):
         corrupted = adversary.corrupted if adversary else None
         if corrupted is not None and corrupted not in parties:
             raise ProtocolMisuse(f"corrupted role {corrupted} not present")
         self.adversary = adversary
+        self.admit = admit  # envelope -> bool; None admits every replacement
+        self.dead_letters = 0
         self._slots = list(parties.items())  # (role, party), in mapping order
         self._transcript: list = []
         self._view = View(corrupted, self._transcript) if corrupted is not None else None
@@ -134,7 +137,7 @@ class Session:
     def run(self, until: int) -> "Session":
         """Run the rounds after the last one run, through round `until`,
         asking each party to emit only in its emit_rounds."""
-        adversary = self.adversary
+        adversary, admit = self.adversary, self.admit
         rewrite = adversary.rewrite if adversary and adversary.rewrite else lambda env, view: [env]
         view = self._view
         corrupted = view.role if view else None
@@ -173,7 +176,10 @@ class Session:
                                 f"adversary cannot restamp round {rnd} as "
                                 f"{replacement.round}: the network stamps rounds"
                             )
-                        rewritten.append(replacement)
+                        if replacement is env or admit is None or admit(replacement):
+                            rewritten.append(replacement)
+                        else:
+                            self.dead_letters += 1
                 fan_out(rewritten)
             self._round = rnd
         return self
@@ -191,6 +197,8 @@ class Session:
             raise ProtocolMisuse(f"a branch must corrupt the same role as its stem ({corrupted})")
         twin = object.__new__(Session)
         twin.adversary = adversary
+        twin.admit = self.admit
+        twin.dead_letters = self.dead_letters
         twin._transcript = self._transcript[:]
         twin._view = view and View(view.role, twin._transcript)
         twin._round = self._round

@@ -31,6 +31,12 @@ result is read off the parties' final state: P1's setup and arm, P2's z2,
 P3's z3 and the transfer it received.  force_coins, the one way to force
 coins, twins a session with the installer's coins or the challenge forced.
 
+SCHEMA declares each payload's route and field kinds.  open_signing_session
+gives its Session admissible over that table, so a corrupt party's
+replacement reaches the parties only if it is on route with fields of its
+kinds over the session's prime; any other is a network dead letter.  The
+parties therefore read only protocol messages, and every ok is a bool.
+
 Wire format (to_wire, the ``payload`` hex of a transcript line): the class's
 tag byte, written as a one-byte message, then each field in declared order:
 00 None, 01 + one byte for a bool, 02 + 8-byte big-endian length + bytes for
@@ -41,7 +47,7 @@ Each payload keeps its to_wire bytes; honest verdicts are shared instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Union
 
 from ._record import frozen_record
@@ -193,13 +199,48 @@ class TransferValue(_Payload):
     nonce: object
 
 
-# The verdicts honest P1 and P3 emit, by ok.  A comparison over a corrupt
-# party's payload can yield an ok that is not a bool; that verdict is built.
+# The verdicts honest P1 and P3 emit, by ok.
 _SHARED = {c: (c(False), c(True)) for c in (ChallengeVerdict, LineVerdict, AuditVerdict)}
 
+# Each payload's route, (round, sender, recipient) with None for broadcast,
+# and one kind per field in declared order: E an element of the session
+# prime, O an element or None, B a bool, M bytes, S a Signature of five
+# elements, Z a Signature or None.
+SCHEMA = {
+    HolderSetup: ((ROUND_SETUP, Role.P1, Role.P2), "EEEEMSE"),
+    VerifierSetup: ((ROUND_SETUP, Role.P1, Role.P3), "EEE"),
+    Challenge: ((ROUND_CHALLENGE, Role.P2, None), "EEE"),
+    ChallengeVerdict: ((ROUND_P1_CHECK, Role.P1, None), "BOO"),
+    LineVerdict: ((ROUND_P3_CHECK, Role.P3, None), "B"),
+    AuditVerdict: ((ROUND_AUDIT, Role.P1, None), "B"),
+    RevealPoint: ((ROUND_RESOLUTION, Role.P1, None), "EE"),
+    RevealLine: ((ROUND_RESOLUTION, Role.P1, None), "EE"),
+    TransferValue: ((ROUND_TRANSFER, Role.P2, Role.P3), "OOMZO"),
+}
+_PLAIN = {"B": bool, "M": bytes}
 
-def _verdict(cls, ok):
-    return _SHARED[cls][ok] if type(ok) is bool else cls(ok)
+
+def admissible(prime, env: Envelope) -> bool:
+    """Whether env may reach an honest party in a session over prime: its
+    payload is one of SCHEMA's, on its route, with fields of its kinds."""
+    payload = env.payload
+    entry = SCHEMA.get(type(payload))
+    if entry is None or entry[0] != (env.round, env.sender, env.recipient):
+        return False
+    q = prime.value
+    for kind, value in zip(entry[1], map(payload.__dict__.get, payload.__dataclass_fields__)):
+        if type(value) is FieldElement:
+            ok = kind in "EO" and value.prime.value == q
+        elif value is None:
+            ok = kind in "OZ"
+        elif type(value) is Signature:
+            parts = (type(part) is FieldElement and part.prime.value == q for part in value)
+            ok = kind in "SZ" and all(parts)
+        else:
+            ok = type(value) is _PLAIN.get(kind)
+        if not ok:
+            return False
+    return True
 
 
 @dataclass
@@ -213,17 +254,12 @@ class SessionOutcome:
 
     @cached_property
     def verdicts(self) -> list:
-        # Verdict payloads carry (reject label, accept label), indexed by a
-        # bool ok; any other ok, only ever a corrupt party's, is "malformed".
+        # Verdict payloads carry (reject label, accept label), indexed by ok.
         return [
-            (env.round, env.sender.value, _label(env.payload))
+            (env.round, env.sender.value, env.payload.labels[env.payload.ok])
             for env in self.transcript
             if env.recipient is None and hasattr(env.payload, "labels")
         ]
-
-
-def _label(verdict) -> str:
-    return verdict.labels[verdict.ok] if type(verdict.ok) is bool else "malformed"
 
 
 class P1Signer:
@@ -284,7 +320,7 @@ class P1Signer:
                 and ch.x_e == s.x_prime + ch.e * s.x
                 and ch.sigma_e == s.sigma_prime + ch.e * s.sigma
             ):
-                return [Envelope(rnd, Role.P1, None, _verdict(ChallengeVerdict, True))]
+                return [Envelope(rnd, Role.P1, None, _SHARED[ChallengeVerdict][True])]
             self.arm = "A"
             return [Envelope(rnd, Role.P1, None, ChallengeVerdict(False, s.x, s.sigma))]
         if rnd == ROUND_AUDIT:
@@ -299,7 +335,7 @@ class P1Signer:
             )
             if not ok:
                 self.arm = "D"
-            return [Envelope(rnd, Role.P1, None, _verdict(AuditVerdict, ok))]
+            return [Envelope(rnd, Role.P1, None, _SHARED[AuditVerdict][ok])]
         if rnd == ROUND_RESOLUTION:
             if self.arm == "A":
                 return []
@@ -432,12 +468,12 @@ class P3Verifier:
                 and ch is not None
                 and ch.sigma_e == self.k1 * ch.x_e + self.k2_prime + ch.e * self.k2
             )
-            return [Envelope(rnd, Role.P3, None, _verdict(LineVerdict, ok))]
+            return [Envelope(rnd, Role.P3, None, _SHARED[LineVerdict][ok])]
         return []
 
     def deliver(self, env: Envelope) -> None:
         # Mirrors P2's rules: first setup/challenge/transfer wins, and once
-        # arm A resolved the signing phase, later reveals are dead letters.
+        # arm A resolved the signing phase, later reveals are ignored.
         payload = env.payload
         if isinstance(payload, VerifierSetup):
             if not self.has_keys:
@@ -507,7 +543,7 @@ def open_signing_session(
         Role.P2: P2Holder(prime, root.fork(b"tape/P2")),
         Role.P3: P3Verifier(prime),
     }
-    return Session(parties, adversary)
+    return Session(parties, adversary, admit=partial(admissible, prime))
 
 
 def force_coins(session: Session, *, ic_coins=None, challenge_coin=None) -> Session:

@@ -18,7 +18,14 @@ from silmarils.errors import (
     WrongType,
 )
 from silmarils.field import FieldElement, Prime
-from silmarils.hashing import PairKey, derive_receipt
+from silmarils.hashing import (
+    DOMAIN_NONCE,
+    DOMAIN_RECEIPT,
+    PairKey,
+    derive_receipt,
+    hash_to_field,
+    prf_to_field,
+)
 from silmarils.net_sim import AdversaryHook, Envelope, Role, Session
 from silmarils.rng import Rng
 from silmarils.stats import (
@@ -82,6 +89,17 @@ SITES = {
     # none until its first HMAC.
     "PairKey of a str": (lambda: PairKey("x" * 32), WrongType, TypeError),
     "from_bytes of a str": (lambda: P251.from_bytes("x"), WrongType, TypeError),
+    "reduce_wide of a str": (lambda: P251.reduce_wide("x" * 64), WrongType, TypeError),
+    "hash_to_field of a str payload": (
+        lambda: hash_to_field(P251, DOMAIN_RECEIPT, "abc"),
+        WrongType,
+        TypeError,
+    ),
+    "prf_to_field of a str payload": (
+        lambda: prf_to_field(KEYS.k_sig.data, P251, DOMAIN_NONCE, "abc"),
+        WrongType,
+        TypeError,
+    ),
     "Signature.decode of a str": (lambda: Signature.decode(P251, "x" * 5), WrongType, TypeError),
     "Weights.from_bytes of a str": (lambda: Weights.from_bytes(P251, "xy"), WrongType, TypeError),
     "sign of a str message": (lambda: sign(KEYS, "m", Rng(SEED)), WrongType, TypeError),

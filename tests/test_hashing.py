@@ -37,6 +37,18 @@ def test_pair_key_validation_and_generate():
     assert PairKey.generate(Rng(b"\x01" * 32)) == generated
 
 
+def test_pair_key_keeps_its_own_bytes():
+    # A key built from a caller's bytearray must not follow the buffer: the
+    # receipt memo and hash() both read the key's bytes.
+    buf = bytearray(32)
+    key = PairKey(buf)
+    receipt = derive_receipt(key, b"m", P251)
+    buf[0] = 1
+    zero = PairKey(bytes(32))
+    assert key == zero and hash(key) == hash(zero)
+    assert derive_receipt(key, b"m", P251) == receipt == derive_receipt(zero, b"m", P251)
+
+
 @given(message=st.binary(max_size=64))
 def test_hash_to_field_matches_direct_recomputation(message):
     framed = DOMAIN_RECEIPT + len(message).to_bytes(8, "big") + message

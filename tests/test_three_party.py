@@ -7,6 +7,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from silmarils.field import Prime
 from silmarils.hashing import authenticated_value
@@ -20,12 +22,14 @@ from silmarils.net_sim import (
 from silmarils.rng import Rng
 from silmarils.stats import STRATEGIES, _keys_for, get_strategy, make_estimate, run_trials
 from silmarils.three_party import (
+    ROUND_AUDIT,
     ROUND_CHALLENGE,
     ROUND_P1_CHECK,
     ROUND_P3_CHECK,
     ROUND_RESOLUTION,
     ROUND_SETUP,
     ROUND_TRANSFER,
+    SCHEMA,
     TOTAL_ROUNDS,
     AuditVerdict,
     Challenge,
@@ -40,6 +44,7 @@ from silmarils.three_party import (
     TransferValue,
     VerifierSetup,
     _wire_parts,
+    admissible,
     force_coins,
     interpret_value,
     open_signing_session,
@@ -259,8 +264,11 @@ def test_starved_parties_fail_closed():
 def test_starved_holder_and_keyless_verifier_stay_total():
     # Two corrupt signers that starve a party of its setup.  One drops P2's
     # HolderSetup and its round-3 reveal, so P2 transfers no point to a
-    # keyed P3; the other sends P3 a RevealPoint in place of its keys, so P3
-    # holds k1 and k2 but no k2'.  Both sessions end, with z3 in {x, bottom}.
+    # keyed P3; the other sends P3 a round-1 RevealPoint in place of its
+    # keys, a dead letter, so P3 is keyless and rejects.  On route P3 can
+    # never hold k1 and k2 without k2' at round 4: only round 3's arm-A
+    # reveal re-keys it that early, and arm A makes P3 silent in round 4.
+    # Both sessions end, with z3 in {x, bottom}.
     def starve_holder(env: Envelope, view) -> list:
         if isinstance(env.payload, (HolderSetup, ChallengeVerdict)):
             return []
@@ -415,32 +423,27 @@ class _Odd:
 @pytest.mark.parametrize(
     "corrupted, swap, verdicts",
     [
-        (
-            Role.P3, LineVerdict(None),
-            [(3, "P1", "accept"), (4, "P3", "malformed"), (5, "P1", "P3 corrupt")],
-        ),
-        (
-            Role.P1, ChallengeVerdict(2),
-            [(3, "P1", "malformed"), (4, "P3", "accept"), (5, "P1", "accept")],
-        ),
-        (
-            # P1's audit compares against an _Odd ok and gets a list back.
-            Role.P3, LineVerdict(_Odd()),
-            [(3, "P1", "accept"), (4, "P3", "malformed"), (5, "P1", "malformed")],
-        ),
+        # A silent P3 is judged corrupt.
+        (Role.P3, LineVerdict(None), [(3, "P1", "accept"), (5, "P1", "P3 corrupt")]),
+        (Role.P1, ChallengeVerdict(2), [(4, "P3", "accept"), (5, "P1", "accept")]),
+        (Role.P3, LineVerdict(_Odd()), [(3, "P1", "accept"), (5, "P1", "P3 corrupt")]),
     ],
     ids=["line-none", "challenge-2", "line-odd"],
 )
 def test_malformed_verdicts_never_raise(corrupted, swap, verdicts):
-    # A corrupt party swaps its verdict for one whose ok is not a bool; the
-    # session stays total and its verdict list reads the swap as malformed.
+    # A corrupt party swaps its verdict for one whose ok is not a bool.  The
+    # swap is a dead letter: no party is handed it, the transcript leaves it
+    # out, and the session runs on as if the party had stayed silent.
     def rewrite(env: Envelope, view) -> list:
         if isinstance(env.payload, type(swap)):
             return [Envelope(env.round, env.sender, env.recipient, swap)]
         return [env]
 
     adversary = AdversaryHook(corrupted=corrupted, rewrite=rewrite)
-    res = run_signing_session(KEYS, MSG, SEED, adversary=adversary)
+    session = open_signing_session(KEYS, MSG, SEED, adversary=adversary).run(TOTAL_ROUNDS)
+    res = signing_result(session)
+    assert session.dead_letters == 1
+    assert all(env.payload is not swap for env in res.outcome.transcript)
     assert res.outcome.verdicts == verdicts
     assert res.outcome.z2 == res.x
 
@@ -553,7 +556,7 @@ def test_reveal_point_is_adopted_before_arm_a(starve_p3):
     assert holder.z2 == verifier.z3 == FAKE[0]
 
 
-def test_reveal_point_after_arm_a_is_a_dead_letter():
+def test_reveal_point_after_arm_a_is_ignored():
     parties, transcript = _run_parties(KEYS, _reveal_point_instead(force_arm_a=True))
     x = parties[Role.P1].setup.x
     broadcasts = [env for env in transcript if env.is_broadcast]
@@ -662,13 +665,11 @@ def test_forced_twin_equals_a_fresh_session_and_leaves_its_base_untouched():
     assert challenge.e == E
 
 
-# Protocol defects an off-route or malformed payload opens today.  The parties
-# do not check a payload's route (round, sender, channel) or its kinds, so a
-# corrupt party can send a payload in a round, on a channel or over a prime
-# the schedule does not allow.  Each test states the property a route and
-# kind check restores; it fails today and is marked as a strict xfail.
+# Protocol defects an off-route or malformed payload would open if it reached
+# the honest parties: a payload in a round, on a channel or over a prime the
+# schedule does not allow.  Each test states a property that admission by
+# the payload schema keeps.
 
-DEFECT = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 DEFECT_KEYS = _keys_for(P251, Rng(b"k" * 32))
 DEFECT_SESSIONS = 2000
 
@@ -692,7 +693,6 @@ def _transfer(env, x, sigma):
     return Envelope(env.round, env.sender, env.recipient, payload)
 
 
-@DEFECT
 def test_defect_a_round_7_reveal_line_does_not_forge_a_transfer():
     # A corrupt P2 broadcasts RevealLine(0, s) in round 7, then transfers
     # (x + 1, s), which lies on the line P3 would adopt from it.
@@ -707,7 +707,6 @@ def test_defect_a_round_7_reveal_line_does_not_forge_a_transfer():
     assert _within_guess_rate("a", DEFECT_SESSIONS, forged)
 
 
-@DEFECT
 def test_defect_b_an_equivocated_challenge_does_not_forge_a_transfer():
     # A corrupt P2 sends its honest challenge privately to P1 and one with
     # x_e + 1 privately to P3.  P3 rejects, P1's audit reveals the line
@@ -730,7 +729,6 @@ def test_defect_b_an_equivocated_challenge_does_not_forge_a_transfer():
     assert _within_guess_rate("b", DEFECT_SESSIONS, forged)
 
 
-@DEFECT
 def test_defect_c_a_split_challenge_verdict_does_not_split_z2_and_z3():
     # A corrupt P1 sends a failing verdict revealing (5, 9) privately to P2
     # and an accepting one privately to P3.
@@ -748,7 +746,6 @@ def test_defect_c_a_split_challenge_verdict_does_not_split_z2_and_z3():
     assert _within_guess_rate("c", DEFECT_SESSIONS, diverged)
 
 
-@DEFECT
 def test_defect_e_a_round_4_reveal_point_does_not_move_z2():
     # A corrupt P3 also broadcasts RevealPoint(7, 9) with its line verdict.
     extra = RevealPoint(P251.elt(7), P251.elt(9))
@@ -759,7 +756,6 @@ def test_defect_e_a_round_4_reveal_point_does_not_move_z2():
     assert all(res.outcome.z2 == res.x for res in _defect_results(rewrite, Role.P3))
 
 
-@DEFECT
 @pytest.mark.parametrize(
     "corrupted, swap",
     [(Role.P2, Challenge(*map(Prime(13).elt, (1, 2, 3)))), (Role.P1, ChallengeVerdict(2))],
@@ -774,3 +770,115 @@ def test_defect_f_malformed_on_route_payloads_keep_the_session_total(corrupted, 
     (res,) = _defect_results(rewrite, corrupted, sessions=1)
     transcript = res.outcome.transcript
     assert len(transcript_lines(transcript)) == len(transcript)
+
+
+@pytest.mark.parametrize("name", [None, *sorted(STRATEGIES)])
+def test_honest_and_strategy_traffic_is_admissible(name):
+    # The network passes an emitted envelope on unchecked, so each one is
+    # checked here; the strategies' replacements the session checks itself.
+    for i in range(300):
+        seed = i.to_bytes(32, "big")
+        hook = STRATEGIES[name].hook(P251, Rng(seed).fork(b"adversary")) if name else None
+        session = open_signing_session(DEFECT_KEYS, MSG, seed, adversary=hook).run(TOTAL_ROUNDS)
+        assert session.dead_letters == 0
+        assert all(admissible(P251, env) for env in session.result())
+
+
+# Schema fuzzing: a corrupt party also sends, or sends instead of its first
+# envelope in one of its rounds, one envelope drawn from SCHEMA's routes and
+# kinds, from wrong kinds, or not a payload at all, on or off route.
+P13 = Prime(13)
+_ELEMENTS = st.integers(0, 250).map(P251.elt)
+_SIGNATURES = st.tuples(*[_ELEMENTS] * 5).map(lambda parts: Signature(*parts))
+_KINDS = {
+    "E": _ELEMENTS,
+    "O": st.none() | _ELEMENTS,
+    "B": st.booleans(),
+    "M": st.binary(max_size=8),
+    "S": _SIGNATURES,
+    "Z": st.none() | _SIGNATURES,
+}
+_WRONG = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 300),
+    st.binary(max_size=4),
+    st.integers(0, 12).map(P13.elt),
+    _SIGNATURES.map(lambda sig: dataclasses.replace(sig, s5=P13.one)),
+    st.builds(object),
+    st.builds(_Odd),
+)
+# The rounds in which each corrupted party's rewrite is called in a session
+# that is honest up to them.
+_TURNS = {
+    Role.P1: (ROUND_SETUP, ROUND_P1_CHECK, ROUND_AUDIT),
+    Role.P2: (ROUND_CHALLENGE, ROUND_TRANSFER),
+    Role.P3: (ROUND_P3_CHECK,),
+}
+_STEMS = {
+    role: open_signing_session(DEFECT_KEYS, MSG, SEED, adversary=AdversaryHook(role))
+    for role in Role
+}
+_LABELS = {*ChallengeVerdict.labels, *LineVerdict.labels, *AuditVerdict.labels}
+
+
+@st.composite
+def _sends(draw, role):
+    """(envelope, keep): what role sends in one of its turns, and whether it
+    also sends what its party emitted."""
+    rnd = draw(st.sampled_from(_TURNS[role]))
+    on_route = [(cls, route[2]) for cls, (route, _) in SCHEMA.items() if route[:2] == (rnd, role)]
+    if draw(st.booleans()):
+        cls, recipient = draw(st.sampled_from(on_route))
+    else:
+        cls = draw(st.sampled_from([*SCHEMA, None]))
+        recipient = draw(st.sampled_from([None, *Role]))
+    if cls is None:
+        payload = draw(_WRONG | _ELEMENTS)
+    else:
+        typed = draw(st.booleans())
+        kinds = SCHEMA[cls][1]
+        payload = cls(*(draw(_KINDS[k] if typed else _KINDS[k] | _WRONG) for k in kinds))
+    return Envelope(rnd, role, recipient, payload), draw(st.booleans())
+
+
+def _sending(role, rnd, extras, keep):
+    """A hook for role that sends extras with, or in place of (keep=False),
+    the first envelope its party emits in round rnd."""
+    sent = []
+
+    def rewrite(env, view):
+        if env.round != rnd or sent:
+            return [env]
+        sent.append(env)
+        return ([env] * keep) + extras
+
+    return AdversaryHook(role, rewrite)
+
+
+def _honest_states(session) -> dict:
+    """Each honest party's attribute dict, its tape read as its next bytes."""
+    corrupted = session.adversary.corrupted
+    return {
+        role: {k: v.copy().take(16) if k == "_rng" else v for k, v in vars(party).items()}
+        for role, party in session.parties.items()
+        if role is not corrupted
+    }
+
+
+@pytest.mark.parametrize("role", list(Role), ids=lambda role: role.value)
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_schema_fuzz_keeps_sessions_total_and_refused_sends_inert(role, data):
+    extra, keep = data.draw(_sends(role))
+    sent = _STEMS[role].branch(_sending(role, extra.round, [extra], keep)).run(TOTAL_ROUNDS)
+    res = signing_result(sent, interpret=True)
+    assert len(transcript_lines(res.outcome.transcript)) == len(res.outcome.transcript)
+    assert {label for *_, label in res.outcome.verdicts} <= _LABELS
+    if admissible(P251, extra):
+        assert sent.dead_letters == 0
+        return
+    assert sent.dead_letters == 1
+    unsent = _STEMS[role].branch(_sending(role, extra.round, [], keep)).run(TOTAL_ROUNDS)
+    assert sent.result() == unsent.result()
+    assert _honest_states(sent) == _honest_states(unsent)
