@@ -217,7 +217,12 @@ SCHEMA = {
     RevealLine: ((ROUND_RESOLUTION, Role.P1, None), "EE"),
     TransferValue: ((ROUND_TRANSFER, Role.P2, Role.P3), "OOMZO"),
 }
-_PLAIN = {"B": bool, "M": bytes}
+# The field types each kind admits; admissible also checks that every
+# element, a signature's five parts included, is over the session's prime.
+_KIND_TYPES = {
+    "E": (FieldElement,), "O": (FieldElement, type(None)), "B": (bool,),
+    "M": (bytes,), "S": (Signature,), "Z": (Signature, type(None)),
+}
 
 
 def admissible(prime, env: Envelope) -> bool:
@@ -229,17 +234,15 @@ def admissible(prime, env: Envelope) -> bool:
         return False
     q = prime.value
     for kind, value in zip(entry[1], map(payload.__dict__.get, payload.__dataclass_fields__)):
-        if type(value) is FieldElement:
-            ok = kind in "EO" and value.prime.value == q
-        elif value is None:
-            ok = kind in "OZ"
-        elif type(value) is Signature:
-            parts = (type(part) is FieldElement and part.prime.value == q for part in value)
-            ok = kind in "SZ" and all(parts)
-        else:
-            ok = type(value) is _PLAIN.get(kind)
-        if not ok:
+        if type(value) not in _KIND_TYPES[kind]:
             return False
+        if type(value) is FieldElement:
+            if value.prime.value != q:
+                return False
+        elif type(value) is Signature:
+            for part in value:
+                if type(part) is not FieldElement or part.prime.value != q:
+                    return False
     return True
 
 

@@ -772,6 +772,27 @@ def test_defect_f_malformed_on_route_payloads_keep_the_session_total(corrupted, 
     assert len(transcript_lines(transcript)) == len(transcript)
 
 
+@pytest.mark.parametrize(
+    "corrupted, cls, part",
+    [(Role.P1, HolderSetup, Prime(13).one), (Role.P2, TransferValue, 1)],
+    ids=["setup-f13-part", "transfer-int-part"],
+)
+def test_a_signature_with_a_bad_part_is_a_dead_letter(corrupted, cls, part):
+    # Admitted, either part would raise in interpret_value or in to_wire.
+    def rewrite(env, view):
+        if isinstance(env.payload, cls):
+            sig = dataclasses.replace(env.payload.sig_alg, s3=part)
+            payload = dataclasses.replace(env.payload, sig_alg=sig)
+            return [Envelope(env.round, env.sender, env.recipient, payload)]
+        return [env]
+
+    adversary = AdversaryHook(corrupted, rewrite)
+    session = open_signing_session(DEFECT_KEYS, MSG, SEED, adversary=adversary).run(TOTAL_ROUNDS)
+    res = signing_result(session, interpret=True)
+    assert session.dead_letters == 1
+    assert len(transcript_lines(res.outcome.transcript)) == len(res.outcome.transcript)
+
+
 @pytest.mark.parametrize("name", [None, *sorted(STRATEGIES)])
 def test_honest_and_strategy_traffic_is_admissible(name):
     # The network passes an emitted envelope on unchecked, so each one is
@@ -805,6 +826,7 @@ _WRONG = st.one_of(
     st.binary(max_size=4),
     st.integers(0, 12).map(P13.elt),
     _SIGNATURES.map(lambda sig: dataclasses.replace(sig, s5=P13.one)),
+    _SIGNATURES.map(lambda sig: dataclasses.replace(sig, s1=1)),
     st.builds(object),
     st.builds(_Odd),
 )
