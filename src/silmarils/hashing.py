@@ -31,7 +31,10 @@ PAIR_KEY_BYTES = 32
 
 
 def _frame(tag: bytes, payload: bytes) -> bytes:
-    require_bytes(payload, "a hash payload")
+    if type(tag) is not bytes:
+        require_bytes(tag, "a domain tag")
+    if type(payload) is not bytes:
+        require_bytes(payload, "a hash payload")
     return tag + len(payload).to_bytes(8, "big") + payload
 
 
@@ -42,6 +45,8 @@ def hash_to_field(prime, tag: bytes, payload: bytes):
 
 def prf_to_field(key: bytes, prime, tag: bytes, payload: bytes):
     """Keyed (HMAC) hash of the framed payload into F_p."""
+    if type(key) is not bytes:
+        require_bytes(key, "a PRF key")
     return prime.reduce_wide(hmac.digest(key, _frame(tag, payload), "sha512"))
 
 

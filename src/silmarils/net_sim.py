@@ -27,20 +27,21 @@ round was recorded and delivered, so it must be neither run on nor branched.
 Each round fans out twice.  A fan-out appends envelopes to the transcript,
 then delivers each broadcast to every party and each private envelope to its
 recipient.  The honest parties' envelopes, emitted on pre-round knowledge,
-fan out first.  Then the corrupted party, holding those addressed to it, as
-the broadcast model's rushing adversary may, emits; the adversary's rewrites
-of its envelopes fan out.  The scheduler guarantees three things: the network
-authenticates senders and stamps rounds (a replacement that names another
-sender or another round raises), every broadcast envelope is delivered to
-all parties, and a replacement reaches the parties only if the protocol's
-admit predicate, given to the Session, accepts it.  An envelope a party
-emitted goes out unchecked; a replacement admit refuses is a dead letter,
+fan out first.  Then the corrupted role, holding those addressed to it, as
+the broadcast model's rushing adversary may, takes its turn, one in every
+round (AdversaryHook); what the turn returns fans out.  The scheduler
+guarantees three things: the network authenticates senders and stamps rounds
+(a turn that names another sender or another round raises), every broadcast
+envelope is delivered to all parties, and an envelope a turn returns reaches
+the parties only if the protocol's admit predicate, given to the Session,
+accepts it.  Honest envelopes, and a turn that returns its party's own
+tuple, go out unchecked; an envelope admit refuses is a dead letter,
 delivered to no one, kept out of the transcript and counted in dead_letters.
 
 So the transcript is the session's one record, and each party receives what
 is addressed to it in transcript order: view_of(transcript, role) is exactly
 what role was delivered.  The corrupted party's View is its role and that
-list; a rewrite sees each envelope its party emits and keeps any history.
+list; a turn sees what its party emits in the round and keeps any history.
 """
 
 from __future__ import annotations
@@ -83,9 +84,9 @@ class Envelope:
 
 @dataclass
 class View:
-    """The corrupted party's view, which the adversary's rewrite receives:
+    """The corrupted party's view, which the adversary's turn receives:
     received is every envelope delivered to it so far (broadcasts included),
-    read off its session's transcript by view_of.  A rewrite that needs what
+    read off its session's transcript by view_of.  A turn that needs what
     the party sent keeps that history itself."""
 
     role: Role
@@ -100,10 +101,11 @@ class View:
 class AdversaryHook:
     """Single-corruption active adversary.
 
-    rewrite(envelope, view) -> list of replacement envelopes; it may drop
-    (empty list), replace, or inject extra envelopes, all with sender =
-    corrupted.  Without one, each envelope goes out as emitted.  A session
-    without corruption takes no hook.
+    rewrite(round, own, view) -> list is the corrupted role's turn in every
+    round: own is the tuple of what its party emitted (() outside its
+    emit_rounds), and the role sends the list returned, own itself unchecked;
+    a tuple cannot be changed in place.  Without a rewrite, own goes out.  A
+    session without corruption takes no hook.
     """
 
     corrupted: Role
@@ -118,7 +120,7 @@ class Session:
         if corrupted is not None and corrupted not in parties:
             raise ProtocolMisuse(f"corrupted role {corrupted} not present")
         self.adversary = adversary
-        self.admit = admit  # envelope -> bool; None admits every replacement
+        self.admit = admit  # envelope -> bool; None admits what every turn returns
         self.dead_letters = 0
         self._slots = list(parties.items())  # (role, party), in mapping order
         self._transcript: list = []
@@ -138,7 +140,7 @@ class Session:
         """Run the rounds after the last one run, through round `until`,
         asking each party to emit only in its emit_rounds."""
         adversary, admit = self.adversary, self.admit
-        rewrite = adversary.rewrite if adversary and adversary.rewrite else lambda env, view: [env]
+        rewrite = adversary and adversary.rewrite
         view = self._view
         corrupted = view.role if view else None
         slots = self._slots
@@ -162,25 +164,26 @@ class Session:
                 if rnd in party.emit_rounds:
                     emitted.extend(party.emit(rnd))
             fan_out(emitted)
-            if view is not None and rnd in adv.emit_rounds:
-                rewritten: list[Envelope] = []
-                for env in adv.emit(rnd):
-                    for replacement in rewrite(env, view):
-                        if replacement.sender is not corrupted:
+            if view is not None:
+                own = tuple(adv.emit(rnd)) if rnd in adv.emit_rounds else ()
+                sent = rewrite(rnd, own, view) if rewrite else own
+                if sent is not own:
+                    sent = list(sent)  # any iterable, read once
+                    for env in sent:
+                        if env.sender is not corrupted:
                             raise ProtocolMisuse(
                                 "adversary cannot forge sender "
-                                f"{replacement.sender}: channels are authenticated"
+                                f"{env.sender}: channels are authenticated"
                             )
-                        if replacement.round != rnd:
+                        if env.round != rnd:
                             raise ProtocolMisuse(
                                 f"adversary cannot restamp round {rnd} as "
-                                f"{replacement.round}: the network stamps rounds"
+                                f"{env.round}: the network stamps rounds"
                             )
-                        if replacement is env or admit is None or admit(replacement):
-                            rewritten.append(replacement)
-                        else:
-                            self.dead_letters += 1
-                fan_out(rewritten)
+                    admitted = [env for env in sent if admit is None or admit(env)]
+                    self.dead_letters += len(sent) - len(admitted)
+                    sent = admitted
+                fan_out(sent)
             self._round = rnd
         return self
 

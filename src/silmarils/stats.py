@@ -188,16 +188,16 @@ def exact_result(name: str, p: int, value, target, note: str = "") -> ExactResul
 class AttackStrategy:
     """A named attack by the one corrupted role.
 
-    build(prime, rng, forced) returns only the rewrite(envelope, view) that
-    the corrupted party applies to its traffic; hook() wraps it in the
+    build(prime, rng, forced) returns only the turn rewrite(round, own,
+    view) that the corrupted party takes each round; hook() wraps it in the
     AdversaryHook for `corrupted`.  forced parameters (ghat, offset, delta,
     delta_prime) replace the random draws so the exhaustive enumerations can
-    sweep them.  With every draw forced, a rewrite draws nothing and keeps no
+    sweep them.  With every draw forced, a turn draws nothing and keeps no
     per-session state, so one hook may serve many sessions.  The view holds
-    only what the party received; a rewrite that needs more history keeps it
+    only what the party received; a turn that needs more history keeps it
     in its own closure, one per build.  acts_in is the first round whose
-    envelopes the rewrite can change: before it, the rewrite returns
-    [envelope] and draws nothing.
+    turn can change what the party sends: before it, the turn returns own
+    and draws nothing.
     """
 
     name: str
@@ -218,16 +218,15 @@ def _forced_or_drawn(forced: dict, name: str, draw: Callable, rng: Rng):
 def _substitute_guess_k1(prime, rng: Rng, forced: dict) -> Callable:
     # Corrupt P2 rewrites the transfer to (x*, sigma + g*(x* - x)); the result
     # passes P3's line check iff the guess g hits k1, so success rate is 1/p.
-    def rewrite(env: Envelope, view) -> list:
-        if env.round == ROUND_TRANSFER and isinstance(env.payload, TransferValue):
-            t = env.payload
-            g = _forced_or_drawn(forced, "ghat", prime.sample, rng)
-            offset = _forced_or_drawn(forced, "offset", prime.sample_unit, rng)
-            forged = TransferValue(
-                t.x + offset, t.sigma + g * offset, t.message, t.sig_alg, t.nonce
-            )
-            return [Envelope(env.round, env.sender, env.recipient, forged)]
-        return [env]
+    def rewrite(rnd: int, own: tuple, view) -> list:
+        if rnd != ROUND_TRANSFER:
+            return own
+        (env,) = own
+        t = env.payload
+        g = _forced_or_drawn(forced, "ghat", prime.sample, rng)
+        offset = _forced_or_drawn(forced, "offset", prime.sample_unit, rng)
+        forged = TransferValue(t.x + offset, t.sigma + g * offset, t.message, t.sig_alg, t.nonce)
+        return [Envelope(rnd, env.sender, env.recipient, forged)]
 
     return rewrite
 
@@ -237,22 +236,23 @@ def _inconsistent_line(prime, rng: Rng, forced: dict) -> Callable:
     # P3 honest keys, then plays every later round honestly.  The tampering
     # survives the challenge exactly when delta_prime + e*delta = 0, one value
     # of e out of p; the transfer then fails at P3 while z2 = x.
-    def rewrite(env: Envelope, view) -> list:
-        if env.round == ROUND_SETUP and isinstance(env.payload, HolderSetup):
-            h = env.payload
-            delta = _forced_or_drawn(forced, "delta", prime.sample_unit, rng)
-            delta_prime = _forced_or_drawn(forced, "delta_prime", lambda _: prime.zero, rng)
-            tampered = HolderSetup(
-                x=h.x,
-                x_prime=h.x_prime,
-                sigma=h.sigma + delta,
-                sigma_prime=h.sigma_prime + delta_prime,
-                message=h.message,
-                sig_alg=h.sig_alg,
-                nonce=h.nonce,
-            )
-            return [Envelope(env.round, env.sender, env.recipient, tampered)]
-        return [env]
+    def rewrite(rnd: int, own: tuple, view) -> list:
+        if rnd != ROUND_SETUP:
+            return own
+        setup, line = own
+        h = setup.payload
+        delta = _forced_or_drawn(forced, "delta", prime.sample_unit, rng)
+        delta_prime = _forced_or_drawn(forced, "delta_prime", lambda _: prime.zero, rng)
+        tampered = HolderSetup(
+            x=h.x,
+            x_prime=h.x_prime,
+            sigma=h.sigma + delta,
+            sigma_prime=h.sigma_prime + delta_prime,
+            message=h.message,
+            sig_alg=h.sig_alg,
+            nonce=h.nonce,
+        )
+        return [Envelope(rnd, setup.sender, setup.recipient, tampered), line]
 
     return rewrite
 
@@ -493,10 +493,10 @@ def _exhaustive_attack(
     """Count the attack's successes exactly, one leaf per grid point.
 
     grids(elems) returns (coin_grid, choices): the installer coin tuples and
-    the strategy's forced draws.  The stems of _stems run under an identity
-    hook through round acts_in - 1, and each choice branches from each stem
-    and runs to the end.  That is exact: before acts_in the rewrite passes
-    every envelope through and draws nothing.
+    the strategy's forced draws.  The stems of _stems run under a hook with
+    no rewrite through round acts_in - 1, and each choice branches from each
+    stem and runs to the end.  That is exact: before acts_in the strategy's
+    turn returns own, what its party emitted, and draws nothing.
     """
     strategy = STRATEGIES[strategy]
     experiment, success, _ = _ATTACK_EXPERIMENTS[strategy.corrupted]

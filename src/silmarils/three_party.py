@@ -218,7 +218,8 @@ SCHEMA = {
     TransferValue: ((ROUND_TRANSFER, Role.P2, Role.P3), "OOMZO"),
 }
 # The field types each kind admits; admissible also checks that every
-# element, a signature's five parts included, is over the session's prime.
+# element, a signature's five parts included, is canonical over the
+# session's prime.
 _KIND_TYPES = {
     "E": (FieldElement,), "O": (FieldElement, type(None)), "B": (bool,),
     "M": (bytes,), "S": (Signature,), "Z": (Signature, type(None)),
@@ -227,22 +228,28 @@ _KIND_TYPES = {
 
 def admissible(prime, env: Envelope) -> bool:
     """Whether env may reach an honest party in a session over prime: its
-    payload is one of SCHEMA's, on its route, with fields of its kinds."""
+    payload is one of SCHEMA's, on its route, with every field present and
+    of its kind, and every element canonical over prime."""
     payload = env.payload
     entry = SCHEMA.get(type(payload))
     if entry is None or entry[0] != (env.round, env.sender, env.recipient):
         return False
-    q = prime.value
-    for kind, value in zip(entry[1], map(payload.__dict__.get, payload.__dataclass_fields__)):
-        if type(value) not in _KIND_TYPES[kind]:
-            return False
-        if type(value) is FieldElement:
-            if value.prime.value != q:
+    q, fields = prime.value, payload.__dict__
+    try:  # KeyError: a field or part is missing; AttributeError: a slot is unset
+        for kind, name in zip(entry[1], payload.__dataclass_fields__):
+            value = fields[name]
+            if type(value) not in _KIND_TYPES[kind]:
                 return False
-        elif type(value) is Signature:
-            for part in value:
+            parts = (value,) if type(value) is FieldElement else ()
+            if type(value) is Signature:
+                parts = map(value.__dict__.__getitem__, value.__dataclass_fields__)
+            for part in parts:
                 if type(part) is not FieldElement or part.prime.value != q:
                     return False
+                if type(part.residue) is not int or not 0 <= part.residue < q:
+                    return False
+    except (KeyError, AttributeError):
+        return False
     return True
 
 

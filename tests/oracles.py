@@ -100,3 +100,10 @@ def signing_phase_view_tuples(transcript, role, before_round: int) -> tuple:
         for env in transcript
         if (env.recipient is None or env.recipient is role) and env.round < before_round
     )
+
+
+def per_envelope(body):
+    """An adversary turn that applies the per-envelope rewrite body(env, view)
+    to each envelope its party emits in the round, in order, and sends what
+    the calls return: the turn as it looks envelope by envelope."""
+    return lambda rnd, own, view: [r for env in own for r in body(env, view)]

@@ -62,6 +62,8 @@ from silmarils.two_party import (
     verify_with_receipt,
 )
 
+from .oracles import per_envelope
+
 P251 = Prime(251)
 SEED = b"\x33" * 32
 MSG = b"error message"
@@ -97,6 +99,21 @@ SITES = {
     ),
     "prf_to_field of a str payload": (
         lambda: prf_to_field(KEYS.k_sig.data, P251, DOMAIN_NONCE, "abc"),
+        WrongType,
+        TypeError,
+    ),
+    "hash_to_field of a str tag": (
+        lambda: hash_to_field(P251, "tag", b"abc"),
+        WrongType,
+        TypeError,
+    ),
+    "prf_to_field of a str key": (
+        lambda: prf_to_field("k" * 32, P251, b"t", b"abc"),
+        WrongType,
+        TypeError,
+    ),
+    "prf_to_field of a str tag": (
+        lambda: prf_to_field(b"k" * 32, P251, "t", b"abc"),
         WrongType,
         TypeError,
     ),
@@ -240,7 +257,7 @@ SITES = {
         ValueError,
     ),
     "Session forged sender": (
-        lambda: _session(AdversaryHook(Role.P2, rewrite=_forge_sender)).run(2),
+        lambda: _session(AdversaryHook(Role.P2, rewrite=per_envelope(_forge_sender))).run(2),
         ProtocolMisuse,
         ValueError,
     ),

@@ -15,6 +15,8 @@ from silmarils.net_sim import (
     view_of,
 )
 
+from .oracles import per_envelope
+
 
 class Note:
     """Payload stub with the wire hook the transcript writer expects."""
@@ -132,7 +134,7 @@ def test_adversary_cannot_forge_sender():
     with pytest.raises(ValueError, match="authenticated"):
         run_session(
             _trio(plans),
-            AdversaryHook(corrupted=Role.P2, rewrite=forge),
+            AdversaryHook(corrupted=Role.P2, rewrite=per_envelope(forge)),
             total_rounds=1,
         )
 
@@ -147,7 +149,8 @@ def test_adversary_rewrites_only_its_own_traffic():
         return [Envelope(env.round, env.sender, env.recipient, Note("tampered"))]
 
     parties = _trio(plans)
-    run_session(parties, AdversaryHook(corrupted=Role.P2, rewrite=tamper), total_rounds=1)
+    hook = AdversaryHook(corrupted=Role.P2, rewrite=per_envelope(tamper))
+    run_session(parties, hook, total_rounds=1)
     texts = sorted(p.text for p in parties[Role.P3].payloads)
     assert texts == ["honest", "tampered"]
 
@@ -164,7 +167,7 @@ def test_adversary_may_drop_and_inject():
     parties = _trio(plans)
     run_session(
         parties,
-        AdversaryHook(corrupted=Role.P2, rewrite=drop_then_spam),
+        AdversaryHook(corrupted=Role.P2, rewrite=per_envelope(drop_then_spam)),
         total_rounds=1,
     )
     assert parties[Role.P3].payloads == []
@@ -283,7 +286,7 @@ def test_corrupted_view_is_the_same_with_and_without_collect():
 
     parties = _busy_trio()
     transcript = run_session(
-        parties, AdversaryHook(corrupted=Role.P2, rewrite=record), total_rounds=3
+        parties, AdversaryHook(corrupted=Role.P2, rewrite=per_envelope(record)), total_rounds=3
     )
     assert len(seen) == 6 and all(view is views[0] for view in views)
     received = _snapshot(views[0])
@@ -327,7 +330,7 @@ def test_view_of_the_transcript_is_what_each_party_was_delivered(corrupted):
         return scramble(env, view)
 
     parties = _busy_trio()
-    adversary = AdversaryHook(corrupted, rewrite) if corrupted else None
+    adversary = AdversaryHook(corrupted, per_envelope(rewrite)) if corrupted else None
     transcript = run_session(parties, adversary, total_rounds=3)
     for role, party in parties.items():
         assert view_of(transcript, role) == party.got
@@ -344,13 +347,33 @@ def test_a_corrupted_party_planning_a_foreign_round_is_never_asked_in_it():
         return [env]
 
     early = {1: [Envelope(1, Role.P2, Role.P3, Note("early"))]}
-    for rewrite in (None, record):
+    for rewrite in (None, per_envelope(record)):
         trio = _trio({})
         trio[Role.P2] = RoundSpy(Role.P2, early, {2})
         transcript = run_session(trio, AdversaryHook(Role.P2, rewrite), total_rounds=2)
         assert transcript == [] and trio[Role.P2].asked == [2]
         assert trio[Role.P3].payloads == []
     assert rewritten == []
+
+
+@pytest.mark.parametrize("wrap", [None, list, iter], ids=["own", "a-copy-of-own", "an-iterator"])
+def test_admit_sees_what_a_turn_returns_unless_it_is_own(wrap):
+    # P2 emits only in round 2; its turn also speaks in round 3.  Returning
+    # own itself goes out unchecked; anything else, a copy of own, an
+    # iterator over it or the round-3 send, meets admit, which here refuses
+    # everything.
+    def turn(rnd, own, view):
+        if rnd == 3:
+            return [Envelope(3, Role.P2, None, Note("extra"))]
+        return own if wrap is None else wrap(own)
+
+    plans = {Role.P2: {2: [Envelope(2, Role.P2, Role.P3, Note("honest"))]}}
+    parties = _trio(plans)
+    session = Session(parties, AdversaryHook(Role.P2, turn), admit=lambda env: False).run(3)
+    checked = wrap is not None
+    assert session.dead_letters == (2 if checked else 1)
+    assert parties[Role.P3].payloads == ([] if checked else [Note("honest")])
+    assert session.result() == ([] if checked else plans[Role.P2][2])
 
 
 @pytest.mark.parametrize("stamp", [1, 3])
@@ -361,7 +384,7 @@ def test_adversary_cannot_restamp_the_round(stamp):
     plans = {Role.P2: {2: [Envelope(2, Role.P2, Role.P3, Note("late"))]}}
     parties = _trio(plans)
     with pytest.raises(ProtocolMisuse, match="stamps rounds"):
-        run_session(parties, AdversaryHook(Role.P2, restamp), total_rounds=3)
+        run_session(parties, AdversaryHook(Role.P2, per_envelope(restamp)), total_rounds=3)
     assert parties[Role.P3].payloads == []
 
 

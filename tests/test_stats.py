@@ -358,30 +358,30 @@ def test_forced_hooks_draw_nothing(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(H.STRATEGIES))
 def test_strategies_rewrite_nothing_before_acts_in(name):
-    # The exhaustive sweeps run every round before acts_in once, under an
-    # identity hook; that is exact only if the rewrite passes those
-    # envelopes through and leaves its stream where it was.
+    # The exhaustive sweeps run every round before acts_in once, under a hook
+    # with no rewrite; that is exact only if the turn returns its party's own
+    # list in those rounds and leaves its stream where it was.
     strategy = H.STRATEGIES[name]
     prime = Prime(251)
     keys = H._keys_for(prime, Rng(b"k" * 32))
-    seen = set()
     for i in range(200):
         seed = i.to_bytes(32, "big")
         rng = Rng(seed).fork(b"adversary")
-        rewrite = strategy.hook(prime, rng).rewrite
+        turn = strategy.hook(prime, rng).rewrite
+        rounds = []
 
-        def checked(env, view):
+        def checked(rnd, own, view):
             before = rng.copy().take(16)
-            out = rewrite(env, view)
-            if env.round < strategy.acts_in:
-                assert out == [env] and out[0] is env
+            out = turn(rnd, own, view)
+            if rnd < strategy.acts_in:
+                assert out is own
                 assert rng.copy().take(16) == before
-            seen.add(env.round)
+            rounds.append(rnd)
             return out
 
         hook = AdversaryHook(strategy.corrupted, checked)
         run_signing_session(keys, H.DEFAULT_MESSAGE, seed, adversary=hook)
-    assert strategy.acts_in in seen
+        assert rounds == list(range(1, TOTAL_ROUNDS + 1))
 
 
 def test_exhaustive_transferability_needs_nonzero_delta():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silmarils.field import Prime
+from silmarils.field import FieldElement, Prime
 from silmarils.hashing import authenticated_value
 from silmarils.net_sim import (
     AdversaryHook,
@@ -52,6 +52,8 @@ from silmarils.three_party import (
     signing_result,
 )
 from silmarils.two_party import Params, Signature, keygen, sign
+
+from .oracles import per_envelope
 
 P251 = Prime(251)
 SEED = b"\x5a" * 32
@@ -160,7 +162,7 @@ def test_arm_a_garbled_challenge_triggers_reveal():
 
     res = run_signing_session(
         KEYS, MSG, SEED,
-        adversary=AdversaryHook(corrupted=Role.P2, rewrite=garble),
+        adversary=AdversaryHook(corrupted=Role.P2, rewrite=per_envelope(garble)),
         interpret=True,
     )
     assert res.arm == "A"
@@ -249,7 +251,7 @@ def test_starved_parties_fail_closed():
         return []
 
     res = run_signing_session(
-        KEYS, MSG, SEED, adversary=AdversaryHook(corrupted=Role.P1, rewrite=blackout)
+        KEYS, MSG, SEED, adversary=AdversaryHook(corrupted=Role.P1, rewrite=per_envelope(blackout))
     )
     # P2 challenges over zeros, so P1's own check fails (arm A), and the
     # keyless P3 rejects; P1's round-3 reveal never leaves it.
@@ -281,7 +283,7 @@ def test_starved_holder_and_keyless_verifier_stay_total():
         return [env]
 
     for rewrite in (starve_holder, reveal_for_keys):
-        hook = AdversaryHook(corrupted=Role.P1, rewrite=rewrite)
+        hook = AdversaryHook(corrupted=Role.P1, rewrite=per_envelope(rewrite))
         res = run_signing_session(KEYS, MSG, SEED, adversary=hook, interpret=True)
         assert res.outcome.z3 in {res.x, None}
         assert (4, "P3", "reject") in res.outcome.verdicts
@@ -439,7 +441,7 @@ def test_malformed_verdicts_never_raise(corrupted, swap, verdicts):
             return [Envelope(env.round, env.sender, env.recipient, swap)]
         return [env]
 
-    adversary = AdversaryHook(corrupted=corrupted, rewrite=rewrite)
+    adversary = AdversaryHook(corrupted=corrupted, rewrite=per_envelope(rewrite))
     session = open_signing_session(KEYS, MSG, SEED, adversary=adversary).run(TOTAL_ROUNDS)
     res = signing_result(session)
     assert session.dead_letters == 1
@@ -465,7 +467,7 @@ def test_arm_d_false_reject_reveals_the_line():
             return [Envelope(env.round, env.sender, env.recipient, LineVerdict(False))]
         return [env]
 
-    adversary = AdversaryHook(corrupted=Role.P3, rewrite=flip)
+    adversary = AdversaryHook(corrupted=Role.P3, rewrite=per_envelope(flip))
     res = run_signing_session(KEYS, MSG, SEED, adversary=adversary, interpret=True)
     assert res.arm == "D"
     assert res.outcome.z2 == res.outcome.z3 == res.x
@@ -500,7 +502,7 @@ def test_arm_d_silent_p3_is_judged_corrupt():
             return []
         return [env]
 
-    adversary = AdversaryHook(corrupted=Role.P3, rewrite=mute)
+    adversary = AdversaryHook(corrupted=Role.P3, rewrite=per_envelope(mute))
     res = run_signing_session(KEYS, MSG, SEED, adversary=adversary, interpret=True)
     assert res.arm == "D"
     assert res.outcome.verdicts == [(3, "P1", "accept"), (5, "P1", "P3 corrupt")]
@@ -537,7 +539,7 @@ def _reveal_point_instead(*, starve_p3=False, force_arm_a=False):
             return [Envelope(env.round, env.sender, None, RevealPoint(*FAKE))]
         return [env]
 
-    return AdversaryHook(corrupted=Role.P1, rewrite=rewrite)
+    return AdversaryHook(corrupted=Role.P1, rewrite=per_envelope(rewrite))
 
 
 @pytest.mark.parametrize("starve_p3", [False, True], ids=["keyed-p3", "starved-p3"])
@@ -576,7 +578,7 @@ def test_revealless_failing_challenge_verdict_is_silence():
             return [Envelope(env.round, env.sender, None, ChallengeVerdict(False))]
         return [env]
 
-    adversary = AdversaryHook(corrupted=Role.P1, rewrite=rewrite)
+    adversary = AdversaryHook(corrupted=Role.P1, rewrite=per_envelope(rewrite))
     for i in range(20):
         res = run_signing_session(KEYS, MSG, i.to_bytes(32, "big"), adversary=adversary)
         assert res.outcome.z2 == res.x
@@ -675,7 +677,7 @@ DEFECT_SESSIONS = 2000
 
 
 def _defect_results(rewrite, corrupted, sessions=DEFECT_SESSIONS):
-    adversary = AdversaryHook(corrupted=corrupted, rewrite=rewrite)
+    adversary = AdversaryHook(corrupted=corrupted, rewrite=per_envelope(rewrite))
     for i in range(sessions):
         yield run_signing_session(DEFECT_KEYS, MSG, i.to_bytes(32, "big"), adversary=adversary)
 
@@ -786,7 +788,7 @@ def test_a_signature_with_a_bad_part_is_a_dead_letter(corrupted, cls, part):
             return [Envelope(env.round, env.sender, env.recipient, payload)]
         return [env]
 
-    adversary = AdversaryHook(corrupted, rewrite)
+    adversary = AdversaryHook(corrupted, per_envelope(rewrite))
     session = open_signing_session(DEFECT_KEYS, MSG, SEED, adversary=adversary).run(TOTAL_ROUNDS)
     res = signing_result(session, interpret=True)
     assert session.dead_letters == 1
@@ -803,6 +805,102 @@ def test_honest_and_strategy_traffic_is_admissible(name):
         session = open_signing_session(DEFECT_KEYS, MSG, seed, adversary=hook).run(TOTAL_ROUNDS)
         assert session.dead_letters == 0
         assert all(admissible(P251, env) for env in session.result())
+
+
+def _round_6_reveal(role):
+    """A hook for role that plays honestly but broadcasts RevealPoint(FAKE) in
+    round 6, a round in which the honest party sends nothing in arm B."""
+
+    def turn(rnd, own, view):
+        if rnd != ROUND_RESOLUTION:
+            return own
+        return [*own, Envelope(rnd, role, None, RevealPoint(*FAKE))]
+
+    return AdversaryHook(role, turn)
+
+
+def test_a_corrupt_signer_reveals_in_round_6_of_arm_b_and_z2_equals_z3():
+    hook = _round_6_reveal(Role.P1)
+    for i in range(200):
+        session = open_signing_session(DEFECT_KEYS, MSG, i.to_bytes(32, "big"), adversary=hook)
+        res = signing_result(session.run(TOTAL_ROUNDS))
+        assert res.arm == "B" and session.dead_letters == 0
+        assert RevealPoint(*FAKE) in [env.payload for env in res.outcome.transcript]
+        assert res.outcome.z2 == res.outcome.z3
+
+
+def test_a_corrupt_verifier_revealing_in_round_6_is_a_dead_letter():
+    hook = _round_6_reveal(Role.P3)
+    for i in range(200):
+        session = open_signing_session(DEFECT_KEYS, MSG, i.to_bytes(32, "big"), adversary=hook)
+        res = signing_result(session.run(TOTAL_ROUNDS))
+        assert session.dead_letters == 1
+        assert res.outcome.z2 == res.outcome.z3 == res.x
+
+
+def test_a_turn_cannot_change_its_own_emission_in_place():
+    # A turn that returns own goes out unchecked, so own is a tuple: a P3
+    # that appends defect e's round-4 RevealPoint to it raises instead of
+    # reaching P2.
+    def append(rnd, own, view):
+        if rnd == ROUND_P3_CHECK:
+            own.append(Envelope(rnd, Role.P3, None, RevealPoint(*FAKE)))
+        return own
+
+    hook = AdversaryHook(Role.P3, append)
+    session = open_signing_session(DEFECT_KEYS, MSG, SEED, adversary=hook)
+    with pytest.raises(AttributeError):
+        session.run(TOTAL_ROUNDS)
+
+
+def _without(record, name):
+    """A copy of record built around its constructor, lacking field name."""
+    bare = object.__new__(type(record))
+    bare.__dict__.update((k, v) for k, v in vars(record).items() if k != name)
+    return bare
+
+
+def _hand_element(residue, prime=P251):
+    """An element whose slots are set by hand, unreduced and unchecked."""
+    elt = object.__new__(FieldElement)
+    elt.residue, elt.prime = residue, prime
+    return elt
+
+
+# Replacements built around the constructors: (corrupted role, the payload
+# class it replaces, what it sends instead).
+HAND_BUILT = {
+    "g-transfer-without-x": (Role.P2, TransferValue, lambda t: _without(t, "x")),
+    "h-signature-without-s3": (
+        Role.P1,
+        HolderSetup,
+        lambda h: dataclasses.replace(h, sig_alg=_without(h.sig_alg, "s3")),
+    ),
+    "i-x-plus-p": (
+        Role.P1,
+        HolderSetup,
+        lambda h: dataclasses.replace(h, x=_hand_element(h.x.residue + 251)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_a_hand_built_replacement_is_a_dead_letter(case):
+    corrupted, cls, build = HAND_BUILT[case]
+
+    def turn(rnd, own, view):
+        return [
+            Envelope(rnd, env.sender, env.recipient, build(env.payload))
+            if type(env.payload) is cls else env
+            for env in own
+        ]
+
+    hook = AdversaryHook(corrupted, turn)
+    session = open_signing_session(DEFECT_KEYS, b"m", bytes(32), adversary=hook).run(TOTAL_ROUNDS)
+    res = signing_result(session, interpret=True)
+    assert session.rounds_run == TOTAL_ROUNDS and session.dead_letters == 1
+    assert all(type(env.payload) is not cls for env in res.outcome.transcript)
+    assert len(transcript_lines(res.outcome.transcript)) == len(res.outcome.transcript)
 
 
 # Schema fuzzing: a corrupt party also sends, or sends instead of its first
@@ -829,9 +927,12 @@ _WRONG = st.one_of(
     _SIGNATURES.map(lambda sig: dataclasses.replace(sig, s1=1)),
     st.builds(object),
     st.builds(_Odd),
+    _SIGNATURES.map(lambda sig: _without(sig, "s3")),
+    st.integers(251, 300).map(_hand_element),
+    st.floats(0, 250).map(_hand_element),
 )
-# The rounds in which each corrupted party's rewrite is called in a session
-# that is honest up to them.
+# The rounds in which each corrupted party emits in a session that is honest
+# up to them.
 _TURNS = {
     Role.P1: (ROUND_SETUP, ROUND_P1_CHECK, ROUND_AUDIT),
     Role.P2: (ROUND_CHALLENGE, ROUND_TRANSFER),
@@ -861,6 +962,8 @@ def _sends(draw, role):
         typed = draw(st.booleans())
         kinds = SCHEMA[cls][1]
         payload = cls(*(draw(_KINDS[k] if typed else _KINDS[k] | _WRONG) for k in kinds))
+        if not draw(st.integers(0, 7)):  # one field missing from its __dict__
+            payload = _without(payload, draw(st.sampled_from(list(payload.__dataclass_fields__))))
     return Envelope(rnd, role, recipient, payload), draw(st.booleans())
 
 
@@ -875,7 +978,7 @@ def _sending(role, rnd, extras, keep):
         sent.append(env)
         return ([env] * keep) + extras
 
-    return AdversaryHook(role, rewrite)
+    return AdversaryHook(role, per_envelope(rewrite))
 
 
 def _honest_states(session) -> dict:
