@@ -32,9 +32,10 @@ P3's z3 and the transfer it received.  force_coins, the one way to force
 coins, twins a session with the installer's coins or the challenge forced.
 
 SCHEMA declares each payload's route and field kinds.  open_signing_session
-gives its Session admissible over that table, so a corrupt party's
-replacement reaches the parties only if it is on route with fields of its
-kinds over the session's prime; any other is a network dead letter.  The
+gives its Session admissible over that table, so what a corrupt party's
+turn sends reaches the parties only if it is on route with every field of
+its kind and every element canonical over the session's prime; any other
+envelope is a network dead letter.  The
 parties therefore read only protocol messages, and every ok is a bool.
 
 Wire format (to_wire, the ``payload`` hex of a transcript line): the class's
