@@ -24,19 +24,20 @@ their grid points share once.  run_session runs a Session to the end and
 returns its transcript.  A run that raised mid-round is spent: part of that
 round was recorded and delivered, so it must be neither run on nor branched.
 
-Each round fans out twice.  A fan-out appends envelopes to the transcript,
-then delivers each broadcast to every party and each private envelope to its
-recipient.  The honest parties' envelopes, emitted on pre-round knowledge,
-fan out first.  Then the corrupted role, holding those addressed to it, as
-the broadcast model's rushing adversary may, takes its turn, one in every
-round (AdversaryHook); what the turn returns fans out.  The scheduler
-guarantees three things: the network authenticates senders and stamps rounds
-(a turn that names another sender or another round raises), every broadcast
-envelope is delivered to all parties, and an envelope a turn returns reaches
-the parties only if the protocol's admit predicate, given to the Session,
-accepts it.  Honest envelopes, and a turn that returns its party's own
-tuple, go out unchecked; an envelope admit refuses is a dead letter,
-delivered to no one, kept out of the transcript and counted in dead_letters.
+Each round fans out at most twice, never an empty list.  A fan-out appends
+envelopes to the transcript, then delivers each broadcast to every party and
+each private envelope to its recipient.  The honest parties' envelopes,
+emitted on pre-round knowledge, fan out first.  Then the corrupted role,
+holding those addressed to it, as the broadcast model's rushing adversary
+may, takes its turn, one in every round (AdversaryHook); what the turn
+returns fans out.  The scheduler guarantees three things: the network
+authenticates senders and stamps rounds (a turn that names another sender or
+another round raises), every broadcast envelope is delivered to all parties,
+and an envelope a turn returns reaches the parties only if the protocol's
+admit predicate, given to the Session, accepts it.  Honest envelopes, and a
+turn that returns its party's own tuple, go out unchecked; an envelope admit
+refuses is a dead letter, delivered to no one, kept out of the transcript and
+counted in dead_letters.
 
 So the transcript is the session's one record, and each party receives what
 is addressed to it in transcript order: view_of(transcript, role) is exactly
@@ -163,7 +164,8 @@ class Session:
             for party in honest:
                 if rnd in party.emit_rounds:
                     emitted.extend(party.emit(rnd))
-            fan_out(emitted)
+            if emitted:
+                fan_out(emitted)
             if view is not None:
                 own = tuple(adv.emit(rnd)) if rnd in adv.emit_rounds else ()
                 sent = rewrite(rnd, own, view) if rewrite else own
@@ -183,7 +185,8 @@ class Session:
                     admitted = [env for env in sent if admit is None or admit(env)]
                     self.dead_letters += len(sent) - len(admitted)
                     sent = admitted
-                fan_out(sent)
+                if sent:
+                    fan_out(sent)
             self._round = rnd
         return self
 

@@ -18,10 +18,11 @@ session form of estimate_correctness and `silmarils sim3p` all draw their
 sessions from it.  From the root stream Rng(seed) it derives the keys once
 (forks b"params" and b"keys"), then runs trial i on the stream forked with
 b"trial/" + i as 8 big-endian bytes; an adversary, when given, draws from
-that trial's b"adversary" fork.  Trial i therefore depends only on (seed, i),
-never on the trials before it, so trials can be split into contiguous shards
-and their counts summed exactly.  The sign+verify correctness loop is not a
-session: it draws every trial from one b"sign" stream and runs by itself.
+that trial's b"adversary" fork.  Trials open _BATCH at a time, their P1s
+signing in one batch.  Trial i therefore depends only on (seed, i), never on
+the trials before it, so trials can be split into contiguous shards and their
+counts summed exactly.  The sign+verify correctness loop is not a session: it
+draws every trial from one b"sign" stream and runs by itself.
 
 The exhaustive session sweeps (attacks and secrecy) share one tree, _stems:
 one opened session per (seed, message), so P1 signs once; a branch per
@@ -59,7 +60,8 @@ from .three_party import (
     TransferValue,
     force_coins,
     open_signing_session,
-    run_signing_session,
+    open_signing_sessions,
+    signing_result,
 )
 from .two_party import Params, _accepts, _assemble, _sign_batch, keygen
 
@@ -76,8 +78,8 @@ EXHAUSTIVE_ATTACK_MAX = 7
 EXHAUSTIVE_CORE_MAX = 13
 EXHAUSTIVE_DV_MAX = 7
 
-# Trials per batch in the correctness fast path (one pow each) and in
-# estimate_core_forgery: a bounded list however many trials run.
+# Trials per batch (one pow each) in the correctness fast path, run_trials
+# and estimate_core_forgery: a bounded list however many trials run.
 _BATCH = 64
 
 SUITES = ("correctness", "unforgeability", "transferability", "secrecy", "core", "all")
@@ -296,23 +298,24 @@ def run_trials(
     message: bytes = DEFAULT_MESSAGE,
     interpret: bool = False,
 ) -> Iterator:
-    """Yield one run_signing_session result per trial, in trial order.
+    """Yield, in trial order, what run_signing_session gives each trial alone.
 
     Keys come from the b"params"/b"keys" forks of Rng(seed); trial i runs on
     the b"trial/<i>" fork, passed as the session's root stream, and, under an
     attack strategy, the adversary draws from that trial's b"adversary" fork.
-    interpret passes through to run_signing_session.
+    _BATCH trials at a time are opened together (open_signing_sessions), then
+    each runs its seven rounds; no more than one batch is open.
     """
     require_int(trials, "trials")
     prime = _as_prime(prime)
     root = Rng(seed)
     keys = _keys_for(prime, root)
-    for i in range(trials):
-        tri = root.fork(b"trial/" + i.to_bytes(8, "big"))
-        hook = None
-        if strategy is not None:
-            hook = strategy.hook(prime, tri.fork(b"adversary"))
-        yield run_signing_session(keys, message, tri, adversary=hook, interpret=interpret)
+    for start in range(0, trials, _BATCH):
+        tris = [root.fork(b"trial/" + i.to_bytes(8, "big"))
+                for i in range(start, min(start + _BATCH, trials))]
+        hooks = [strategy and strategy.hook(prime, tri.fork(b"adversary")) for tri in tris]
+        for session in open_signing_sessions(keys, message, tris, hooks):
+            yield signing_result(session.run(TOTAL_ROUNDS), interpret=interpret)
 
 
 def _grid(p, limit: int, sweep: str) -> tuple:

@@ -1,12 +1,13 @@
 """Three-party protocol: a signer P1 authenticates a value to a holder P2 so
 that P2 can later transfer it to a verifier P3.
 
-Signing phase: before round 1, P1 signs the message and hashes (M, sig) to
-the authenticated value x; in round 1 it installs an affine line: P2 gets
-the points (x, sigma) and (x', sigma'), P3 gets the line keys (k1, k2, k2')
-with sigma = k1*x + k2 and sigma' = k1*x' + k2'.  P2 broadcasts a random
-linear combination as a challenge; P1 and P3 each check it against what they
-hold, P1 judges P3's declaration, and one of four resolution arms runs:
+Signing phase: before round 1, P1 takes the signature its opener drew off its
+tape, one of a batch (open_signing_sessions), and hashes (M, sig) to the
+authenticated value x; in round 1 it installs an affine line: P2 gets the
+points (x, sigma) and (x', sigma'), P3 gets the line keys (k1, k2, k2') with
+sigma = k1*x + k2 and sigma' = k1*x' + k2'.  P2 broadcasts a random linear
+combination as a challenge; P1 and P3 each check it against what they hold,
+P1 judges P3's declaration, and one of four resolution arms runs:
 
     A: P1 declares "P2 corrupt", reveals (x, sigma); P2 adopts it, P3 re-keys.
     B: everyone accepts; nothing to fix.
@@ -31,8 +32,8 @@ result is read off the parties' final state: P1's setup and arm, P2's z2,
 P3's z3 and the transfer it received.  force_coins, the one way to force
 coins, twins a session with the installer's coins or the challenge forced.
 
-SCHEMA declares each payload's route and field kinds.  open_signing_session
-gives its Session admissible over that table, so what a corrupt party's
+SCHEMA declares each payload's route and field kinds.  open_signing_sessions
+gives each Session admissible over that table, so what a corrupt party's
 turn sends reaches the parties only if it is on route with every field of
 its kind and every element canonical over the session's prime; any other
 envelope is a network dead letter.  The
@@ -58,7 +59,7 @@ from .hashing import authenticated_value, derive_receipt, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, Role, Session
 from .rng import Rng
 from .sss import Weights
-from .two_party import KeyMaterial, Signature, _core_verify, sign_many
+from .two_party import KeyMaterial, Signature, _core_verify, _sign_batch, _signatures
 
 ROUND_SETUP = 1
 ROUND_CHALLENGE = 2
@@ -274,7 +275,9 @@ class SessionOutcome:
 
 
 class P1Signer:
-    """The signer's state machine; emits in rounds 1, 3, 5, 6.
+    """The signer's state machine; emits in rounds 1, 3, 5, 6.  It never
+    signs: its opener signs off the tape, before round 1's coins, and hands it
+    sig_alg; the nonce is the receipt memo's, which signing has just filled.
 
     Arm C cannot arise while P1 is honest: a challenge that passes the
     round-3 check lies on the line P1 dealt, so its keys imply acceptance and
@@ -283,19 +286,15 @@ class P1Signer:
 
     emit_rounds = frozenset({ROUND_SETUP, ROUND_P1_CHECK, ROUND_AUDIT, ROUND_RESOLUTION})
 
-    def __init__(self, keys: KeyMaterial, message: bytes, tape: Rng):
-        # The signature comes first off the tape, before round 1's coins.
-        require_bytes(message, "a message")
+    def __init__(self, keys: KeyMaterial, message: bytes, tape: Rng, sig_alg: Signature):
         self.keys = keys
-        self.message = message = bytes(message)  # payload fields are immutable
+        self.message = message
         self._rng = tape
         self._ic_coins = None  # set only by force_coins
-        # sign_many draws what sign would and builds no tape; the nonce is
-        # the receipt memo's, which signing has just filled.
         prime = keys.sk_K.prime
-        (self.sig_alg,) = sign_many(keys, message, tape, 1)
+        self.sig_alg = sig_alg
         self.nonce = derive_receipt(keys.k_sig, message, prime)[0]
-        self.x = authenticated_value(message, self.sig_alg.encode(), prime)
+        self.x = authenticated_value(message, sig_alg.encode(), prime)
         self.setup: Optional[HolderSetup] = None
         self.line: Optional[VerifierSetup] = None
         self.challenge: Optional[Challenge] = None
@@ -539,22 +538,33 @@ class IcSessionResult:
     accepted: Optional[bool]
 
 
+def open_signing_sessions(keys: KeyMaterial, message: bytes, seeds, adversaries) -> list:
+    """A Session at round 0 per root seed and hook (or None); every P1 signs
+    in one _sign_batch, each off its b"tape/P1" fork as if opened alone.  A
+    seed may also be its root Rng, which the parties' forks leave unmoved."""
+    prime = keys.sk_K.prime
+    roots = [seed if type(seed) is Rng else Rng(seed) for seed in seeds]
+    tapes = [root.fork(b"tape/P1") for root in roots]
+    require_bytes(message, "a message")
+    message = bytes(message)  # payload fields are immutable
+    sigs = _signatures(prime, _sign_batch(keys, message, tapes, len(tapes))[-1])
+    admit = partial(admissible, prime)
+    return [
+        Session({
+            Role.P1: P1Signer(keys, message, tape, sig),
+            Role.P2: P2Holder(prime, root.fork(b"tape/P2")),
+            Role.P3: P3Verifier(prime),
+        }, adversary, admit=admit)
+        for root, tape, sig, adversary in zip(roots, tapes, sigs, adversaries)
+    ]
+
+
 def open_signing_session(
     keys: KeyMaterial, message: bytes, seed: Union[bytes, Rng], *,
     adversary: Optional[AdversaryHook] = None,
 ) -> Session:
-    """The three parties built from a root seed, in a Session at round 0.
-
-    seed may also be the root stream itself: Rng(s) and s open the same
-    session, since the parties' tapes are forks, which leave it unmoved."""
-    prime = keys.sk_K.prime
-    root = seed if type(seed) is Rng else Rng(seed)
-    parties = {
-        Role.P1: P1Signer(keys, message, root.fork(b"tape/P1")),
-        Role.P2: P2Holder(prime, root.fork(b"tape/P2")),
-        Role.P3: P3Verifier(prime),
-    }
-    return Session(parties, adversary, admit=partial(admissible, prime))
+    """open_signing_sessions of one: the three parties in a Session at round 0."""
+    return open_signing_sessions(keys, message, [seed], [adversary])[0]
 
 
 def force_coins(session: Session, *, ic_coins=None, challenge_coin=None) -> Session:

@@ -180,9 +180,10 @@ _TAPE_UNITS = (True, True, True, True, False, False)  # alpha, beta, b, d are no
 
 
 def _sign_batch(keys: KeyMaterial, message: bytes, rng, count: int) -> tuple:
-    """sign's and sign_many's step: (n, r, K', draws, _equations' tuples).
-    draws is one Prime._residues call of count tapes (alpha, beta, b, d,
-    slope_eps, slope_K); eps = alpha * beta is one counted mul a tape, and one
+    """sign's, sign_many's and the session opener's step: (n, r, K', draws,
+    _equations' tuples).  draws is count tapes (alpha, beta, b, d, slope_eps,
+    slope_K) from one Prime._residues call, or one per stream when rng is a list
+    of count streams; eps = alpha * beta is one counted mul a tape, and one
     pow inverts every (eps, b) (Prime._inv_residues).  n, r, K' derived once."""
     prime = keys.sk_K.prime
     if keys.pk.prime.value != prime.value:
@@ -195,7 +196,10 @@ def _sign_batch(keys: KeyMaterial, message: bytes, rng, count: int) -> tuple:
         Kprime = derive_message_key(keys.sk_K, message)
         object.__setattr__(keys, "_kprime_memo", (bytes(message), Kprime))
     q = prime.value
-    draws = prime._residues(rng, _TAPE_UNITS * count)
+    if type(rng) is list:
+        draws = [v for tape in rng for v in prime._residues(tape, _TAPE_UNITS)]
+    else:
+        draws = prime._residues(rng, _TAPE_UNITS * count)
     tapes = zip(*[iter(draws)] * 6)
     rows = [(b, d, alpha * beta % q, se, sk) for alpha, beta, b, d, se, sk in tapes]
     if counting.enabled:

@@ -313,23 +313,65 @@ def test_secrecy_tv_p5_peak_memory():
     assert peak < 1.5 * 2**20, peak
 
 
-def test_each_exhaustive_sweep_signs_once_per_message(monkeypatch):
-    signed = Counter()
-    sign_many = three_party.sign_many  # P1Signer signs through it
+def _count_signatures(monkeypatch) -> list:
+    """Record (message, count) for each _sign_batch call that opens sessions."""
+    calls = []
+    sign_batch = three_party._sign_batch
 
     def counted(keys, message, rng, count):
-        signed[message] += count
-        return sign_many(keys, message, rng, count)
+        calls.append((message, count))
+        return sign_batch(keys, message, rng, count)
 
-    monkeypatch.setattr(three_party, "sign_many", counted)
+    monkeypatch.setattr(three_party, "_sign_batch", counted)
+    return calls
+
+
+def test_each_exhaustive_sweep_signs_once_per_message(monkeypatch):
+    calls = _count_signatures(monkeypatch)
+    signed = Counter()
     for sweep, messages in [
         (H.exhaustive_unforgeability, 1),
         (H.exhaustive_transferability, 1),
         (H.estimate_secrecy_tv, 2),
     ]:
+        calls.clear()
         signed.clear()
         sweep(3)
+        for message, count in calls:
+            signed[message] += count
         assert sorted(signed.values()) == [1] * messages
+
+
+@pytest.mark.parametrize("name", [None, *sorted(H.STRATEGIES)])
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+def test_run_trials_yields_what_each_lone_session_does(name, trials):
+    # Batches of _BATCH sessions open together; trial i must still be the
+    # session run_signing_session opens alone on its fork and hook.
+    prime = Prime(251)
+    seed = b"b" * 32
+    strategy = name and H.STRATEGIES[name]
+    root = Rng(seed)
+    keys = H._keys_for(prime, root)
+    batched = list(H.run_trials(prime, trials, seed=seed, strategy=strategy, interpret=True))
+    assert len(batched) == trials
+    for i, res in enumerate(batched):
+        tri = root.fork(b"trial/" + i.to_bytes(8, "big"))
+        hook = strategy and strategy.hook(prime, tri.fork(b"adversary"))
+        lone = run_signing_session(
+            keys, H.DEFAULT_MESSAGE, tri, adversary=hook, interpret=True
+        )
+        assert (res.x, res.outcome.z2, res.outcome.z3, res.arm, res.accepted) == (
+            lone.x, lone.outcome.z2, lone.outcome.z3, lone.arm, lone.accepted
+        )
+        assert transcript_lines(res.outcome.transcript) == transcript_lines(
+            lone.outcome.transcript
+        )
+
+
+def test_run_trials_signs_a_batch_at_a_time(monkeypatch):
+    calls = _count_signatures(monkeypatch)
+    assert len(list(H.run_trials(Prime(251), 130, seed=b"b" * 32))) == 130
+    assert [count for _, count in calls] == [64, 64, 2]
 
 
 def test_forced_hooks_draw_nothing(monkeypatch):

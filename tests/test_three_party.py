@@ -36,7 +36,6 @@ from silmarils.three_party import (
     ChallengeVerdict,
     HolderSetup,
     LineVerdict,
-    P1Signer,
     P2Holder,
     P3Verifier,
     RevealLine,
@@ -48,6 +47,7 @@ from silmarils.three_party import (
     force_coins,
     interpret_value,
     open_signing_session,
+    open_signing_sessions,
     run_signing_session,
     signing_result,
 )
@@ -120,15 +120,29 @@ def test_a_session_opens_alike_from_its_seed_and_from_its_rng(name):
 
 def test_p1_signs_as_sign_does_and_leaves_its_tape_where_sign_does():
     # Messages alternate, so a nonce left in the receipt memo by the last
-    # message would show.
-    for i, msg in enumerate([MSG, b"other", MSG]):
-        root = Rng(i.to_bytes(32, "big"))
-        tape, twin = root.fork(b"tape/P1"), root.fork(b"tape/P1")
-        p1 = P1Signer(KEYS, msg, tape)
-        sig, signing_tape = sign(KEYS, msg, twin)
-        assert p1.sig_alg == sig
-        assert p1.nonce == signing_tape.n
-        assert tape.take(16) == twin.take(16)
+    # message would show.  Every P1 of a batch signs in one _sign_batch, and
+    # each ends as one sign call on its own b"tape/P1" fork does.
+    for i, (msg, batch) in enumerate([(MSG, 1), (b"other", 3), (MSG, 65), (b"other", 1)]):
+        seeds = [bytes([i]) + j.to_bytes(31, "big") for j in range(batch)]
+        sessions = open_signing_sessions(KEYS, msg, seeds, [None] * batch)
+        assert len(sessions) == batch
+        for seed, session in zip(seeds, sessions):
+            p1 = session.parties[Role.P1]
+            twin = Rng(seed).fork(b"tape/P1")
+            sig, signing_tape = sign(KEYS, msg, twin)
+            assert p1.sig_alg == sig
+            assert p1.nonce == signing_tape.n
+            assert p1._rng.take(16) == twin.take(16)
+
+
+def test_opening_no_sessions_draws_nothing(monkeypatch):
+    taken = []
+    take = Rng.take
+    monkeypatch.setattr(Rng, "take", lambda rng, n: taken.append(n) or take(rng, n))
+    assert open_signing_sessions(KEYS, MSG, [], []) == []
+    assert taken == []
+    assert open_signing_session(KEYS, MSG, SEED).parties[Role.P1].sig_alg  # the patch counts
+    assert taken
 
 
 def test_x_binds_message_and_signature():
@@ -228,7 +242,7 @@ def test_verifier_first_setup_wins():
 
 def test_holder_first_setup_wins():
     holder = P2Holder(P251, Rng(SEED))
-    envs = P1Signer(KEYS, MSG, Rng(b"\x77" * 32)).emit(ROUND_SETUP)
+    envs = open_signing_session(KEYS, MSG, b"\x77" * 32).parties[Role.P1].emit(ROUND_SETUP)
     setup = envs[0].payload
     holder.deliver(envs[0])
     tampered = dataclasses.replace(setup, x=setup.x + P251.one)
@@ -394,7 +408,7 @@ def test_payload_fields_are_immutable():
     with pytest.raises(dataclasses.FrozenInstanceError):
         setup.message = b"other"
     message = bytearray(MSG)
-    signer = P1Signer(KEYS, message, Rng(SEED))
+    signer = open_signing_session(KEYS, message, SEED).parties[Role.P1]
     message[0] ^= 1
     assert type(signer.message) is bytes and signer.message == MSG
     fresh = run_signing_session(KEYS, MSG, SEED)
