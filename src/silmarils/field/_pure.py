@@ -43,26 +43,17 @@ class Prime:
 
     def sample(self, rng) -> "FieldElement":
         """Uniform element, by rejection sampling on fixed-width byte draws."""
-        # Not a _residues wrapper: the one-draw loop is measurably cheaper per session.
-        width = self.byte_length
-        bound = self._accept_bound
-        while True:
-            draw = int.from_bytes(rng.take(width), "big")
-            if draw < bound:
-                elt = _new(FieldElement)
-                elt.residue = draw % self.value
-                elt.prime = self
-                return elt
+        return _element(self._residues(rng, (False,))[0], self)
 
     def sample_unit(self, rng) -> "FieldElement":
         """Uniform nonzero element."""
         return _element(self._residues(rng, (True,))[0], self)
 
     def _residues(self, rng, units) -> list:
-        """Uniform residues, one per flag, nonzero where the flag is True: the
-        bytes and the stream position of the matching sample (False) and
-        sample_unit (True) calls.  One rejection loop, reading one draw per
-        missing residue at a time, so it never reads past their last draw."""
+        """Uniform residues, one per flag: each is one byte_length-byte big-endian
+        draw, rejected at or above _accept_bound (the largest multiple of p that
+        fits) and drawn again on zero where its flag is True.  Reads one draw per
+        missing residue at a time, so it never reads past the last accepted one."""
         width, bound, q = self.byte_length, self._accept_bound, self.value
         out = []
         while len(out) < len(units):
@@ -151,10 +142,7 @@ class FieldElement:
         p = self.prime
         if p is not other.prime and p.value != other.prime.value:
             raise ModulusMismatch(f"{p.value} vs {other.prime.value}")
-        elt = _new(FieldElement)
-        elt.residue = (self.residue + other.residue) % p.value
-        elt.prime = p
-        return elt
+        return _element((self.residue + other.residue) % p.value, p)
 
     def __sub__(self, other):
         if type(other) is not FieldElement:
@@ -162,10 +150,7 @@ class FieldElement:
         p = self.prime
         if p is not other.prime and p.value != other.prime.value:
             raise ModulusMismatch(f"{p.value} vs {other.prime.value}")
-        elt = _new(FieldElement)
-        elt.residue = (self.residue - other.residue) % p.value
-        elt.prime = p
-        return elt
+        return _element((self.residue - other.residue) % p.value, p)
 
     def __mul__(self, other):
         if type(other) is not FieldElement:
@@ -175,10 +160,7 @@ class FieldElement:
             raise ModulusMismatch(f"{p.value} vs {other.prime.value}")
         if counting.enabled:
             counting.bump_mul()
-        elt = _new(FieldElement)
-        elt.residue = self.residue * other.residue % p.value
-        elt.prime = p
-        return elt
+        return _element(self.residue * other.residue % p.value, p)
 
     def __truediv__(self, other):
         if type(other) is not FieldElement:
@@ -190,13 +172,8 @@ class FieldElement:
         return _element(-self.residue % p.value, p)
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse, computed as pow(x, -1, p)."""
-        p = self.prime
-        if self.residue == 0:
-            raise ZeroInverse(f"0 has no inverse mod {p.value}")
-        if counting.enabled:
-            counting.bump_inv()
-        return _element(pow(self.residue, -1, p.value), p)
+        """Multiplicative inverse, by a one-residue Prime._inv_residues."""
+        return _element(self.prime._inv_residues((self.residue,))[0], self.prime)
 
     def __eq__(self, other):
         if type(other) is not FieldElement:
@@ -223,8 +200,7 @@ class FieldElement:
 
 
 def _element(residue: int, prime: Prime) -> FieldElement:
-    # Internal fast path: residue already canonical.  The per-trial paths
-    # (+, -, *, Prime.sample) inline these three lines to skip the call.
+    # Internal fast path: residue already canonical.
     elt = _new(FieldElement)
     elt.residue = residue
     elt.prime = prime

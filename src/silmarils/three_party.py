@@ -55,6 +55,7 @@ from typing import Optional, Union
 from ._record import frozen_record
 from .errors import ModulusMismatch, ProtocolMisuse, WrongType, require_bytes
 from .field import FieldElement
+from .field._pure import _element
 from .hashing import authenticated_value, derive_receipt, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, Role, Session
 from .rng import Rng
@@ -307,7 +308,8 @@ class P1Signer:
             # of (k1, k2, x_prime, k2_prime).
             if self._ic_coins is None:
                 rng, prime = self._rng, self.keys.sk_K.prime
-                k1, k2, x_prime, k2_prime = [prime.sample(rng) for _ in range(4)]
+                draws = prime._residues(rng, (False,) * 4)
+                k1, k2, x_prime, k2_prime = [_element(v, prime) for v in draws]
             else:
                 k1, k2, x_prime, k2_prime = self._ic_coins
             x = self.x

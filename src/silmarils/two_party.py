@@ -301,12 +301,8 @@ def dv_forge(k_sig: PairKey, pk: Weights, message: bytes, rng) -> Signature:
     """
     prime = pk.prime
     _, r = derive_receipt(k_sig, message, prime)
-    Kprime_star = prime.sample(rng)
-    slope_K = prime.sample(rng)
-    slope_eps = prime.sample(rng)
-    d = prime.sample_unit(rng)
-    eps = prime.sample_unit(rng)
-    b = prime.sample_unit(rng)
+    draws = prime._residues(rng, (False, False, False, True, True, True))
+    Kprime_star, slope_K, slope_eps, d, eps, b = [_element(v, prime) for v in draws]
     return _assemble(pk, Kprime_star, r, b, d, eps, slope_eps, slope_K)
 
 
@@ -437,10 +433,7 @@ def public_r_forge(pk: Weights, message: bytes, rng) -> Signature:
     """
     prime = pk.prime
     r_pub = public_receipt(message, prime)
-    s1 = prime.sample(rng)
-    s2 = prime.sample(rng)
-    s3 = prime.sample(rng)
-    s4 = prime.sample(rng)
+    s1, s2, s3, s4 = [_element(v, prime) for v in prime._residues(rng, (False,) * 4)]
     m = s1 * s2
     v1 = m - s3 + r_pub * s4
     s5 = m - (pk.w0 / pk.w1) * v1

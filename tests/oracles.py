@@ -45,6 +45,18 @@ def reduce_big_endian(data: bytes, p: int) -> int:
     return int.from_bytes(data, "big") % p
 
 
+def draw_residue(p: int, rng, unit: bool) -> int:
+    """One uniform residue mod p read from rng one fixed-width draw at a time:
+    a big-endian draw at or above the largest multiple of p that fits in the
+    width is rejected, and so is a zero when a unit is wanted."""
+    width = (p.bit_length() + 7) // 8
+    bound = (256**width // p) * p
+    while True:
+        draw = int.from_bytes(rng.take(width), "big")
+        if draw < bound and (draw % p or not unit):
+            return draw % p
+
+
 def powmod_by_squaring(base: int, exp: int, p: int) -> int:
     """Square-and-multiply, independent of builtin pow()."""
     acc = 1

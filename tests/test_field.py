@@ -11,7 +11,7 @@ from silmarils.field import SECURE_PRIME_VALUE, FieldElement, Prime, _pure, coun
 from silmarils.field import counting
 from silmarils.rng import Rng
 
-from .oracles import inverse_by_ext_gcd, powmod_by_squaring, reduce_big_endian
+from .oracles import draw_residue, inverse_by_ext_gcd, powmod_by_squaring, reduce_big_endian
 
 PRIMES = [5, 13, 251, 1009, 2**61 - 1, SECURE_PRIME_VALUE]
 
@@ -127,14 +127,6 @@ def test_inv_residues_checks_and_counts(prime13, monkeypatch):
     assert (counter.muls, counter.invs, len(pows)) == (0, 3, 1)
 
 
-def _draw_by_hand(prime, rng, unit):
-    # sample, re-drawn while a unit is wanted and it drew zero
-    x = prime.sample(rng)
-    while unit and not x:
-        x = prime.sample(rng)
-    return x.residue
-
-
 # p = 131 rejects about half of its byte draws; 257 draws two bytes.
 @pytest.mark.parametrize(
     "p", [3, 131, 251, 257, SECURE_PRIME_VALUE], ids=["p3", "p131", "p251", "p257", "p25519"]
@@ -146,7 +138,7 @@ def test_residues_match_the_sample_sequence(p, units, seed):
     residues = prime._residues(batch_rng, units)
     sampled = [(prime.sample_unit if unit else prime.sample)(sample_rng) for unit in units]
     assert residues == [x.residue for x in sampled]
-    assert residues == [_draw_by_hand(prime, hand_rng, unit) for unit in units]
+    assert residues == [draw_residue(p, hand_rng, unit) for unit in units]
     assert batch_rng.take(16) == sample_rng.take(16) == hand_rng.take(16)
 
 
@@ -266,7 +258,6 @@ def test_bulk_mul_counts_go_to_the_innermost_counter():
 
 
 def test_per_trial_ops_keep_their_checks_and_counts(prime13, prime251):
-    # +, -, * and Prime.sample build their results inline, not via a helper.
     ops = (operator.add, operator.sub, operator.mul)
     for op in ops:
         with pytest.raises(ModulusMismatch):

@@ -4,8 +4,9 @@ The golden file pins outputs across versions of the code, where criterion 12
 only checks that two runs of the same code agree.  It holds the
 ``result_json_line`` rows of ``run_suite(p, "all", n)`` at a fixed seed and
 the SHA-256 of each ``sim3p --out`` transcript and of its stdout summary.
-The signature bytes at p = 251 and at the secure prime, which no harness row
-reaches, are pinned inline below (``SIGNATURE_PINS``).
+The signature and public_r_forge bytes at p = 251 and at the secure prime,
+which no harness row reaches, are pinned inline below (``SIGNATURE_PINS``,
+``PUBLIC_R_PINS``).
 
 Regenerate only when an output is meant to change, and say why:
 
@@ -24,8 +25,8 @@ import pytest
 from silmarils.cli import main
 from silmarils.field import SECURE_PRIME_VALUE, Prime
 from silmarils.rng import Rng
-from silmarils.stats import result_json_line, run_suite
-from silmarils.two_party import Params, dv_forge, keygen, sign
+from silmarils.stats import _keys_for, result_json_line, run_suite
+from silmarils.two_party import Params, dv_forge, keygen, public_r_forge, sign, verify_public_r
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SUITE_SEED = b"g" * 32
@@ -54,6 +55,20 @@ SIGNATURE_PINS = {
         "6ebfa76da4a4f3fa067ec98edfd8513ac573fe8b1f960689a9a88c923947b9b9"
         "5168ef178465977cb9d13155ce98a622a7483b04b7d83fd07efbef31ad437ee0"
         "78cd570340e6c1948de8fcfdeaaa5c24e25c2a738831372e0840d420f8511964",
+    ),
+}
+
+# Per prime: public_r_forge(...).encode().hex() of PUBLIC_R_MESSAGE under the
+# keys of stats._keys_for at the b"\x5a" root, from an Rng(b"\x5b" * 32).
+PUBLIC_R_MESSAGE = b"public-r pin"
+PUBLIC_R_PINS = {
+    251: "6a6d5fcd54",
+    SECURE_PRIME_VALUE: (
+        "6a6d5fcdbe0f8a2e5b7ac6306866262b0d7fda9a61a96e2dfc536acde0def427"
+        "1ffab06bd63b889632b0058c57d5bc31fde2f6547a90e37e7cb5622ae7d4bd97"
+        "02cac66c557bf51a4ee6c79baf8ac38b3277b36645a15ccb07f76b046c42b9de"
+        "2f587e232d18d5cf6a109a001e71ec9199b6b5c6d092d682bb4e2fe73b1004af"
+        "77fb3505e6e4aabcd2001381512adb16c053bc86c32bcec08d1ab613156cdb39"
     ),
 }
 
@@ -100,6 +115,14 @@ def test_signature_bytes_match_pins(p):
     signed = [sign(keys, message, rng)[0].hex() for message in PIN_MESSAGES]
     forged = dv_forge(keys.k_sig, keys.pk, PIN_MESSAGES[0], root.fork(b"forge")).hex()
     assert (*signed, forged) == SIGNATURE_PINS[p]
+
+
+@pytest.mark.parametrize("p", sorted(PUBLIC_R_PINS), ids=lambda p: f"p{p.bit_length()}b")
+def test_public_r_forgery_bytes_match_pins(p):
+    pk = _keys_for(Prime(p), Rng(b"\x5a" * 32)).pk
+    sig = public_r_forge(pk, PUBLIC_R_MESSAGE, Rng(b"\x5b" * 32))
+    assert sig.encode().hex() == PUBLIC_R_PINS[p]
+    assert verify_public_r(pk, PUBLIC_R_MESSAGE, sig)
 
 
 def _generate() -> dict:
