@@ -2,8 +2,9 @@
 
 Disabled by default; when no counter is active the per-operation cost is a
 single global flag check.  Counters nest: an operation counts toward the
-innermost open counter only.  Code that computes on residues (two_party's
-sign and verify) counts its muls in bulk, bump_mul(n) once a call.
+innermost open counter only.  Code that computes on residues counts its own
+muls: two_party's sign and verify in bulk, bump_mul(n) once a call, and
+three_party's line kernel one per a*x + b.
 
 An inversion is counted as one inversion event, whatever its modular-inverse
 computation does internally: the cost claims being checked count inversions

@@ -19,7 +19,8 @@ from __future__ import annotations
 import hmac
 from dataclasses import dataclass, field
 
-from .errors import LengthMismatch, require_bytes
+from .errors import LengthMismatch, WrongType, require_bytes
+from .field import FieldElement
 from .rng import Rng, sha512
 
 DOMAIN_NONCE = b"SLM/v1/nonce"
@@ -89,6 +90,10 @@ def derive_nonce(k_sig: PairKey, message: bytes, prime):
 
 def receipt_from_nonce(message: bytes, nonce):
     """r = H(M, n); anyone holding the nonce can recompute the receipt."""
+    if type(message) is not bytes:
+        require_bytes(message, "a message")
+    if type(nonce) is not FieldElement:
+        raise WrongType(f"a nonce must be an element, got {type(nonce).__name__}")
     return hash_to_field(nonce.prime, DOMAIN_RECEIPT, _message_and_element(message, nonce))
 
 

@@ -56,10 +56,6 @@ _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
-def _frame(label: bytes) -> bytes:
-    return len(label).to_bytes(8, "big") + label
-
-
 def _keyed_states(key: bytes) -> tuple:
     """The SHA-512 states after absorbing K0 ^ ipad and K0 ^ opad."""
     if len(key) > _KEY_WIDTH:
@@ -89,16 +85,6 @@ class Rng:
     @property
     def seed(self) -> bytes:
         return self._key
-
-    def _hmac(self, msg: bytes) -> bytes:
-        states = self._states
-        if states is None:
-            states = self._states = _keyed_states(self._key)
-        inner = states[0].copy()
-        inner.update(msg)
-        outer = states[1].copy()
-        outer.update(inner.digest())
-        return outer.digest()
 
     def take(self, n: int) -> bytes:
         if type(n) is not int:
@@ -139,7 +125,14 @@ class Rng:
         """Independent child stream; distinct labels give unrelated streams."""
         if type(label) is not bytes:
             require_bytes(label, "a fork label")
-        return _stream(self._hmac(b"fork" + _frame(label))[:SEED_BYTES])
+        states = self._states
+        if states is None:
+            states = self._states = _keyed_states(self._key)
+        inner = states[0].copy()
+        inner.update(b"fork" + len(label).to_bytes(8, "big") + label)
+        outer = states[1].copy()
+        outer.update(inner.digest())
+        return _stream(outer.digest()[:SEED_BYTES])
 
 
 def _stream(key: bytes, counter=0, buf=b"", pos=0, states=None) -> Rng:

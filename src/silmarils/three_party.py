@@ -36,14 +36,16 @@ SCHEMA declares each payload's route and field kinds.  open_signing_sessions
 gives each Session admissible over that table, so what a corrupt party's
 turn sends reaches the parties only if it is on route with every field of
 its kind and every element canonical over the session's prime; any other
-envelope is a network dead letter.  The
-parties therefore read only protocol messages, and every ok is a bool.
+envelope is a network dead letter.  The parties therefore read only protocol
+messages, every ok is a bool, and they rely on admission to compute on
+residues: every check and update is a*x + b mod q (_line), one counted mul,
+and elements are built only for payload fields and stored state.
 
 Wire format (to_wire, the ``payload`` hex of a transcript line): the class's
 tag byte, written as a one-byte message, then each field in declared order:
 00 None, 01 + one byte for a bool, 02 + 8-byte big-endian length + bytes for
 the message and a signature (Signature.encode()), 03 + fixed-width element.
-Each payload keeps its to_wire bytes; honest verdicts are shared instances.
+Each payload keeps its to_wire bytes; honest verdicts go out in shared envelopes.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Optional, Union
 
 from ._record import frozen_record
 from .errors import ModulusMismatch, ProtocolMisuse, WrongType, require_bytes
-from .field import FieldElement
+from .field import FieldElement, counting
 from .field._pure import _element
 from .hashing import authenticated_value, derive_receipt, receipt_from_nonce
 from .net_sim import AdversaryHook, Envelope, Role, Session
@@ -202,9 +204,6 @@ class TransferValue(_Payload):
     nonce: object
 
 
-# The verdicts honest P1 and P3 emit, by ok.
-_SHARED = {c: (c(False), c(True)) for c in (ChallengeVerdict, LineVerdict, AuditVerdict)}
-
 # Each payload's route, (round, sender, recipient) with None for broadcast,
 # and one kind per field in declared order: E an element of the session
 # prime, O an element or None, B a bool, M bytes, S a Signature of five
@@ -227,6 +226,17 @@ _KIND_TYPES = {
     "E": (FieldElement,), "O": (FieldElement, type(None)), "B": (bool,),
     "M": (bytes,), "S": (Signature,), "Z": (Signature, type(None)),
 }
+# SCHEMA compiled once: each class's route and, in declared order, each field
+# with the types its kind admits.
+_ADMIT = {
+    cls: (route, tuple(zip(cls.__dataclass_fields__, map(_KIND_TYPES.__getitem__, kinds))))
+    for cls, (route, kinds) in SCHEMA.items()
+}
+# The envelopes honest P1 and P3 broadcast their verdicts in, by ok.
+_SHARED = {
+    cls: tuple(Envelope(*SCHEMA[cls][0], cls(ok)) for ok in (False, True))
+    for cls in (ChallengeVerdict, LineVerdict, AuditVerdict)
+}
 
 
 def admissible(prime, env: Envelope) -> bool:
@@ -234,18 +244,18 @@ def admissible(prime, env: Envelope) -> bool:
     payload is one of SCHEMA's, on its route, with every field present and
     of its kind, and every element canonical over prime."""
     payload = env.payload
-    entry = SCHEMA.get(type(payload))
+    entry = _ADMIT.get(type(payload))
     if entry is None or entry[0] != (env.round, env.sender, env.recipient):
         return False
     q, fields = prime.value, payload.__dict__
     try:  # KeyError: a field or part is missing; AttributeError: a slot is unset
-        for kind, name in zip(entry[1], payload.__dataclass_fields__):
+        for name, types in entry[1]:
             value = fields[name]
-            if type(value) not in _KIND_TYPES[kind]:
+            if type(value) not in types:
                 return False
             parts = (value,) if type(value) is FieldElement else ()
             if type(value) is Signature:
-                parts = map(value.__dict__.__getitem__, value.__dataclass_fields__)
+                parts = map(value.__dict__.__getitem__, Signature.__dataclass_fields__)
             for part in parts:
                 if type(part) is not FieldElement or part.prime.value != q:
                     return False
@@ -254,6 +264,20 @@ def admissible(prime, env: Envelope) -> bool:
     except (KeyError, AttributeError):
         return False
     return True
+
+
+def _line(a: int, x: int, b: int, q: int) -> int:
+    """a*x + b mod q on residues, counted as its one field mul."""
+    if counting.enabled:
+        counting.bump_mul()
+    return (a * x + b) % q
+
+
+def _on_line(ch, k1, k2, k2_prime) -> bool:
+    """Whether the challenge lies on the keyed line: sigma_e = k1*x_e + k2' + e*k2."""
+    q = k1.prime.value
+    e_k2 = _line(ch.e.residue, k2.residue, k2_prime.residue, q)
+    return ch.sigma_e.residue == _line(k1.residue, ch.x_e.residue, e_k2, q)
 
 
 @dataclass
@@ -306,15 +330,15 @@ class P1Signer:
         if rnd == ROUND_SETUP:
             # Deal both setup packages; forced coins replace the tape's draws
             # of (k1, k2, x_prime, k2_prime).
-            if self._ic_coins is None:
-                rng, prime = self._rng, self.keys.sk_K.prime
-                draws = prime._residues(rng, (False,) * 4)
-                k1, k2, x_prime, k2_prime = [_element(v, prime) for v in draws]
-            else:
-                k1, k2, x_prime, k2_prime = self._ic_coins
-            x = self.x
+            prime, coins = self.keys.sk_K.prime, self._ic_coins
+            if coins is None:
+                coins = [_element(v, prime) for v in prime._residues(self._rng, (False,) * 4)]
+            k1, k2, x_prime, k2_prime = coins
+            x, q = self.x, prime.value
             self.setup = HolderSetup(
-                x, x_prime, k1 * x + k2, k1 * x_prime + k2_prime,
+                x, x_prime,
+                _element(_line(k1.residue, x.residue, k2.residue, q), prime),
+                _element(_line(k1.residue, x_prime.residue, k2_prime.residue, q), prime),
                 self.message, self.sig_alg, self.nonce,
             )
             self.line = VerifierSetup(k1, k2, k2_prime)
@@ -326,13 +350,14 @@ class P1Signer:
             # Compare the broadcast combination against the real line.  A
             # missing challenge counts as a deviation (silence is not honest
             # behavior in a synchronous protocol).
-            s, ch = self.setup, self.challenge
+            s, ch, q = self.setup, self.challenge, self.x.prime.value
             if (
                 ch is not None
-                and ch.x_e == s.x_prime + ch.e * s.x
-                and ch.sigma_e == s.sigma_prime + ch.e * s.sigma
+                and ch.x_e.residue == _line(ch.e.residue, s.x.residue, s.x_prime.residue, q)
+                and ch.sigma_e.residue
+                == _line(ch.e.residue, s.sigma.residue, s.sigma_prime.residue, q)
             ):
-                return [Envelope(rnd, Role.P1, None, _SHARED[ChallengeVerdict][True])]
+                return [_SHARED[ChallengeVerdict][True]]
             self.arm = "A"
             return [Envelope(rnd, Role.P1, None, ChallengeVerdict(False, s.x, s.sigma))]
         if rnd == ROUND_AUDIT:
@@ -342,12 +367,12 @@ class P1Signer:
             # challenge or no declaration there is no basis to judge: a
             # silent P3 is inconsistent by definition.
             ch, declared, k = self.challenge, self.p3_verdict, self.line
-            ok = ch is not None and declared is not None and declared.ok == (
-                ch.sigma_e == k.k1 * ch.x_e + k.k2_prime + ch.e * k.k2
+            ok = ch is not None and declared is not None and declared.ok == _on_line(
+                ch, k.k1, k.k2, k.k2_prime
             )
             if not ok:
                 self.arm = "D"
-            return [Envelope(rnd, Role.P1, None, _SHARED[AuditVerdict][ok])]
+            return [_SHARED[AuditVerdict][ok]]
         if rnd == ROUND_RESOLUTION:
             if self.arm == "A":
                 return []
@@ -404,8 +429,11 @@ class P2Holder:
                 zero = self.prime.zero
                 ch = Challenge(zero, zero, zero)
             else:
-                e = self._coin if self._coin is not None else self.prime.sample(self._rng)
-                ch = Challenge(e, s.x_prime + e * s.x, s.sigma_prime + e * s.sigma)
+                prime = self.prime
+                e = self._coin if self._coin is not None else prime.sample(self._rng)
+                x_e = _line(e.residue, s.x.residue, s.x_prime.residue, prime.value)
+                sigma_e = _line(e.residue, s.sigma.residue, s.sigma_prime.residue, prime.value)
+                ch = Challenge(e, _element(x_e, prime), _element(sigma_e, prime))
             return [Envelope(rnd, Role.P2, None, ch)]
         if rnd == ROUND_TRANSFER:
             # Hand the current point (and payload) to the verifier.
@@ -436,9 +464,11 @@ class P2Holder:
                 self.cur_sigma = payload.sigma
         elif isinstance(payload, RevealLine):
             if not self._resolved:
-                if self.cur_x is None:
-                    self.cur_x = self.prime.zero
-                self.cur_sigma = payload.k1 * self.cur_x + payload.k2
+                prime, x = self.prime, self.cur_x
+                if x is None:
+                    x = self.cur_x = prime.zero
+                sigma = _line(payload.k1.residue, x.residue, payload.k2.residue, prime.value)
+                self.cur_sigma = _element(sigma, prime)
 
 
 class P3Verifier:
@@ -463,9 +493,10 @@ class P3Verifier:
     def _rekey(self, x, sigma) -> None:
         """Arms A and C: keep k1 (zero when starved of keys) and move the
         line onto the revealed point, k2 := sigma - k1*x."""
+        prime = self.prime
         if not self.has_keys:
-            self.k1 = self.prime.zero
-        self.k2 = sigma - self.k1 * x
+            self.k1 = prime.zero
+        self.k2 = _element(_line(-self.k1.residue, x.residue, sigma.residue, prime.value), prime)
 
     def emit(self, rnd: int) -> list:
         if rnd == ROUND_P3_CHECK:
@@ -478,9 +509,9 @@ class P3Verifier:
             ok = (
                 self.k2_prime is not None
                 and ch is not None
-                and ch.sigma_e == self.k1 * ch.x_e + self.k2_prime + ch.e * self.k2
+                and _on_line(ch, self.k1, self.k2, self.k2_prime)
             )
-            return [Envelope(rnd, Role.P3, None, _SHARED[LineVerdict][ok])]
+            return [_SHARED[LineVerdict][ok]]
         return []
 
     def deliver(self, env: Envelope) -> None:
@@ -511,12 +542,15 @@ class P3Verifier:
             # holder starved of every point transfers none: bottom.
             if self.transfer_payload is None:
                 self.transfer_payload = payload
+                x, sigma = payload.x, payload.sigma
                 if (
                     self.has_keys
-                    and payload.x is not None
-                    and payload.sigma == self.k1 * payload.x + self.k2
+                    and x is not None
+                    and sigma is not None
+                    and sigma.residue
+                    == _line(self.k1.residue, x.residue, self.k2.residue, self.prime.value)
                 ):
-                    self.z3 = payload.x
+                    self.z3 = x
 
 
 def interpret_value(pk: Weights, message: bytes, sig_alg: Signature, x, *, nonce) -> bool:

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from silmarils.field import FieldElement
+from silmarils.three_party import SCHEMA
+from silmarils.two_party import Signature
+
 
 def inverse_by_ext_gcd(a: int, p: int) -> int:
     """Multiplicative inverse of a mod p via extended Euclid."""
@@ -119,3 +123,43 @@ def per_envelope(body):
     to each envelope its party emits in the round, in order, and sends what
     the calls return: the turn as it looks envelope by envelope."""
     return lambda rnd, own, view: [r for env in own for r in body(env, view)]
+
+
+def line_by_elements(a, x, b):
+    """a*x + b by FieldElement arithmetic: the reference for the parties'
+    residue kernel."""
+    return a * x + b
+
+
+# The field types each SCHEMA kind letter admits, as three_party declares them.
+_KIND_TYPES = {
+    "E": (FieldElement,), "O": (FieldElement, type(None)), "B": (bool,),
+    "M": (bytes,), "S": (Signature,), "Z": (Signature, type(None)),
+}
+
+
+def admissible_by_schema(prime, env) -> bool:
+    """admissible read off SCHEMA field by field on every call: the payload is
+    one of SCHEMA's, on its route, with every field present and of its kind,
+    and every element canonical over prime."""
+    payload = env.payload
+    entry = SCHEMA.get(type(payload))
+    if entry is None or entry[0] != (env.round, env.sender, env.recipient):
+        return False
+    q, fields = prime.value, payload.__dict__
+    try:  # KeyError: a field or part is missing; AttributeError: a slot is unset
+        for kind, name in zip(entry[1], payload.__dataclass_fields__):
+            value = fields[name]
+            if type(value) not in _KIND_TYPES[kind]:
+                return False
+            parts = (value,) if type(value) is FieldElement else ()
+            if type(value) is Signature:
+                parts = map(value.__dict__.__getitem__, value.__dataclass_fields__)
+            for part in parts:
+                if type(part) is not FieldElement or part.prime.value != q:
+                    return False
+                if type(part.residue) is not int or not 0 <= part.residue < q:
+                    return False
+    except (KeyError, AttributeError):
+        return False
+    return True

@@ -1,9 +1,9 @@
 """Library raise sites reachable from a caller's input: each raises a typed
 SilmarilsError that is still the builtin (for ModulusMismatch, the library
 error) it raised before.  Some type checks are the exception: a
-non-Signature at a signature entry point, a weight that is not an element,
-or an extraction hint that is not a (kind, element) pair raised
-AttributeError or ValueError, and an element of a float residue raised
+non-Signature at a signature entry point, a weight or a receipt's nonce that
+is not an element, or an extraction hint that is not a (kind, element) pair
+raised AttributeError or ValueError, and an element of a float residue raised
 nothing; each now raises WrongType, a TypeError."""
 
 from fractions import Fraction
@@ -25,6 +25,7 @@ from silmarils.hashing import (
     derive_receipt,
     hash_to_field,
     prf_to_field,
+    receipt_from_nonce,
 )
 from silmarils.net_sim import AdversaryHook, Envelope, Role, Session
 from silmarils.rng import Rng
@@ -202,6 +203,29 @@ SITES = {
         lambda: verify_with_receipt(KEYS.pk, P13.one, MSG, SIG),
         ModulusMismatch,
         ModulusMismatch,
+    ),
+    # Every honest interpreted session derives a receipt: a str or None
+    # message raised a bare TypeError, an int or None nonce AttributeError.
+    "receipt_from_nonce of a str message": (
+        lambda: receipt_from_nonce("m", P251.one),
+        WrongType,
+        TypeError,
+    ),
+    "receipt_from_nonce of an int nonce": (lambda: receipt_from_nonce(MSG, 5), WrongType, TypeError),
+    "receipt_from_nonce of a None nonce": (
+        lambda: receipt_from_nonce(MSG, None),
+        WrongType,
+        TypeError,
+    ),
+    "interpret_value of a str message": (
+        lambda: interpret_value(KEYS.pk, "m", SIG, P251.one, nonce=P251.one),
+        WrongType,
+        TypeError,
+    ),
+    "interpret_value of a None message": (
+        lambda: interpret_value(KEYS.pk, None, SIG, P251.one, nonce=P251.one),
+        WrongType,
+        TypeError,
     ),
     "interpret_value of a non-signature": (
         lambda: interpret_value(KEYS.pk, MSG, None, P251.one, nonce=P251.one),

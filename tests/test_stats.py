@@ -562,3 +562,17 @@ def test_render_table_pins_the_toy5_suite():
         "core-forgery                        5  300         0.19      [0.149634, 0.238205]  0.2     pass",
         "core-forgery-exhaustive             5  3125        0.16      [0.147565, 0.17327]   0.16    pass",
     ])
+
+
+@pytest.mark.parametrize(
+    "strategy, interpret, muls",
+    [(None, True, 1794), ("substitute-guess-k1", False, 1602), ("inconsistent-line", False, 1346)],
+)
+def test_session_op_counts_are_pinned(strategy, interpret, muls):
+    # 64 sessions at p = 251, key generation included: the parties' line
+    # checks and updates count one mul each, and the 129 inversions are
+    # keygen's one and the batch of 64 signatures' two each.
+    strategy = strategy and H.get_strategy(strategy)
+    with count_field_ops() as ops:
+        list(H.run_trials(Prime(251), 64, seed=b"c" * 32, strategy=strategy, interpret=interpret))
+    assert (ops.muls, ops.invs) == (muls, 129)

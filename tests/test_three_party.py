@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silmarils.field import FieldElement, Prime
+from silmarils.field import SECURE_PRIME_VALUE, FieldElement, Prime, count_field_ops
 from silmarils.hashing import authenticated_value
 from silmarils.net_sim import (
     AdversaryHook,
@@ -42,6 +42,7 @@ from silmarils.three_party import (
     RevealPoint,
     TransferValue,
     VerifierSetup,
+    _line,
     _wire_parts,
     admissible,
     force_coins,
@@ -53,7 +54,7 @@ from silmarils.three_party import (
 )
 from silmarils.two_party import Params, Signature, keygen, sign
 
-from .oracles import per_envelope
+from .oracles import admissible_by_schema, line_by_elements, per_envelope
 
 P251 = Prime(251)
 SEED = b"\x5a" * 32
@@ -421,7 +422,7 @@ def test_honest_verdicts_are_shared_instances():
     a = run_signing_session(KEYS, MSG, SEED)
     b = run_signing_session(KEYS, MSG, b"\x5b" * 32)
     broadcasts = [
-        (x.payload, y.payload)
+        (x, y)
         for x, y in zip(a.outcome.transcript, b.outcome.transcript)
         if x.payload.tag in (b"\x13", b"\x14", b"\x15")
     ]
@@ -881,6 +882,14 @@ def _hand_element(residue, prime=P251):
     return elt
 
 
+def _fieldless(record):
+    """A record of record's type built around its constructor, with no fields
+    and an empty __dataclass_fields__ in its __dict__."""
+    bare = object.__new__(type(record))
+    bare.__dict__["__dataclass_fields__"] = {}
+    return bare
+
+
 # Replacements built around the constructors: (corrupted role, the payload
 # class it replaces, what it sends instead).
 HAND_BUILT = {
@@ -894,6 +903,13 @@ HAND_BUILT = {
         Role.P1,
         HolderSetup,
         lambda h: dataclasses.replace(h, x=_hand_element(h.x.residue + 251)),
+    ),
+    # Admission reads the fields each class declares, not what the object says.
+    "j-transfer-declaring-no-fields": (Role.P2, TransferValue, _fieldless),
+    "k-signature-declaring-no-parts": (
+        Role.P1,
+        HolderSetup,
+        lambda h: dataclasses.replace(h, sig_alg=_fieldless(h.sig_alg)),
     ),
 }
 
@@ -1014,6 +1030,7 @@ def test_schema_fuzz_keeps_sessions_total_and_refused_sends_inert(role, data):
     res = signing_result(sent, interpret=True)
     assert len(transcript_lines(res.outcome.transcript)) == len(res.outcome.transcript)
     assert {label for *_, label in res.outcome.verdicts} <= _LABELS
+    assert admissible(P251, extra) == admissible_by_schema(P251, extra)
     if admissible(P251, extra):
         assert sent.dead_letters == 0
         return
@@ -1021,3 +1038,18 @@ def test_schema_fuzz_keeps_sessions_total_and_refused_sends_inert(role, data):
     unsent = _STEMS[role].branch(_sending(role, extra.round, [], keep)).run(TOTAL_ROUNDS)
     assert sent.result() == unsent.result()
     assert _honest_states(sent) == _honest_states(unsent)
+
+
+@pytest.mark.parametrize("p", [3, 251, SECURE_PRIME_VALUE])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_line_kernel_is_element_arithmetic_and_one_mul(p, data):
+    prime = Prime(p)
+    residues = st.sampled_from([0, p - 1]) | st.integers(0, p - 1)
+    a, x, b = (data.draw(residues) for _ in range(3))
+    ea, ex, eb = map(prime.elt, (a, x, b))
+    with count_field_ops() as ops:
+        # P3's re-key, k2 := sigma - k1*x, runs the kernel on -k1.
+        got = _line(a, x, b, p), _line(-a, x, b, p)
+    assert (ops.muls, ops.invs) == (2, 0)
+    assert got == (line_by_elements(ea, ex, eb).residue, line_by_elements(-ea, ex, eb).residue)
