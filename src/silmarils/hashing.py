@@ -123,5 +123,8 @@ def derive_message_key(long_term_key, message: bytes):
 
 def authenticated_value(message: bytes, sig_bytes: bytes, prime):
     """x = H(M, sig): the value the three-party layer authenticates."""
+    if type(message) is not bytes or type(sig_bytes) is not bytes:
+        require_bytes(message, "a message")
+        require_bytes(sig_bytes, "signature bytes")
     payload = len(message).to_bytes(8, "big") + message + sig_bytes
     return hash_to_field(prime, DOMAIN_ICVAL, payload)

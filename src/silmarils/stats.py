@@ -13,22 +13,24 @@ true rate is known to equal the target.
 
 Every estimator is deterministic given (seed, p, strategy, trials).
 
-run_trials is the single session-trial loop: the attack estimators, the
-session form of estimate_correctness and `silmarils sim3p` all draw their
-sessions from it.  From the root stream Rng(seed) it derives the keys once
-(forks b"params" and b"keys"), then runs trial i on the stream forked with
-b"trial/" + i as 8 big-endian bytes; an adversary, when given, draws from
-that trial's b"adversary" fork.  Trials open _BATCH at a time, their P1s
-signing in one batch.  Trial i therefore depends only on (seed, i), never on
-the trials before it, so trials can be split into contiguous shards and their
-counts summed exactly.  The sign+verify correctness loop is not a session: it
-draws every trial from one b"sign" stream and runs by itself.
+run_trials is the single session-trial loop, and _EXPERIMENTS the one table
+of session experiments: keyed by the corrupted role (None for honest,
+interpreted sessions), each entry names the event it counts on (x, z2, z3,
+accepted).  _estimate_sessions counts that event over run_trials for the
+attack estimators and the session form of estimate_correctness; the
+exhaustive attack sweeps count it on their leaves, and `silmarils sim3p`
+counts the forged and divergent events.  Trial i runs on its own fork of
+Rng(seed) (see run_trials), so it depends only on (seed, i), never on the
+trials before it, and trials can be split into contiguous shards and their
+counts summed exactly.  The sign+verify correctness loop is not a session:
+it draws every trial from one b"sign" stream and runs by itself.
 
 The exhaustive session sweeps (attacks and secrecy) share one tree, _stems:
 one opened session per (seed, message), so P1 signs once; a branch per
 installer coin tuple (k1, k2, x', k2'), which runs round 1; a branch per
 challenge e, which runs up to the strategy's acts_in, or through round 6 for
-secrecy, whose view reads no later; and a leaf per adversary choice.  At
+secrecy, whose view reads no later; and a leaf per adversary choice, each
+attack's coins and choices coming from its one _SWEEPS entry.  At
 p = 5 unforgeability is 1 signature, 625 deals, 3,125 challenges, 15,625 leaves.
 """
 
@@ -347,80 +349,76 @@ def estimate_correctness(
     """
     require_int(trials, "trials")
     prime = _as_prime(p)
-    failures = 0
     if sessions:
-        for res in run_trials(prime, trials, seed=seed, interpret=True):
-            ok = res.outcome.z2 == res.x and res.outcome.z3 == res.x and res.accepted
-            if not ok:
+        return _estimate_sessions(None, prime, None, trials, seed)
+    root = Rng(seed)
+    keys = _keys_for(prime, root)
+    rng = root.fork(b"sign")
+    pk = keys.pk
+    r = derive_receipt(keys.k_sig, DEFAULT_MESSAGE, prime)[1].residue
+    failures = 0
+    for done in range(0, trials, _BATCH):
+        count = min(_BATCH, trials - done)
+        for row in _sign_batch(keys, DEFAULT_MESSAGE, rng, count)[-1]:
+            if not _accepts(pk, r, *row):
                 failures += 1
-        name = "correctness-sessions"
-        note = "failure = z2 or z3 misses x, or the transfer is not accepted"
-    else:
-        root = Rng(seed)
-        keys = _keys_for(prime, root)
-        rng = root.fork(b"sign")
-        pk = keys.pk
-        r = derive_receipt(keys.k_sig, DEFAULT_MESSAGE, prime)[1].residue
-        for done in range(0, trials, _BATCH):
-            count = min(_BATCH, trials - done)
-            for row in _sign_batch(keys, DEFAULT_MESSAGE, rng, count)[-1]:
-                if not _accepts(pk, r, *row):
-                    failures += 1
-        name = "correctness"
-        note = "failure = honest signature rejected (sigma4 = 0)"
     return make_estimate(
-        name, prime.value, trials, failures, Fraction(1, prime.value), note=note
+        "correctness", prime.value, trials, failures, Fraction(1, prime.value),
+        note="failure = honest signature rejected (sigma4 = 0)",
     )
 
 
-def _forged(x, z2, z3) -> bool:
+def _missed(x, z2, z3, accepted=None) -> bool:
+    return not (z2 == x and z3 == x and accepted)
+
+
+def _forged(x, z2, z3, accepted=None) -> bool:
     return z3 is not None and z3 != x
 
 
-def _divergent(x, z2, z3) -> bool:
+def _divergent(x, z2, z3, accepted=None) -> bool:
     return z2 is not None and z2 != z3
 
 
-# Corrupted role -> (experiment name, success predicate, note).
-_ATTACK_EXPERIMENTS = {
+# Corrupted role (None: honest, interpreted sessions) -> (name, event, note).
+_EXPERIMENTS = {
+    None: ("correctness-sessions", _missed,
+           "failure = z2 or z3 misses x, or the transfer is not accepted"),
     Role.P2: ("unforgeability", _forged, "success = z3 not in {x, bottom}"),
     Role.P1: ("transferability", _divergent, "success = z2 != z3 and z2 set"),
 }
 
 
-def _estimate_attack(role: Role, p, strategy: str, trials: int, seed: bytes) -> Estimate:
+def _estimate_sessions(role, p, strategy, trials: int, seed: bytes) -> Estimate:
+    """Count _EXPERIMENTS[role]'s event over run_trials' sessions: honest and
+    interpreted for role None, else attacked by the named strategy of role."""
     prime = _as_prime(p)
-    strategy = get_strategy(strategy)
-    experiment, success, note = _ATTACK_EXPERIMENTS[role]
-    if strategy.corrupted is not role:
-        raise RoleMismatch(
-            f"{experiment} needs a {role.value}-corrupting strategy, "
-            f"{strategy.name} corrupts {strategy.corrupted.value}"
-        )
-    results = run_trials(prime, trials, seed=seed, strategy=strategy)
-    successes = sum(1 for res in results if success(res.x, res.outcome.z2, res.outcome.z3))
-    return make_estimate(
-        f"{experiment}/{strategy.name}",
-        prime.value,
-        trials,
-        successes,
-        Fraction(1, prime.value),
-        note=note,
-    )
+    name, event, note = _EXPERIMENTS[role]
+    if role is not None:
+        strategy = get_strategy(strategy)
+        if strategy.corrupted is not role:
+            raise RoleMismatch(
+                f"{name} needs a {role.value}-corrupting strategy, "
+                f"{strategy.name} corrupts {strategy.corrupted.value}"
+            )
+        name = f"{name}/{strategy.name}"
+    results = run_trials(prime, trials, seed=seed, strategy=strategy, interpret=role is None)
+    hits = sum(event(res.x, res.outcome.z2, res.outcome.z3, res.accepted) for res in results)
+    return make_estimate(name, prime.value, trials, hits, Fraction(1, prime.value), note=note)
 
 
 def estimate_unforgeability(
     p, strategy: str, trials: int, *, seed: bytes = DEFAULT_SEED
 ) -> Estimate:
     """Corrupt-P2 forgery rate: success = z3 outside {x, bottom}; target 1/p."""
-    return _estimate_attack(Role.P2, p, strategy, trials, seed)
+    return _estimate_sessions(Role.P2, p, strategy, trials, seed)
 
 
 def estimate_transferability(
     p, strategy: str, trials: int, *, seed: bytes = DEFAULT_SEED
 ) -> Estimate:
     """Corrupt-P1 divergence rate: success = z2 != z3 with z2 set; target 1/p."""
-    return _estimate_attack(Role.P1, p, strategy, trials, seed)
+    return _estimate_sessions(Role.P1, p, strategy, trials, seed)
 
 
 def estimate_core_forgery(p, trials: int, *, seed: bytes = DEFAULT_SEED) -> Estimate:
@@ -460,10 +458,9 @@ def exhaustive_core_forgery(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     weights = Weights.generate(prime, Rng(seed).fork(b"weights"))
     pv = prime.value
     successes = 0
-    for m, s3, s4, s5 in product(range(pv), repeat=4):
-        for r in range(pv):
-            if _accepts(weights, r, m, 1, s3, s4, s5):
-                successes += 1
+    for m, s3, s4, s5, r in product(range(pv), repeat=5):
+        if _accepts(weights, r, m, 1, s3, s4, s5):
+            successes += 1
     return make_estimate(
         "core-forgery-exhaustive",
         pv,
@@ -490,19 +487,37 @@ def _leaf_values(leaf) -> tuple:
     return parties[Role.P1].x, parties[Role.P2].z2, parties[Role.P3].z3
 
 
-def _exhaustive_attack(
-    strategy: str, p, seed: bytes, size: str, grids, note: str
-) -> Estimate:
-    """Count the attack's successes exactly, one leaf per grid point.
+def _guess_grid(elems) -> tuple:
+    # (k1, k2, x', k2') are the installer's coins, the guess the adversary's.
+    return product(elems, repeat=4), [{"ghat": g, "offset": elems[1]} for g in elems]
 
-    grids(elems) returns (coin_grid, choices): the installer coin tuples and
-    the strategy's forced draws.  The stems of _stems run under a hook with
-    no rewrite through round acts_in - 1, and each choice branches from each
-    stem and runs to the end.  That is exact: before acts_in the strategy's
-    turn returns own, what its party emitted, and draws nothing.
+
+def _delta_grid(elems) -> tuple:
+    # P1 draws its own coins; the adversary picks (delta, delta').
+    return [None], [{"delta": d, "delta_prime": dp} for d, dp in product(elems[1:], elems)]
+
+
+# Strategy -> (sweep size, note, grids): grids(elems) returns (coin_grid,
+# choices), the installer coin tuples and the strategy's forced draws.
+_SWEEPS = {
+    "substitute-guess-k1":
+        ("p^6", "grid (k1, k2, x', k2', e, guess); success iff guess = k1", _guess_grid),
+    "inconsistent-line":
+        ("p^2(p-1)", "grid (e, delta, delta'); success iff delta' + e*delta = 0", _delta_grid),
+}
+
+
+def _exhaustive_attack(strategy: str, p, seed: bytes) -> Estimate:
+    """Count the attack's successes exactly, one leaf per _SWEEPS grid point.
+
+    The stems of _stems run under a hook with no rewrite through round
+    acts_in - 1, and each choice branches from each stem and runs to the
+    end.  That is exact: before acts_in the strategy's turn returns own,
+    what its party emitted, and draws nothing.
     """
+    size, note, grids = _SWEEPS[strategy]
     strategy = STRATEGIES[strategy]
-    experiment, success, _ = _ATTACK_EXPERIMENTS[strategy.corrupted]
+    experiment, event, _ = _EXPERIMENTS[strategy.corrupted]
     prime, elems = _grid(
         p, EXHAUSTIVE_ATTACK_MAX, f"exhaustive {experiment} sweeps {size} sessions"
     )
@@ -518,7 +533,7 @@ def _exhaustive_attack(
     for stem in _stems(base, coin_grid, elems, strategy.acts_in - 1):
         for hook in hooks:
             trials += 1
-            successes += success(*_leaf_values(stem.branch(hook).run(TOTAL_ROUNDS)))
+            successes += event(*_leaf_values(stem.branch(hook).run(TOTAL_ROUNDS)))
     return make_estimate(
         f"{experiment}-exhaustive",
         prime.value,
@@ -531,29 +546,12 @@ def _exhaustive_attack(
 
 def exhaustive_unforgeability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     """Sweep (k1, k2, x', k2', e, guess): success iff guess = k1, rate 1/p."""
-
-    def grids(elems):
-        # (k1, k2, x', k2') are the installer's coins, the guess the adversary's.
-        return product(elems, repeat=4), [{"ghat": g, "offset": elems[1]} for g in elems]
-
-    return _exhaustive_attack(
-        "substitute-guess-k1", p, seed, "p^6", grids,
-        "grid (k1, k2, x', k2', e, guess); success iff guess = k1",
-    )
+    return _exhaustive_attack("substitute-guess-k1", p, seed)
 
 
 def exhaustive_transferability(p, *, seed: bytes = DEFAULT_SEED) -> Estimate:
     """Sweep (e, delta != 0, delta'): success iff delta' + e*delta = 0."""
-
-    def grids(elems):
-        # P1 draws its own coins; the adversary picks (delta, delta').
-        deltas = product(elems[1:], elems)
-        return [None], [{"delta": d, "delta_prime": dp} for d, dp in deltas]
-
-    return _exhaustive_attack(
-        "inconsistent-line", p, seed, "p^2(p-1)", grids,
-        "grid (e, delta, delta'); success iff delta' + e*delta = 0",
-    )
+    return _exhaustive_attack("inconsistent-line", p, seed)
 
 
 _SENDER_BYTES = {role: role.value.encode() for role in Role}
@@ -670,17 +668,13 @@ def run_suite(
     """Run one named suite (or "all") and return Estimate/ExactResult rows.
 
     Exhaustive rows are included only where feasible (attacks at p <= 7, core
-    grid at p <= 13, secrecy at p <= 7); asking for the secrecy suite on a
-    larger prime raises PrimeTooLarge since it has no sampled fallback.
+    grid at p <= 13, secrecy at p <= 7); a suite with no row feasible at p,
+    which only the exhaustive-only secrecy suite can be, raises PrimeTooLarge.
     """
     prime = _as_prime(p)
     if suite not in SUITES:
         raise ProtocolMisuse(f"suite must be one of {SUITES}, got {suite!r}")
     pv = prime.value
-    if suite == "secrecy" and pv > EXHAUSTIVE_SECRECY_MAX:
-        raise PrimeTooLarge(
-            f"secrecy suite is exhaustive-only; p = {pv} > {EXHAUSTIVE_SECRECY_MAX}"
-        )
     root = Rng(seed)
 
     def secrecy(*, seed: bytes) -> ExactResult:
@@ -704,11 +698,14 @@ def run_suite(
         ("core", b"core", None, partial(estimate_core_forgery, prime, trials)),
         ("core", b"core-exhaustive", EXHAUSTIVE_CORE_MAX, partial(exhaustive_core_forgery, prime)),
     )
-    return [
+    rows = [
         row(seed=root.fork(label).seed)
         for name, label, limit, row in table
         if suite in (name, "all") and (limit is None or pv <= limit)
     ]
+    if not rows:
+        raise PrimeTooLarge(f"{suite} suite has no row feasible at p = {pv}")
+    return rows
 
 
 def result_json_line(res) -> str:

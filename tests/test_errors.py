@@ -22,6 +22,7 @@ from silmarils.hashing import (
     DOMAIN_NONCE,
     DOMAIN_RECEIPT,
     PairKey,
+    authenticated_value,
     derive_receipt,
     hash_to_field,
     prf_to_field,
@@ -214,6 +215,23 @@ SITES = {
     "receipt_from_nonce of an int nonce": (lambda: receipt_from_nonce(MSG, 5), WrongType, TypeError),
     "receipt_from_nonce of a None nonce": (
         lambda: receipt_from_nonce(MSG, None),
+        WrongType,
+        TypeError,
+    ),
+    # Every session's P1, and every interpreted session, hashes (M, sig) to x:
+    # a str or None message, or str signature bytes, raised a bare TypeError.
+    "authenticated_value of a str message": (
+        lambda: authenticated_value("m", SIG.encode(), P251),
+        WrongType,
+        TypeError,
+    ),
+    "authenticated_value of a None message": (
+        lambda: authenticated_value(None, SIG.encode(), P251),
+        WrongType,
+        TypeError,
+    ),
+    "authenticated_value of str signature bytes": (
+        lambda: authenticated_value(MSG, "sig", P251),
         WrongType,
         TypeError,
     ),

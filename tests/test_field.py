@@ -221,6 +221,14 @@ def test_equality_and_hash(prime):
     assert bool(prime.zero) is False and bool(prime.one) is True
 
 
+@pytest.mark.parametrize("p", [251, SECURE_PRIME_VALUE], ids=lambda v: f"p{v.bit_length()}b")
+def test_public_constructor_reduces_mod_p(p):
+    P = Prime(p)
+    assert FieldElement(-1, P) == P.elt(p - 1)
+    assert FieldElement(p + 3, P) == P.elt(3)
+    assert FieldElement(0, P) == P.zero
+
+
 def test_op_counting_nests_and_ignores_uncounted():
     p = Prime(251)
     x, y = p.elt(9), p.elt(10)

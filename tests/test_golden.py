@@ -6,7 +6,9 @@ only checks that two runs of the same code agree.  It holds the
 the SHA-256 of each ``sim3p --out`` transcript and of its stdout summary.
 The signature and public_r_forge bytes at p = 251 and at the secure prime,
 which no harness row reaches, are pinned inline below (``SIGNATURE_PINS``,
-``PUBLIC_R_PINS``).
+``PUBLIC_R_PINS``), and so are the SHA-256 of the session form of
+``estimate_correctness``, which ``run_suite`` never runs
+(``SESSION_CORRECTNESS_PINS``).
 
 Regenerate only when an output is meant to change, and say why:
 
@@ -25,7 +27,7 @@ import pytest
 from silmarils.cli import main
 from silmarils.field import SECURE_PRIME_VALUE, Prime
 from silmarils.rng import Rng
-from silmarils.stats import _keys_for, result_json_line, run_suite
+from silmarils.stats import _keys_for, estimate_correctness, result_json_line, run_suite
 from silmarils.two_party import Params, dv_forge, keygen, public_r_forge, sign, verify_public_r
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -70,6 +72,13 @@ PUBLIC_R_PINS = {
         "2f587e232d18d5cf6a109a001e71ec9199b6b5c6d092d682bb4e2fe73b1004af"
         "77fb3505e6e4aabcd2001381512adb16c053bc86c32bcec08d1ab613156cdb39"
     ),
+}
+
+# Per prime: SHA-256 of result_json_line(estimate_correctness(Prime(p), 130,
+# seed=b"c" * 32, sessions=True)): 2 failures at p = 251 and 12 at p = 13.
+SESSION_CORRECTNESS_PINS = {
+    251: "e6ef6f2395467188b3db819ca66ea53d594f9b660498b062fd36fe8249346135",
+    13: "57c792486d85b879b4feb3e13f663237fe8bbe9890fa6950bbfe9d209fe38ef3",
 }
 
 
@@ -123,6 +132,13 @@ def test_public_r_forgery_bytes_match_pins(p):
     sig = public_r_forge(pk, PUBLIC_R_MESSAGE, Rng(b"\x5b" * 32))
     assert sig.encode().hex() == PUBLIC_R_PINS[p]
     assert verify_public_r(pk, PUBLIC_R_MESSAGE, sig)
+
+
+@pytest.mark.parametrize("p", sorted(SESSION_CORRECTNESS_PINS))
+def test_session_correctness_row_matches_pin(p):
+    row = estimate_correctness(Prime(p), 130, seed=b"c" * 32, sessions=True)
+    digest = hashlib.sha256(result_json_line(row).encode()).hexdigest()
+    assert digest == SESSION_CORRECTNESS_PINS[p]
 
 
 def _generate() -> dict:

@@ -304,6 +304,36 @@ def test_starved_holder_and_keyless_verifier_stay_total():
         assert (4, "P3", "reject") in res.outcome.verdicts
 
 
+def test_starved_holder_adopts_a_revealed_line_at_zero():
+    # A corrupt P1 sends P3 its keys but P2 no setup, skips its round-3
+    # verdict and broadcasts RevealLine(k1, k2) in round 6.  P2, holding no
+    # point, takes x = 0 and sigma = k2 off the line, so both outputs are 0.
+    def starve_then_reveal():
+        keys_sent = []
+
+        def turn(rnd: int, own: tuple, view) -> list:
+            if rnd == ROUND_SETUP:
+                keys_sent[:] = [env for env in own if isinstance(env.payload, VerifierSetup)]
+                return keys_sent
+            if rnd == ROUND_P1_CHECK:
+                return []
+            if rnd == ROUND_RESOLUTION:
+                k = keys_sent[0].payload
+                return [Envelope(rnd, Role.P1, None, RevealLine(k.k1, k.k2))]
+            return own
+
+        return AdversaryHook(corrupted=Role.P1, rewrite=turn)
+
+    for i in range(5):
+        hook = starve_then_reveal()
+        session = open_signing_session(KEYS, MSG, i.to_bytes(32, "big"), adversary=hook)
+        session.run(TOTAL_ROUNDS)
+        assert session.rounds_run == TOTAL_ROUNDS
+        assert session.dead_letters == 0
+        out = signing_result(session).outcome
+        assert out.z2 == out.z3 == P251.zero
+
+
 def test_role_identity_hash_changes_no_lookup_or_session(monkeypatch):
     assert hash(Role.P1) == object.__hash__(Role.P1)
     table = {Role.P1: "signer", Role.P2: "holder", Role.P3: "verifier"}
